@@ -35,7 +35,6 @@ __all__ = [
     "CellGrid",
     "CellSolution",
     "solve_cell_problem",
-    "homogenized_tensor",
     "corrector_slopes",
     "corrector_gradient",
 ]
@@ -240,11 +239,6 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
     return CellSolution(grid=grid, correctors=correctors,
                         slice_tensors=slice_tensors, a_tilde=a_tilde,
                         residuals=residuals, iterations=iterations)
-
-
-def homogenized_tensor(solution: CellSolution) -> np.ndarray:
-    """The tau-averaged effective tensor of a solved cell problem."""
-    return solution.a_tilde.copy()
 
 
 def _interp_periodic(values: np.ndarray, coords: tuple[np.ndarray, ...],

@@ -33,7 +33,7 @@ from .cell import CellGrid, solve_cell_problem
 from .config import RunConfig, parse_config
 from .diagnostics import reduce_raw, run_ladder
 from .ensemble import Ensemble
-from .errors import ConfigError, IntegrityError, ToolkitError
+from .errors import ConfigError, IntegrityError, ToolkitError, ValidationError
 from .grid import ScalarField, field_to_csv
 from .integrator import run_ensemble
 from .manifest import (
@@ -207,6 +207,9 @@ def _cmd_cell(args) -> int:
 def _cmd_simulate(args) -> int:
     t0 = time.time()
     cfg, text = _load_config(args)
+    if cfg.values["model"]["variant"] != "allen_cahn":
+        raise ValidationError("simulate runs the scalar variant only",
+                              field="model.variant")
     out = _resolve_output(args, cfg, "simulate")
     grid = cfg.grid()
     st = cfg.values["study"]

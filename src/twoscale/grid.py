@@ -26,6 +26,8 @@ __all__ = [
     "VectorField",
     "norm_H",
     "norm_V",
+    "face_differences",
+    "gradient_energy",
     "norm_L4",
     "norm_Hminus1_proxy",
     "inner_H",
@@ -182,16 +184,47 @@ def inner_H(f: ScalarField, g: ScalarField) -> float:
     return float(d.h ** d.dimension * np.sum(f.values * g.values))
 
 
-def _face_differences(values: np.ndarray, axis: int) -> np.ndarray:
-    """Forward differences across all faces along ``axis``.
+def face_differences(values: np.ndarray, axis: int,
+                     dimension: int) -> np.ndarray:
+    """Forward differences across all faces along grid ``axis``.
 
-    The zero trace supplies one ghost layer on each side, so a grid with
-    (n-1) interior nodes has n faces per line.
+    ``values`` is a stack shaped (..., *grid.shape) whose trailing
+    ``dimension`` axes are the grid. The zero trace supplies one ghost node
+    on each side, so an axis with n-1 interior nodes has n faces. Slicing
+    gives the same bits as np.diff of the zero-padded array, since x - 0
+    and 0 - x are exact.
     """
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 1)
-    padded = np.pad(values, pad)
-    return np.diff(padded, axis=axis)
+    ax = values.ndim - dimension + axis
+
+    def along(sl: slice) -> tuple:
+        return (slice(None),) * ax + (sl,)
+
+    shape = list(values.shape)
+    shape[ax] += 1
+    out = np.empty(shape, dtype=values.dtype)
+    out[along(slice(0, 1))] = values[along(slice(0, 1))]
+    out[along(slice(1, -1))] = (values[along(slice(1, None))]
+                                - values[along(slice(None, -1))])
+    out[along(slice(-1, None))] = 0.0 - values[along(slice(-1, None))]
+    return out
+
+
+def gradient_energy(values: np.ndarray, grid: GridSpec,
+                    faces: list[np.ndarray] | None = None) -> np.ndarray:
+    """Face-weighted gradient energy h^N * sum over faces of s (D/h)^2.
+
+    ``values`` is a stack shaped (..., *grid.shape) and the result has the
+    leading shape (...). ``faces`` holds one weight array per axis, laid
+    out like the face differences; None means unit weights, which gives
+    the squared V norm.
+    """
+    grid_axes = tuple(range(-grid.dimension, 0))
+    total = 0.0
+    for axis in range(grid.dimension):
+        d = face_differences(values, axis, grid.dimension)
+        w = d * d if faces is None else faces[axis] * d * d
+        total = total + np.sum(w, axis=grid_axes)
+    return total * (grid.h ** grid.dimension / grid.h ** 2)
 
 
 def norm_V(f: ScalarField) -> float:
@@ -200,12 +233,7 @@ def norm_V(f: ScalarField) -> float:
     Boundary faces use the zero trace; the quadrature weight per face is
     h^N so norm_V(f)^2 = h^N * sum over faces of (difference/h)^2.
     """
-    g = f.grid
-    acc = 0.0
-    for axis in range(g.dimension):
-        d = _face_differences(f.values, axis)
-        acc += np.sum(d * d)
-    return float(np.sqrt(g.h ** g.dimension * acc / g.h ** 2))
+    return float(np.sqrt(gradient_energy(f.values, f.grid)))
 
 
 def norm_L4(f: ScalarField) -> float:

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dstn
 
-from .ensemble import Ensemble, empirical_measure
+from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected
-from .grid import GridSpec, ScalarField, sine_weights_Hminus1
+from .grid import (GridSpec, ScalarField, gradient_energy,
+                   sine_weights_Hminus1)
 from .models import (
     EmpiricalMeasure,
     ImplicitFactorization,
@@ -186,7 +187,6 @@ class BatchedStepper:
         self.tensor = homogenized_tensor
         sig = model.sigma0 / np.arange(1, spec.modes + 1, dtype=float)
         self._g_weights = np.sqrt(spec.eigenvalues * self.dt) * sig
-        self._sqrt_dt_lambda = np.sqrt(spec.eigenvalues * self.dt)
         self._fac: ImplicitFactorization | None = None
         self._fac_time: float | None = None
 
@@ -208,6 +208,30 @@ class BatchedStepper:
 
     # -- one step over the whole stack ---------------------------------------
 
+    def explicit_terms(self, U: np.ndarray,
+                       xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Drift F(U) and noise increment G(U) dW for every path.
+
+        Args:
+            U: state stack (paths, dof).
+            xi: mode draws (paths, K).
+        """
+        model = self.model
+        drift = np.zeros_like(U)
+        if model.mean_field == "stokes_drag":
+            groups = U.reshape(-1, self.members, U.shape[-1])
+            means = groups.mean(axis=1, keepdims=True)
+            drift += U - np.broadcast_to(means, groups.shape).reshape(U.shape)
+        if model.cubic:
+            drift += U - U ** 3
+        if model.noise_law == "scalar_multiplicative":
+            amp = xi @ self._g_weights
+            noise = amp[:, None] * U
+        else:
+            fields = (xi * self._g_weights) @ self.spec.basis
+            noise = U * fields
+        return drift, noise
+
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
                 step_index: int) -> np.ndarray:
         """One semi-implicit step of the whole stack.
@@ -218,25 +242,9 @@ class BatchedStepper:
             t: current time (coefficient frozen here).
             step_index: for diagnostics.
         """
-        model = self.model
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
-        check_guard(max_abs, model, self.dt, self.grid.h, step_index)
-
-        drift = np.zeros_like(U)
-        if model.mean_field == "stokes_drag":
-            groups = U.reshape(-1, self.members, U.shape[-1])
-            means = groups.mean(axis=1, keepdims=True)
-            drift += U - np.broadcast_to(means, groups.shape).reshape(U.shape)
-        if model.cubic:
-            drift += U - U ** 3
-
-        if model.noise_law == "scalar_multiplicative":
-            amp = xi @ self._g_weights
-            noise = amp[:, None] * U
-        else:
-            fields = (xi * self._g_weights) @ self.spec.basis
-            noise = U * fields
-
+        check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
+        drift, noise = self.explicit_terms(U, xi)
         rhs = U + self.dt * drift + noise
         if not np.all(np.isfinite(rhs)):
             bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0]
@@ -262,14 +270,7 @@ class BatchedStepper:
         g = self.grid
         hN = g.h ** g.dimension
         h2 = hN * np.sum(U * U, axis=-1)
-        fields = U.reshape((-1,) + g.shape)
-        v2 = np.zeros(U.shape[0])
-        for axis in range(g.dimension):
-            pad = [(0, 0)] * (g.dimension + 1)
-            pad[axis + 1] = (1, 1)
-            d = np.diff(np.pad(fields, pad), axis=axis + 1)
-            v2 += np.sum(d.reshape(U.shape[0], -1) ** 2, axis=-1)
-        v2 *= hN / g.h ** 2
+        v2 = gradient_energy(U.reshape((-1,) + g.shape), g)
         l4 = hN * np.sum(U ** 4, axis=-1)
         return {"t": t_next, "H2": h2, "V2": v2, "L4": l4}
 
@@ -331,7 +332,6 @@ def step_velocity(u, model: ModelSpec, measure, streams, dt: float, t: float,
 
 
 def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
-                 homogenized_tensor: np.ndarray | None = None,
                  ) -> tuple[Ensemble, list[EnergyLedger]]:
     """Advance every member to the horizon with per-step measure refresh.
 
@@ -342,8 +342,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     g = ensemble.grid
     spec = ensemble.noise
     stepper = BatchedStepper(g, model, spec, members=ensemble.size,
-                             dt=config.dt, tol=config.tol,
-                             homogenized_tensor=homogenized_tensor)
+                             dt=config.dt, tol=config.tol)
     U = np.stack([m.values.reshape(-1) for m in ensemble.members])
     ledgers = [EnergyLedger(moment_p=config.moment_p)
                for _ in range(ensemble.size)]
@@ -357,21 +356,22 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     if config.max_steps is not None:
         steps = min(steps, config.max_steps)
     t = ensemble.time
-    faces = None
-    if homogenized_tensor is None and not model.coefficient.time_dependent:
-        faces = face_coefficients(model.coefficient, g, model.epsilon, 0.0)
+    hN = g.h ** g.dimension
     for n in range(steps):
         xi = np.stack([s.draw() for s in ensemble.streams])
         t_frozen = t
         U_new = stepper.advance(U, xi, t_frozen, n)
         t = ensemble.time + (n + 1) * config.dt
-        # dissipation pairs the new state with the operator frozen at t_n,
-        # matching the implicit solve, so the energy identity is exact
-        diss += 2.0 * config.dt * _weighted_gradient_energy(
-            U_new, g, stepper, faces, t_frozen)
+        # dissipation pairs the new state with the faces of the implicit
+        # solve (frozen at t_n), so the energy identity is exact
+        faces = stepper.factorization(t_frozen).faces
+        diss += 2.0 * config.dt * gradient_energy(
+            U_new.reshape((-1,) + g.shape), g, faces)
         rows = stepper.energy_rows(U_new, t)
-        work_drift, work_noise = _work_increments(U, U_new, xi, model,
-                                                  stepper, config.dt)
+        # signed work pairings against the pre-step state
+        drift, noise = stepper.explicit_terms(U, xi)
+        work_drift = config.dt * hN * np.sum(drift * U, axis=-1)
+        work_noise = hN * np.sum(noise * U, axis=-1)
         for i, led in enumerate(ledgers):
             led.append(n + 1, t, rows["H2"][i], rows["V2"][i],
                        rows["L4"][i], diss[i])
@@ -387,63 +387,6 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     for led in ledgers:
         led.validate()
     return final, ledgers
-
-
-def _tensor_faces(tensor: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Constant per-axis face weights for a diagonal effective tensor."""
-    n = grid.cells
-    if grid.dimension == 1:
-        return [np.full(n, tensor[0, 0])]
-    if tensor[0, 1] != 0.0 or tensor[1, 0] != 0.0:
-        raise ValueError(
-            "face-weighted energy needs a diagonal tensor; got off-diagonal")
-    return [np.full((n, n - 1), tensor[0, 0]),
-            np.full((n - 1, n), tensor[1, 1])]
-
-
-def _weighted_gradient_energy(U: np.ndarray, grid: GridSpec,
-                              stepper: BatchedStepper,
-                              faces_cache, t: float) -> np.ndarray:
-    """sum over faces of s_face * (forward difference / h)^2 * h^N per path."""
-    if faces_cache is not None:
-        faces = faces_cache
-    elif stepper.tensor is not None:
-        faces = _tensor_faces(np.asarray(stepper.tensor, dtype=float), grid)
-    else:
-        faces = face_coefficients(stepper.model.coefficient, grid,
-                                  stepper.model.epsilon, t)
-    hN = grid.h ** grid.dimension
-    fields = U.reshape((-1,) + grid.shape)
-    acc = np.zeros(U.shape[0])
-    for axis, s_face in enumerate(faces):
-        pad = [(0, 0)] * (grid.dimension + 1)
-        pad[axis + 1] = (1, 1)
-        d = np.diff(np.pad(fields, pad), axis=axis + 1) / grid.h
-        acc += np.sum((s_face[None] * d * d).reshape(U.shape[0], -1), axis=-1)
-    return acc * hN
-
-
-def _work_increments(U, U_new, xi, model: ModelSpec,
-                     stepper: BatchedStepper, dt: float):
-    """Signed drift and noise work pairings against the pre-step state."""
-    g = stepper.grid
-    hN = g.h ** g.dimension
-    drift = np.zeros_like(U)
-    if model.mean_field == "stokes_drag":
-        groups = U.reshape(-1, stepper.members, U.shape[-1])
-        means = groups.mean(axis=1, keepdims=True)
-        drift += U - np.broadcast_to(means, groups.shape).reshape(U.shape)
-    if model.cubic:
-        drift += U - U ** 3
-    if model.noise_law == "scalar_multiplicative":
-        amp = xi @ stepper._g_weights
-        noise = amp[:, None] * U
-    else:
-        fields = (xi * stepper._g_weights) @ stepper.spec.basis
-        noise = U * fields
-    work_drift = dt * hN * np.sum(drift * U, axis=-1)
-    work_noise = hN * np.sum(noise * U, axis=-1)
-    return work_drift, work_noise
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from scipy.linalg import solveh_banded
 
 from .coefficients import CoefficientField
 from .errors import ContractViolation, NotDivergenceFree, SolverDiverged
-from .grid import GridSpec, ScalarField, VectorField, norm_H, norm_L4, inner_H
+from .grid import (GridSpec, ScalarField, VectorField, face_differences,
+                   inner_H, norm_H, norm_L4)
 from .noise import QWienerSpec
 
 __all__ = [
@@ -156,16 +157,34 @@ def face_coefficients(coeff: CoefficientField, grid: GridSpec, eps: float,
     return [fx, fy]
 
 
-def _apply_faces(values: np.ndarray, faces: list[np.ndarray],
-                 h: float) -> np.ndarray:
-    """-div(s grad u) with zero Dirichlet ghosts, conservative stencil."""
+def _apply_faces(values: np.ndarray, faces: list, h: float) -> np.ndarray:
+    """-div(s grad u) with zero Dirichlet ghosts, conservative stencil.
+
+    ``values`` is a stack (..., *grid.shape); ``faces`` holds one weight
+    array (or constant) per grid axis.
+    """
+    dim = len(faces)
     out = np.zeros_like(values)
     for axis, s_face in enumerate(faces):
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 1)
-        padded = np.pad(values, pad)
-        flux = s_face * np.diff(padded, axis=axis) / h
-        out -= np.diff(flux, axis=axis) / h
+        flux = s_face * face_differences(values, axis, dim) / h
+        out -= np.diff(flux, axis=axis - dim) / h
+    return out
+
+
+def _central(values: np.ndarray, axis: int, dim: int, h: float) -> np.ndarray:
+    """Zero-ghost central difference: the mean of the two adjacent faces."""
+    d = np.moveaxis(face_differences(values, axis, dim), axis - dim, -1)
+    return np.moveaxis(d[..., 1:] + d[..., :-1], -1, axis - dim) / (2.0 * h)
+
+
+def _apply_tensor(values: np.ndarray, tensor: np.ndarray,
+                  h: float) -> np.ndarray:
+    """-sum_jk t_jk d_j d_k u on a stack (..., *grid.shape)."""
+    dim = tensor.shape[0]
+    out = _apply_faces(values, [tensor[d, d] for d in range(dim)], h)
+    if dim == 2 and (tensor[0, 1] != 0.0 or tensor[1, 0] != 0.0):
+        cross = _central(_central(values, 1, dim, h), 0, dim, h)
+        out -= (tensor[0, 1] + tensor[1, 0]) * cross
     return out
 
 
@@ -180,37 +199,24 @@ def apply_A_tensor(u: ScalarField, tensor: np.ndarray) -> ScalarField:
     """Constant-coefficient operator -sum_jk t_jk d_j d_k u.
 
     Used for the effective (homogenized) reference dynamics. Diagonal
-    entries use the standard second difference; the symmetric off-diagonal
-    pair uses centered cross differences. Zero Dirichlet ghosts throughout.
+    entries use the second difference (a difference of face differences);
+    the symmetric off-diagonal pair uses a central difference of a central
+    difference. Zero Dirichlet ghosts throughout.
     """
     tensor = np.asarray(tensor, dtype=float)
     g = u.grid
-    dim = g.dimension
-    if tensor.shape != (dim, dim):
+    if tensor.shape != (g.dimension, g.dimension):
         raise ValueError("tensor shape does not match grid dimension")
-    h2 = g.h ** 2
-    pad = np.pad(u.values, [(1, 1)] * dim)
-    out = np.zeros_like(u.values)
-    for d in range(dim):
-        sl_hi = [slice(1, -1)] * dim
-        sl_lo = [slice(1, -1)] * dim
-        sl_hi[d] = slice(2, None)
-        sl_lo[d] = slice(0, -2)
-        second = (pad[tuple(sl_hi)] - 2.0 * u.values + pad[tuple(sl_lo)]) / h2
-        out -= tensor[d, d] * second
-    if dim == 2 and (tensor[0, 1] != 0.0 or tensor[1, 0] != 0.0):
-        cross = (pad[2:, 2:] - pad[2:, :-2] - pad[:-2, 2:] + pad[:-2, :-2]) \
-            / (4.0 * h2)
-        out -= (tensor[0, 1] + tensor[1, 0]) * cross
-    return ScalarField(g, out)
+    return ScalarField(g, _apply_tensor(u.values, tensor, g.h))
 
 
 class ImplicitFactorization:
     """Reusable solver for (I + dt * A) v = rhs at a frozen coefficient time.
 
-    In 1D the operator is tridiagonal and we keep a banded Cholesky factor,
-    so repeated solves (and batched right-hand sides) cost O(n) each. In 2D
-    we fall back to matrix-free conjugate gradients per solve.
+    A stack of right-hand sides is solved in one call. In 1D the operator
+    is tridiagonal and we keep a banded Cholesky factor, so each solve
+    costs O(n). In 2D the whole stack runs matrix-free conjugate gradients
+    together; the operator applies face differences with zero ghosts.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,
@@ -249,32 +255,31 @@ class ImplicitFactorization:
         if self.faces is not None:
             av = _apply_faces(values, self.faces, self.grid.h)
         else:
-            av = apply_A_tensor(ScalarField(self.grid, values),
-                                self.tensor).values
+            av = _apply_tensor(values, np.asarray(self.tensor, dtype=float),
+                               self.grid.h)
         return values + self.dt * av
 
     def solve_batch(self, rhs: np.ndarray, tol: float = 1e-8,
                     max_iter: int | None = None) -> np.ndarray:
         """Solve for a stack of right-hand sides, shape (paths, dof...).
 
-        1D uses the cached Cholesky factor; 2D runs CG per column with
-        elementwise step scalars so the whole stack advances together.
+        A single right-hand side (dof...) is a stack of one. 1D uses the
+        cached Cholesky factor; 2D runs CG on the whole (paths, dof) stack
+        with per-path step scalars, until every path meets ``tol``
+        relative to its right-hand side.
         """
+        flat = rhs.reshape(-1, self.grid.dof)
         if self.grid.dimension == 1:
             from scipy.linalg import cho_solve_banded
 
-            flat = rhs.reshape(-1, self.grid.dof) if rhs.ndim > 1 \
-                else rhs.reshape(1, -1)
             out = cho_solve_banded((self._banded, False), flat.T).T
-            return out.reshape(rhs.shape)
-        return self._cg_batch(rhs, tol, max_iter)
+        else:
+            out = self._cg_batch(flat, tol, max_iter)
+        return out.reshape(rhs.shape)
 
-    def _cg_batch(self, rhs: np.ndarray, tol: float,
+    def _cg_batch(self, b: np.ndarray, tol: float,
                   max_iter: int | None) -> np.ndarray:
-        single = rhs.ndim == self.grid.dimension
-        stack = rhs[None] if single else rhs
-        shape = stack.shape
-        b = stack.reshape(shape[0], -1)
+        fields = (b.shape[0],) + self.grid.shape
         x = np.zeros_like(b)
         r = b.copy()
         p = r.copy()
@@ -283,16 +288,18 @@ class ImplicitFactorization:
         b_norm = np.where(b_norm == 0.0, 1.0, b_norm)
         limit = max_iter if max_iter is not None else 20 * self.grid.cells ** 2
         it = 0
-        while np.any(np.sqrt(rs) > tol * b_norm):
+        while np.any(active := np.sqrt(rs) > tol * b_norm):
             if it >= limit:
                 raise SolverDiverged(
                     f"implicit CG exceeded {limit} iterations",
                     iterations=it,
                     residual=float(np.max(np.sqrt(rs) / b_norm)))
-            ap = np.stack([
-                self._apply(p[i].reshape(self.grid.shape)).reshape(-1)
-                for i in range(shape[0])])
+            ap = self._apply(p.reshape(fields)).reshape(b.shape)
             denom = np.einsum("ij,ij->i", p, ap)
+            if np.any(active & ~(denom > 0)):
+                raise SolverDiverged(
+                    "implicit CG lost positive definiteness", iterations=it,
+                    residual=float(np.max(np.sqrt(rs) / b_norm)))
             alpha = np.where(denom > 0, rs / np.where(denom == 0, 1, denom), 0.0)
             x += alpha[:, None] * p
             r -= alpha[:, None] * ap
@@ -301,8 +308,7 @@ class ImplicitFactorization:
             p = r + beta[:, None] * p
             rs = rs_new
             it += 1
-        out = x.reshape(shape)
-        return out[0] if single else out
+        return x
 
 
 def solve_implicit(rhs: ScalarField, coeff: CoefficientField, eps: float,
@@ -368,17 +374,6 @@ def spectral_divergence_norm(v: VectorField) -> float:
     return float(np.sqrt(np.sum(d ** 2)))
 
 
-def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (1, 1)
-    padded = np.pad(values, pad)
-    sl_hi = [slice(None)] * values.ndim
-    sl_lo = [slice(None)] * values.ndim
-    sl_hi[axis] = slice(2, None)
-    sl_lo[axis] = slice(0, -2)
-    return (padded[tuple(sl_hi)] - padded[tuple(sl_lo)]) / (2.0 * h)
-
-
 def apply_B(u: VectorField, v: VectorField,
             divergence_tol: float = 1e-8) -> VectorField:
     """Skew-symmetrized advection of v by u, Leray-projected.
@@ -406,8 +401,8 @@ def apply_B(u: VectorField, v: VectorField,
     for m in range(2):
         adv = np.zeros(g.shape)
         for i in range(2):
-            adv += u[i].values * _central_diff(v[m].values, i, h)
-            adv += _central_diff(u[i].values * v[m].values, i, h)
+            adv += u[i].values * _central(v[m].values, i, 2, h)
+            adv += _central(u[i].values * v[m].values, i, 2, h)
         comps.append(ScalarField(g, 0.5 * adv))
     return leray_project(VectorField(comps))
 

@@ -8,7 +8,6 @@ from twoscale.cell import (
     CellGrid,
     corrector_gradient,
     corrector_slopes,
-    homogenized_tensor,
     solve_cell_problem,
 )
 from twoscale.coefficients import make_coefficient
@@ -130,7 +129,6 @@ def test_tensor_symmetric_elliptic():
     assert np.max(np.abs(t - t.T)) <= 1e-10
     eigs = np.linalg.eigvalsh(t)
     assert eigs.min() >= c.kappa - 1e-8
-    assert np.array_equal(homogenized_tensor(sol), t)
 
 
 def test_reconstruction_constant_coefficient_is_identity():

@@ -533,6 +533,32 @@ def test_simulate_writes_states_and_ledgers(tmp_path, capsys):
     assert summary["members"] == 2
 
 
+def test_simulate_rejects_velocity_variant(tmp_path, capsys):
+    cfg = tmp_path / "velocity.ini"
+    cfg.write_text(ini("""
+        [grid]
+        dimension = 2
+        cells = 32
+        [coefficient]
+        family = checkerboard
+        [model]
+        variant = navier_stokes_2d
+        [stepper]
+        dt = 0.01
+        horizon = 0.02
+        [ensemble]
+        members = 1
+        """), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o", str(out)],
+                              capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert payload["error"] == "ValidationError"
+    assert payload["field"] == "model.variant"
+    assert not out.exists()
+
+
 def declared_console_script(name):
     """The ``module:attr`` target that pyproject.toml declares for ``name``."""
     try:

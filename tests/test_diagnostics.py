@@ -12,7 +12,9 @@ from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
                                   two_scale_pairing)
 from twoscale.errors import ValidationError
 from twoscale.grid import GridSpec
-from twoscale.integrator import StepperConfig
+from twoscale.integrator import BatchedStepper, StepperConfig
+from twoscale.models import ImplicitFactorization, face_coefficients
+from twoscale.noise import NoiseStream
 
 
 def small_study(coefficient=None, replicas=3, members=2, seed=0):
@@ -230,6 +232,77 @@ def test_ladder_replica_relabeling_invariance():
                        rtol=1e-13)
     assert np.allclose(relabeled.wasserstein_final, base.wasserstein_final,
                        rtol=1e-12, atol=1e-15)
+
+
+def test_ladder_2d_runs_many_paths():
+    # Every 2D level advances a (paths, dof) stack through one CG solve.
+    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    grid = GridSpec(2, 32)
+    cfg = StudyConfig(coefficient=coeff, grid=grid, epsilons=(0.5,),
+                      stepper=StepperConfig(dt=0.01, horizon=0.02),
+                      members=2, replicas=2, cell_cells=16)
+    rep = run_ladder(cfg).report
+    for values in (rep.errors, rep.plain_gradient, rep.corrected_gradient,
+                   rep.energy_functional):
+        assert np.all(np.isfinite(values))
+
+    fac = ImplicitFactorization(grid, face_coefficients(coeff, grid, 0.5, 0.0),
+                                dt=0.01)
+    # rows alone stop at other iterates; tol 1e-10 keeps that below 1e-8
+    stack = np.random.default_rng(6).standard_normal((4, grid.dof))
+    batched = fac.solve_batch(stack, tol=1e-10)
+    for row, out in zip(stack, batched):
+        alone = fac.solve_batch(row, tol=1e-10)
+        assert np.max(np.abs(out - alone)) <= 1e-8 * np.max(np.abs(alone))
+
+
+def stored_ladder_paths(cfg, result):
+    """Re-step every ladder path with the ladder's engine and draws.
+
+    Returns one (paths, steps+1, dof) trajectory array per level, the
+    effective level last.
+    """
+    spec = cfg.noise_spec()
+    dt = cfg.stepper.dt
+    steppers = [BatchedStepper(cfg.grid, cfg.model_for(e), spec,
+                               members=cfg.members, dt=dt)
+                for e in cfg.epsilons]
+    steppers.append(BatchedStepper(cfg.grid, cfg.model_for(cfg.epsilons[-1]),
+                                   spec, members=cfg.members, dt=dt,
+                                   homogenized_tensor=result.a_tilde))
+    streams = [NoiseStream.derive(spec, m, r)
+               for r in range(cfg.replicas) for m in range(cfg.members)]
+    u0 = np.tile(cfg.initial_values(), (len(streams), 1))
+    paths = [[u0] for _ in steppers]
+    for n in range(cfg.stepper.steps):
+        xi = np.stack([s.draw() for s in streams])
+        for stepper, path in zip(steppers, paths):
+            path.append(stepper.advance(path[-1], xi, n * dt, n))
+    return [np.stack(path, axis=1) for path in paths]
+
+
+@pytest.mark.parametrize("family", ["layered", "separable_trig"])
+def test_stored_paths_reproduce_ladder_accumulators(family):
+    # The diagnostics on stored trajectories and the ladder's streaming
+    # accumulators are one definition: same face differences, same slopes,
+    # same time rules.
+    cfg = small_study(coefficient=make_coefficient(family, 1))
+    result = run_ladder(cfg)
+    raw = result.raw
+    paths = stored_ladder_paths(cfg, result)
+    assert np.array_equal(np.stack([p[:, -1] for p in paths]),
+                          raw["final_states"])
+    dt = cfg.stepper.dt
+    for li, eps in enumerate(cfg.epsilons):
+        for p in range(paths[li].shape[0]):
+            pairing = two_scale_pairing(paths[li][p], cfg.grid, dt, eps)
+            assert pairing == pytest.approx(raw["pairing"][li, p], rel=1e-12)
+            plain, corrected = corrector_residual(
+                paths[li][p], paths[-1][p], result.cell, cfg.grid, dt, eps)
+            assert plain == pytest.approx(np.sqrt(raw["plain2"][li, p]),
+                                          rel=1e-12)
+            assert corrected == pytest.approx(np.sqrt(raw["corr2"][li, p]),
+                                              rel=1e-12)
 
 
 def test_ladder_seed_changes_output():

@@ -134,6 +134,24 @@ def test_energy_identity_exact_form():
         u = u_next
 
 
+def test_ledger_energy_identity_time_dependent_coefficient():
+    # The ledger's dissipation must pair u^{n+1} with the faces of the
+    # implicit solve, frozen at t_n; on a coefficient that moves with the
+    # fast time any other faces break the exact balance of step 2.
+    grid = GridSpec(1, 128)
+    model = free_model(coefficient=make_coefficient("separable_trig", 1))
+    dt = 1e-3
+    ens = Ensemble(members=[sin_initial(grid)], noise=noise_spec(grid))
+    final, (ledger,) = run_ensemble(ens, model,
+                                    StepperConfig(dt=dt, horizon=2 * dt))
+    u2 = final.members[0]
+    au = apply_A_eps(u2, model.coefficient, model.epsilon, dt)
+    diss = ledger.cumulative_dissipation
+    balance = (ledger.H2[2] - ledger.H2[1] + (diss[2] - diss[1])
+               + dt ** 2 * norm_H(au) ** 2)
+    assert abs(balance) < 1e-10 * ledger.H2[1]
+
+
 # ---------------------------------------------------------------------------
 # determinism and coupling symmetries
 

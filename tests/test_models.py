@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twoscale.coefficients import make_coefficient
-from twoscale.errors import ContractViolation, NotDivergenceFree
+from twoscale.errors import (ContractViolation, NotDivergenceFree,
+                             SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
                            first_eigenvalue, norm_H, norm_V, sine_mode)
 from twoscale.models import (EmpiricalMeasure, ImplicitFactorization,
@@ -179,6 +180,33 @@ def test_implicit_batch_matches_single_solves():
     for i in range(5):
         single = fac.solve_batch(stack[i])
         assert np.array_equal(batched[i], single)
+
+
+def test_implicit_cg_stops_at_lost_definiteness():
+    # Negative faces make I + dt A indefinite: the first search direction
+    # already has p.Ap <= 0, so CG must give up at once instead of idling
+    # to its iteration limit.
+    grid = GridSpec(2, 16)
+    faces = [np.full((16, 15), -1.0), np.full((15, 16), -1.0)]
+    fac = ImplicitFactorization(grid, faces, dt=0.1)
+    rhs = np.random.default_rng(4).standard_normal(grid.shape)
+    with pytest.raises(SolverDiverged) as err:
+        fac.solve_batch(rhs)
+    assert err.value.iterations == 0
+
+
+def test_implicit_cg_converged_zero_row_does_not_break_down():
+    # A zero right-hand side is converged from the start (p = 0, p.Ap = 0)
+    # and must not stop the other paths of the stack.
+    grid = GridSpec(2, 16)
+    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(coeff, grid, 0.25, 0.0), dt=0.01)
+    row = np.random.default_rng(5).standard_normal(grid.dof)
+    out = fac.solve_batch(np.stack([np.zeros(grid.dof), row]), tol=1e-10)
+    assert np.array_equal(out[0], np.zeros(grid.dof))
+    alone = fac.solve_batch(row, tol=1e-10)
+    assert np.max(np.abs(out[1] - alone)) <= 1e-8 * np.max(np.abs(alone))
 
 
 # ---------------------------------------------------------------------------
