@@ -29,6 +29,7 @@ from .errors import (
     CountMismatch,
     EllipticityViolation,
     IntegrityError,
+    InternalError,
     NonFinite,
     NotDivergenceFree,
     SolverDiverged,
@@ -60,4 +61,5 @@ __all__ = [
     "ConfigError",
     "ValidationError",
     "IntegrityError",
+    "InternalError",
 ]

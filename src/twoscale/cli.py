@@ -14,7 +14,9 @@ environment). Reruns with identical config and seed rewrite the data
 files and the manifest byte for byte.
 
 Exit codes: 0 success, 2 configuration rejected, 3 solver failure,
-4 archive integrity failure. Failures print one JSON object on stderr.
+4 archive integrity failure, 5 internal error (a bug: a ValueError that
+no toolkit error class describes). Failures print one JSON object on
+stderr.
 """
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .cell import CellGrid, solve_cell_problem
 from .config import RunConfig, parse_config
 from .diagnostics import reduce_raw, run_ladder
 from .ensemble import Ensemble
-from .errors import ConfigError, IntegrityError, ToolkitError, ValidationError
+from .errors import (ConfigError, IntegrityError, InternalError,
+                     ToolkitError, ValidationError)
 from .grid import ScalarField, field_to_csv
 from .integrator import run_ensemble
 from .manifest import (
@@ -48,6 +51,7 @@ OUTPUT_ROOT_ENV = "TWOSCALE_OUTPUT_ROOT"
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 _EXIT_INTEGRITY = 4
+_EXIT_INTERNAL = 5
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,9 +65,13 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         _emit_error(exc, digest=exc.digest, path=exc.path)
         return _EXIT_INTEGRITY
-    except (ToolkitError, ValueError) as exc:
+    except ToolkitError as exc:
         _emit_error(exc)
         return _EXIT_SOLVER
+    except ValueError as exc:
+        cause = type(exc).__name__
+        _emit_error(InternalError(f"{cause}: {exc}"), cause=cause)
+        return _EXIT_INTERNAL
 
 
 def _emit_error(exc: Exception, **extra) -> None:

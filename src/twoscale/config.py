@@ -1,7 +1,8 @@
 """Run configuration: INI-style text in, validated typed config out.
 
 Every key has a default, so the empty string is a valid configuration;
-unknown sections or keys, type mismatches, and violated invariants are
+unknown sections or keys, type mismatches, non-finite numbers, and
+violated invariants (including every one a run's constructors check) are
 rejected with the line and the dotted field name of the first offender.
 
 The content digest hashes the canonical JSON form of the typed values
@@ -14,9 +15,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
+from .cell import CellGrid
 from .coefficients import FAMILIES, CoefficientField, make_coefficient
 from .diagnostics import StudyConfig
 from .errors import ConfigError, ValidationError
@@ -196,17 +199,24 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _convert(raw: str, kind, section: str, key: str, line: int | None):
     where = f"{section}.{key}"
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind is _OPT_INT:
             return None if raw.lower() in ("", "none") else int(raw)
         if kind is _OPT_FLOAT:
-            return None if raw.lower() in ("", "none") else float(raw)
+            return None if raw.lower() in ("", "none") else _finite(raw)
         if kind is bool:
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:
@@ -216,7 +226,7 @@ def _convert(raw: str, kind, section: str, key: str, line: int | None):
             parts = [p for p in re.split(r"[,\s]+", raw.strip()) if p]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return raw.strip()
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for {where}",
@@ -288,6 +298,12 @@ def _validate(cfg: RunConfig, text: str) -> None:
            text, "stepper", "dt")
     _check(v["stepper"]["horizon"] > 0, "horizon must be positive",
            text, "stepper", "horizon")
+    _check(v["stepper"]["tol"] > 0, "tol must be positive",
+           text, "stepper", "tol")
+    modes, dim = v["noise"]["modes"], v["grid"]["dimension"]
+    _check(modes is None or 1 <= modes <= (n - 1) ** dim,
+           f"modes must be between 1 and the {(n - 1) ** dim} sine modes "
+           "of the grid", text, "noise", "modes")
     _check(v["noise"]["gamma"] > 1.0,
            "mode decay exponent must exceed 1 for a finite trace",
            text, "noise", "gamma")
@@ -319,4 +335,17 @@ def _validate(cfg: RunConfig, text: str) -> None:
             ("ell" if msg.startswith("ell=") else "variant")
         raise ValidationError(msg, line=_line_of(text, "model", key),
                               field=f"model.{key}") from None
-    del coeff
+    try:
+        cfg.stepper()
+    except ValueError as exc:
+        raise ValidationError(str(exc), line=_line_of(text, "stepper",
+                                                      "horizon"),
+                              field="stepper.horizon") from None
+    st = v["study"]
+    try:
+        CellGrid(dimension=coeff.dimension, cells=st["cell_cells"],
+                 tau_slices=st["cell_tau_slices"])
+    except ValueError as exc:
+        key = "cell_tau_slices" if "tau_slices" in str(exc) else "cell_cells"
+        raise ValidationError(str(exc), line=_line_of(text, "study", key),
+                              field=f"study.{key}") from None

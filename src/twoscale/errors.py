@@ -90,6 +90,14 @@ class ValidationError(ConfigError):
     """A parsed configuration violated a semantic constraint."""
 
 
+class InternalError(ToolkitError):
+    """A failure no other toolkit class describes: a bug in the toolkit.
+
+    The CLI reports a bare ``ValueError`` that escapes a run as this class,
+    with exit code 5, instead of passing it off as a solver failure.
+    """
+
+
 class IntegrityError(ToolkitError):
     """A run archive is missing files or has digest mismatches."""
 

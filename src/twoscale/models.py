@@ -23,10 +23,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField
-from .errors import ContractViolation, NotDivergenceFree, SolverDiverged
+from .errors import (ContractViolation, NonFinite, NotDivergenceFree,
+                     SolverDiverged)
 from .grid import (GridSpec, ScalarField, VectorField, face_differences,
                    inner_H, norm_H, norm_L4)
 from .noise import QWienerSpec
@@ -214,9 +215,10 @@ class ImplicitFactorization:
     """Reusable solver for (I + dt * A) v = rhs at a frozen coefficient time.
 
     A stack of right-hand sides is solved in one call. In 1D the operator
-    is tridiagonal and we keep a banded Cholesky factor, so each solve
-    costs O(n). In 2D the whole stack runs matrix-free conjugate gradients
-    together; the operator applies face differences with zero ghosts.
+    is tridiagonal and we keep its LDL^T factor from LAPACK ``pttrf``, so
+    each solve is one ``pttrs`` call costing O(n) per right-hand side. In
+    2D the whole stack runs matrix-free conjugate gradients together; the
+    operator applies face differences with zero ghosts.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,
@@ -225,9 +227,9 @@ class ImplicitFactorization:
         self.dt = float(dt)
         self.faces = faces
         self.tensor = tensor
-        self._banded = None
+        self._ldl = None
         if grid.dimension == 1:
-            self._banded = self._factor_1d()
+            self._ldl = self._factor_1d()
 
     def _diag_offdiag_1d(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.grid.cells
@@ -242,14 +244,13 @@ class ImplicitFactorization:
             off = np.full(n - 2, -self.dt * t00 / h2)
         return diag, off
 
-    def _factor_1d(self):
-        from scipy.linalg import cholesky_banded
-
-        diag, off = self._diag_offdiag_1d()
-        ab = np.zeros((2, diag.size))
-        ab[0, 1:] = off
-        ab[1] = diag
-        return cholesky_banded(ab, lower=False)
+    def _factor_1d(self) -> tuple[np.ndarray, np.ndarray]:
+        d, e, info = dpttrf(*self._diag_offdiag_1d())
+        if info > 0:
+            raise SolverDiverged(
+                "implicit operator is not positive definite (LAPACK pttrf: "
+                f"leading minor {info})")
+        return d, e
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         if self.faces is not None:
@@ -263,16 +264,18 @@ class ImplicitFactorization:
                     max_iter: int | None = None) -> np.ndarray:
         """Solve for a stack of right-hand sides, shape (paths, dof...).
 
-        A single right-hand side (dof...) is a stack of one. 1D uses the
-        cached Cholesky factor; 2D runs CG on the whole (paths, dof) stack
-        with per-path step scalars, until every path meets ``tol``
-        relative to its right-hand side.
+        A single right-hand side (dof...) is a stack of one. 1D applies the
+        cached LDL^T factor to the whole stack in one ``pttrs`` call and
+        raises :class:`NonFinite` on a non-finite right-hand side; 2D runs
+        CG on the whole (paths, dof) stack with per-path step scalars,
+        until every path meets ``tol`` relative to its right-hand side.
         """
         flat = rhs.reshape(-1, self.grid.dof)
         if self.grid.dimension == 1:
-            from scipy.linalg import cho_solve_banded
-
-            out = cho_solve_banded((self._banded, False), flat.T).T
+            if not np.all(np.isfinite(flat)):
+                raise NonFinite("implicit solve got a non-finite "
+                                "right-hand side")
+            out = dpttrs(*self._ldl, flat.T)[0].T
         else:
             out = self._cg_batch(flat, tol, max_iter)
         return out.reshape(rhs.shape)
@@ -455,7 +458,7 @@ def apply_F(u: ScalarField, measure: EmpiricalMeasure | None,
             raise ValueError("stokes_drag needs an empirical measure")
         out = out + (u.values - measure.mean.values)
     if model.cubic:
-        out = out + (u.values - u.values ** 3)
+        out = out + (u.values - u.values * u.values * u.values)
     return ScalarField(u.grid, out)
 
 
@@ -504,8 +507,8 @@ def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
         if model.cubic:
             u2 = ScalarField(grid, rng.standard_normal(grid.shape))
             d = u - u2
-            f1 = u.values - u.values ** 3
-            f2 = u2.values - u2.values ** 3
+            f1 = u.values - u.values * u.values * u.values
+            f2 = u2.values - u2.values * u2.values * u2.values
             lhs = inner_H(ScalarField(grid, f1 - f2), d)
             gap = lhs - norm_H(d) ** 2
             worst_mono = max(worst_mono, gap / max(1.0, norm_H(d) ** 2))

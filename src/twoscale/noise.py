@@ -125,18 +125,43 @@ def _derive_stream_id(*indices: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _philox_key(seed: int, stream_id: int) -> np.ndarray:
+    """The two Philox key words of a stream, [seed, stream_id].
+
+    Both words are taken modulo 2^64. Streams were first keyed with the
+    Python list [seed, stream_id], which numpy stores as float64 when
+    exactly one word is at least 2^63 (int64 and uint64 promote to
+    float64). Both words then keep only 53 significant bits, rounded to
+    nearest, and a word that rounds up to 2^64 wraps to 0. That rounding is
+    kept here on purpose, so every stream keeps its draws and a numpy
+    upgrade cannot re-key them: id 0xf7e6786bb468564c with seed 2026 gives
+    the key words 0x7ea and 0xf7e6786bb4685800.
+    """
+    words = [seed & _MASK64, stream_id & _MASK64]
+    if (words[0] >> 63) != (words[1] >> 63):
+        words = [int(float(w)) & _MASK64 for w in words]
+    return np.array(words, dtype=np.uint64)
+
+
 @dataclass
 class NoiseStream:
     """Counter-addressed Gaussian stream tied to one noise spec.
 
-    The key is (master seed, id(indices)); the counter counts consumed
-    mode draws. Reconstructing a stream with the same key and counter
-    reproduces the continuation bitwise.
+    The key is (master seed, id(indices)), see :func:`_philox_key`; the
+    counter counts consumed mode draws. Reconstructing a stream with the
+    same key and counter reproduces the continuation bitwise.
     """
 
     spec: QWienerSpec
     stream_id: int
     counter: int = 0
+    _state: dict = field(init=False, repr=False, compare=False)
+    _normal: Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bits = Philox(key=_philox_key(self.spec.seed, self.stream_id))
+        self._state = bits.state
+        self._normal = Generator(bits)
 
     @classmethod
     def derive(cls, spec: QWienerSpec, *indices: int) -> "NoiseStream":
@@ -148,12 +173,20 @@ class NoiseStream:
 
         Advances the counter by ``count``. Each counter window of width K
         maps to a disjoint block range of the underlying generator, so
-        windows never overlap.
+        windows never overlap. The one generator of the stream is reset to
+        the state a freshly built Philox at this counter would have
+        (counter, key, empty buffer, no spare 32-bit word), so every draw
+        is bitwise that of a fresh build.
         """
         count = self.spec.modes if count is None else int(count)
-        bit = Philox(counter=[self.counter & _MASK64, 0, 0, 0],
-                     key=[self.spec.seed & _MASK64, self.stream_id & _MASK64])
-        xi = Generator(bit).standard_normal(count)
+        # the rest of the fresh build's state (empty buffer, no spare
+        # 32-bit word) is set again as it was
+        state = self._state
+        state["state"]["counter"] = np.array(
+            [self.counter & _MASK64, 0, 0, 0], dtype=np.uint64)
+        state["state"]["key"] = _philox_key(self.spec.seed, self.stream_id)
+        self._normal.bit_generator.state = state
+        xi = self._normal.standard_normal(count)
         self.counter += count
         return xi
 

@@ -443,6 +443,49 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "StepRejected"
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[stepper]\ndt = 0.003\nhorizon = 0.01\n", "stepper.horizon"),
+    ("[grid]\ncells = 16\n[noise]\nmodes = 16\n", "noise.modes"),
+    ("[noise]\nmodes = 0\n", "noise.modes"),
+    ("[stepper]\ntol = 0\n", "stepper.tol"),
+    ("[study]\ncell_cells = 24\n", "study.cell_cells"),
+    ("[study]\ncell_tau_slices = 0\n", "study.cell_tau_slices"),
+    ("[study]\ninitial_amplitude = inf\n", "study.initial_amplitude"),
+    ("[stepper]\nhorizon = nan\n", "stepper.horizon"),
+    ("[study]\nepsilons = 0.5, inf\n", "study.epsilons"),
+])
+def test_config_values_rejected_before_the_run(tmp_path, capsys, text,
+                                               field):
+    # Each of these used to reach a bare ValueError (or a non-finite
+    # state) only once the run had started.
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o",
+                               str(tmp_path / "o")], capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert payload["field"] == field
+    assert payload["line"] == int(text.count("\n"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
+    # A bare ValueError escaping a run is a bug, not a solver failure.
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("twoscale.cli.run_ensemble", broken)
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text("[grid]\ncells = 16\n", encoding="utf-8")
+    code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o",
+                               str(tmp_path / "o")], capsys)
+    assert code == 5
+    payload = json.loads(stderr)
+    assert payload["error"] == "InternalError"
+    assert payload["cause"] == "ValueError"
+    assert "could not be broadcast" in payload["message"]
+
+
 def test_output_root_env_var_names_run_directories(tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.chdir(tmp_path)

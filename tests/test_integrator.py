@@ -254,6 +254,26 @@ def test_batched_stepper_matches_reference_step():
                            rtol=0.0, atol=1e-14)
 
 
+def test_run_ensemble_evaluates_explicit_terms_once_per_step(monkeypatch):
+    # advance and the ledger work pairings share one explicit-term pass.
+    calls = []
+    original = BatchedStepper.explicit_terms
+
+    def counting(self, U, xi):
+        calls.append(1)
+        return original(self, U, xi)
+
+    monkeypatch.setattr(BatchedStepper, "explicit_terms", counting)
+    grid = GridSpec(1, 32)
+    model = ModelSpec(variant="allen_cahn", coefficient=layered(),
+                      epsilon=0.125, mean_field="stokes_drag", cubic=True,
+                      sigma0=0.2)
+    ens = Ensemble(members=[sin_initial(grid)] * 3, noise=noise_spec(grid))
+    cfg = StepperConfig(dt=1e-3, horizon=7e-3)
+    run_ensemble(ens, model, cfg)
+    assert len(calls) == cfg.steps == 7
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twoscale.coefficients import make_coefficient
-from twoscale.errors import (ContractViolation, NotDivergenceFree,
+from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
                              SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
                            first_eigenvalue, norm_H, norm_V, sine_mode)
@@ -180,6 +180,50 @@ def test_implicit_batch_matches_single_solves():
     for i in range(5):
         single = fac.solve_batch(stack[i])
         assert np.array_equal(batched[i], single)
+
+
+def _dense_implicit(grid, coeff, eps, dt):
+    """I + dt A_eps as a dense matrix, one operator application per column."""
+    eye = np.eye(grid.dof)
+    cols = [apply_A_eps(ScalarField(grid, e), coeff, eps, 0.0).values
+            for e in eye]
+    return eye + dt * np.array(cols).T
+
+
+def test_tridiagonal_solve_matches_dense():
+    # The LDL^T factor must reproduce a dense solve of I + dt A_eps, on a
+    # signed (paths, dof) stack and on a single right-hand side.
+    rng = np.random.default_rng(11)
+    grid = GridSpec(1, 64)
+    dt = 0.01
+    fac = ImplicitFactorization(
+        grid, face_coefficients(layered(), grid, 0.125, 0.0), dt)
+    dense = _dense_implicit(grid, layered(), 0.125, dt)
+    stack = rng.standard_normal((6, grid.dof))
+    expected = np.linalg.solve(dense, stack.T).T
+    np.testing.assert_allclose(fac.solve_batch(stack), expected,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fac.solve_batch(stack[2]), expected[2],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_tridiagonal_rejects_non_spd_operator():
+    # Negative faces make I + dt A indefinite: the factorization must
+    # refuse instead of returning a solver for the wrong system.
+    grid = GridSpec(1, 16)
+    with pytest.raises(SolverDiverged):
+        ImplicitFactorization(grid, [np.full(16, -1.0)], dt=0.1)
+
+
+def test_tridiagonal_rejects_non_finite_rhs():
+    grid = GridSpec(1, 16)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(layered(), grid, 0.125, 0.0), dt=0.01)
+    rhs = np.ones((3, grid.dof))
+    for bad in (np.nan, np.inf):
+        rhs[1, 4] = bad
+        with pytest.raises(NonFinite):
+            fac.solve_batch(rhs)
 
 
 def test_implicit_cg_stops_at_lost_definiteness():

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from twoscale import noise
 from twoscale.grid import GridSpec, norm_H
 from twoscale.noise import (
     NoiseStream,
     QWienerSpec,
+    _philox_key,
     default_mode_count,
     partial_trace,
     sample_increment,
@@ -135,3 +138,85 @@ def test_spec_rejects_bad_parameters():
         QWienerSpec(grid=grid, modes=4, gamma=2.0, lambda0=-1.0, seed=0)
     with pytest.raises(ValueError):
         QWienerSpec(grid=grid, modes=64, gamma=2.0, lambda0=1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# stream keys and generator reuse
+
+
+@pytest.mark.parametrize("seed, stream_id, words", [
+    # both words below 2^63: exact
+    (2026, 0x3CB87372515174B9, (0x7EA, 0x3CB87372515174B9)),
+    # exactly one word at or above 2^63: both rounded to 53 bits
+    (2026, 0xF7E6786BB468564C, (0x7EA, 0xF7E6786BB4685800)),
+    (2 ** 63 + 12345, 5, (0x8000000000003000, 5)),
+    (2 ** 53 + 1, 2 ** 63, (2 ** 53, 2 ** 63)),
+    # a word rounding up to 2^64 wraps to 0
+    (3, 2 ** 64 - 1, (3, 0)),
+    # both words at or above 2^63: exact
+    (2 ** 63 + 12345, 2 ** 63 + 77, (2 ** 63 + 12345, 2 ** 63 + 77)),
+    # words are taken modulo 2^64
+    (-1, 2 ** 64 + 5, (0, 5)),
+])
+def test_philox_key_words(seed, stream_id, words):
+    key = _philox_key(seed, stream_id)
+    assert key.dtype == np.uint64
+    assert [int(k) for k in key] == list(words)
+
+
+# First draws of three streams at seed 2026, pinned so that neither a
+# numpy upgrade nor a change of the key derivation can silently re-key
+# every stream; (1, 0) has an id >= 2^63, whose key word is rounded.
+GOLDEN = {
+    (0,): ([-0.5705233264083605, -1.2210454219056315, -0.4987559171579578],
+           [-1.2200283020303504, 0.6255064845375277]),
+    (1, 0): ([-0.1964082872393057, 1.9154667660804952, -0.10514277028229543],
+             [-0.6052493923381026, -0.3482948829756404]),
+    (2, 5): ([0.5263672703365538, 1.1932796336521994, -0.9383288416547194],
+             [-0.8214137321232359, 0.13322661096701832]),
+}
+
+
+@pytest.mark.parametrize("indices", sorted(GOLDEN))
+def test_golden_draws(indices):
+    spec = QWienerSpec(grid=GridSpec(dimension=1, cells=16), modes=3,
+                       seed=2026)
+    stream = NoiseStream.derive(spec, *indices)
+    first, second = GOLDEN[indices]
+    assert stream.draw().tolist() == first
+    assert stream.draw(2).tolist() == second
+    assert (stream.stream_id >= 2 ** 63) == (indices == (1, 0))
+
+
+def test_reused_stream_matches_fresh_generator_bitwise():
+    # One generator per stream, reset before each draw, must give what a
+    # Philox built afresh at that counter gives: over several counters,
+    # counts that are not multiples of the 4-word block, and interleaved
+    # sizes that leave the block buffer part-used between draws.
+    spec = make_spec(modes=8, seed=2026)
+    for indices in ((0,), (1, 0), (7, 3)):
+        stream = NoiseStream.derive(spec, *indices)
+        key = _philox_key(spec.seed, stream.stream_id)
+        counter = 0
+        for count in (8, 3, 5, 1, 13, 8, 2, 7):
+            fresh = Generator(Philox(counter=[counter, 0, 0, 0], key=key))
+            assert np.array_equal(stream.draw(count),
+                                  fresh.standard_normal(count))
+            counter += count
+        assert stream.counter == counter
+
+
+def test_stream_builds_one_generator(monkeypatch):
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "Philox", counting)
+    spec = make_spec(modes=4, seed=1)
+    streams = [NoiseStream.derive(spec, i) for i in range(3)]
+    for _ in range(5):
+        for stream in streams:
+            stream.draw()
+    assert len(builds) == 3
