@@ -30,6 +30,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import SolverDiverged
+from .grid import is_power_of_two
 
 __all__ = [
     "CellGrid",
@@ -38,10 +39,6 @@ __all__ = [
     "corrector_slopes",
     "corrector_gradient",
 ]
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class CellGrid:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if self.cells < 16 or not _is_power_of_two(self.cells):
+        if self.cells < 16 or not is_power_of_two(self.cells):
             raise ValueError(
                 f"cells must be a power of two >= 16, got {self.cells}")
         if self.tau_slices < 1:

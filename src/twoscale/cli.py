@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .cell import CellGrid, solve_cell_problem
 from .config import RunConfig, parse_config
-from .diagnostics import reduce_raw, run_ladder
+from .diagnostics import reduce_raw, run_ladder, sine_initial_state
 from .ensemble import Ensemble
 from .errors import (ConfigError, IntegrityError, InternalError,
                      ToolkitError, ValidationError)
@@ -225,11 +225,8 @@ def _cmd_simulate(args) -> int:
     model = cfg.model_for(eps)
     spec = cfg.noise_spec()
     stepper_cfg = cfg.stepper()
-    mesh = grid.meshgrid()
-    vals = np.full(grid.shape, st["initial_amplitude"])
-    for c in mesh:
-        vals = vals * np.sin(st["initial_mode"] * np.pi * c)
-    u0 = ScalarField(grid, vals)
+    u0 = ScalarField(grid, sine_initial_state(grid, st["initial_amplitude"],
+                                              st["initial_mode"]))
     members = cfg.values["ensemble"]["members"]
     ens = Ensemble(members=[u0] * members, noise=spec)
     final, ledgers = run_ensemble(ens, model, stepper_cfg)
@@ -259,8 +256,9 @@ def _cmd_simulate(args) -> int:
 def _run_study(args, command: str, render) -> int:
     t0 = time.time()
     cfg, text = _load_config(args)
+    study = cfg.study()  # may reject the config: before any directory exists
     out = _resolve_output(args, cfg, command)
-    result = run_ladder(cfg.study())
+    result = run_ladder(study)
     np.savez(out / "raw.npz", **result.raw)
     files = ["raw.npz"] + render(out, result)
     if getattr(args, "plot_data", False):

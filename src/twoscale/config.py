@@ -23,7 +23,7 @@ from .cell import CellGrid
 from .coefficients import FAMILIES, CoefficientField, make_coefficient
 from .diagnostics import StudyConfig
 from .errors import ConfigError, ValidationError
-from .grid import GridSpec
+from .grid import GridSpec, is_power_of_two
 from .integrator import StepperConfig
 from .models import MEAN_FIELD_KINDS, NOISE_LAWS, VARIANTS, ModelSpec
 from .noise import QWienerSpec, default_mode_count
@@ -159,8 +159,8 @@ class RunConfig:
             coefficient=self.coefficient(), grid=self.grid(),
             epsilons=tuple(st["epsilons"]), stepper=self.stepper(),
             members=e["members"], replicas=e["replicas"],
-            mean_field=m["mean_field"], cubic=m["cubic"], eta=m["eta"],
-            ell=m["ell"], noise_law=m["noise_law"], sigma0=m["sigma0"],
+            mean_field=m["mean_field"], cubic=m["cubic"],
+            noise_law=m["noise_law"], sigma0=m["sigma0"],
             modes=n["modes"], gamma=n["gamma"], lambda0=n["lambda0"],
             seed=self.seed, initial_amplitude=st["initial_amplitude"],
             initial_mode=st["initial_mode"], cell_cells=st["cell_cells"],
@@ -280,7 +280,7 @@ def _validate(cfg: RunConfig, text: str) -> None:
     _check(v["grid"]["dimension"] in (1, 2), "dimension must be 1 or 2",
            text, "grid", "dimension")
     n = v["grid"]["cells"]
-    _check(n >= 8 and (n & (n - 1)) == 0, "cells must be a power of two >= 8",
+    _check(n >= 8 and is_power_of_two(n), "cells must be a power of two >= 8",
            text, "grid", "cells")
     fam = v["coefficient"]["family"]
     _check(fam in FAMILIES, f"unknown coefficient family {fam!r}",

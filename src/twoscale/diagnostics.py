@@ -32,6 +32,7 @@ from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec, default_mode_count
 
 __all__ = [
+    "sine_initial_state",
     "StudyConfig",
     "ConvergenceReport",
     "LadderResult",
@@ -119,6 +120,15 @@ def corrector_residual(trajectory_eps, trajectory_hom, solution: CellSolution,
 # ladder study
 
 
+def sine_initial_state(grid: GridSpec, amplitude: float,
+                       mode: int) -> np.ndarray:
+    """u0 = amplitude * prod_d sin(mode pi x_d) on the interior nodes."""
+    vals = np.full(grid.shape, amplitude)
+    for c in grid.meshgrid():
+        vals = vals * np.sin(mode * np.pi * c)
+    return vals
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a coupled resolution-ladder study needs.
@@ -136,8 +146,6 @@ class StudyConfig:
     replicas: int = 32
     mean_field: str = "stokes_drag"
     cubic: bool = True
-    eta: float = 0.0
-    ell: float = 0.0
     noise_law: str = "scalar_multiplicative"
     sigma0: float = 0.1
     modes: int | None = None
@@ -184,15 +192,12 @@ class StudyConfig:
     def model_for(self, eps: float) -> ModelSpec:
         return ModelSpec(variant="allen_cahn", coefficient=self.coefficient,
                          epsilon=eps, mean_field=self.mean_field,
-                         cubic=self.cubic, eta=self.eta, ell=self.ell,
-                         noise_law=self.noise_law, sigma0=self.sigma0)
+                         cubic=self.cubic, noise_law=self.noise_law,
+                         sigma0=self.sigma0)
 
     def initial_values(self) -> np.ndarray:
-        mesh = self.grid.meshgrid()
-        vals = np.full(self.grid.shape, self.initial_amplitude)
-        for c in mesh:
-            vals = vals * np.sin(self.initial_mode * np.pi * c)
-        return vals.reshape(-1)
+        return sine_initial_state(self.grid, self.initial_amplitude,
+                                  self.initial_mode).reshape(-1)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from scipy.fft import dstn
 from .errors import CountMismatch
 
 __all__ = [
+    "is_power_of_two",
     "GridSpec",
     "ScalarField",
     "VectorField",
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -60,7 +61,7 @@ class GridSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.cells < 8 or not _is_power_of_two(self.cells):
+        if self.cells < 8 or not is_power_of_two(self.cells):
             raise ValueError(
                 f"cells must be a power of two >= 8, got {self.cells}")
 

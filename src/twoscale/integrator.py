@@ -17,14 +17,16 @@ energy identity in the force-free case,
 
 which the tests assert to solver tolerance.
 
-Batched engine: members (and, in coupled studies, whole replica blocks)
-advance as one (paths, dof) array per level, so the per-step cost is a few
-vectorized array passes plus, in 1D, one LAPACK ``pttrs`` solve of the
-whole stack against the LDL^T factor from ``pttrf``.
+``BatchedStepper`` is the one stepping engine: members (and, in coupled
+studies, whole replica blocks) advance as one (paths, dof) array per level,
+so the per-step cost is a few vectorized array passes plus, in 1D, one
+LAPACK ``pttrs`` solve of the whole stack against the LDL^T factor from
+``pttrf``. ``run_ensemble`` records every member's energy ledger into one
+(steps+1, members, columns) array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn
@@ -33,22 +35,13 @@ from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected
 from .grid import (GridSpec, ScalarField, gradient_energy,
                    sine_weights_Hminus1)
-from .models import (
-    EmpiricalMeasure,
-    ImplicitFactorization,
-    ModelSpec,
-    apply_B,
-    apply_F,
-    apply_G_increment,
-    face_coefficients,
-)
-from .noise import NoiseStream, QWienerSpec
+from .models import ImplicitFactorization, ModelSpec, face_coefficients
+from .noise import QWienerSpec
 
 __all__ = [
     "StepperConfig",
     "EnergyLedger",
     "BatchedStepper",
-    "step",
     "run_ensemble",
     "increment_scaling",
     "IncrementFit",
@@ -62,17 +55,11 @@ LEDGER_COLUMNS = ("step", "t", "H2", "Hp", "V2", "L4",
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping parameters.
-
-    horizon / dt must be integral (to round-off); moment_p >= 2 selects the
-    higher moment tracked by the ledgers.
-    """
+    """Time-stepping parameters; horizon / dt must be integral (to round-off)."""
 
     dt: float
     horizon: float
     tol: float = 1e-8
-    max_steps: int | None = None
-    moment_p: int = 2
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -84,66 +71,51 @@ class StepperConfig:
             raise ValueError(
                 f"horizon {self.horizon} is not an integer number of steps "
                 f"of dt {self.dt}")
-        if self.moment_p < 2:
-            raise ValueError("moment_p must be >= 2")
 
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyLedger:
     """Per-step energy records for one member path.
 
-    Columns: step index, time, ||u||_H^2, ||u||_H^p, ||u||_V^2,
-    ||u||_L4^4, and the running dissipation sum 2 dt (A u^{m}, u^{m})
-    accumulated over completed steps. Signed drift and noise work totals
-    are tracked alongside for the energy balance diagnostics.
+    ``table`` has one row per step and one column per name in
+    ``LEDGER_COLUMNS``: step index, time, ||u||_H^2, the H-moment column Hp
+    (the p = 2 moment, so equal to H2), ||u||_V^2, ||u||_L4^4, and the
+    running dissipation sum 2 dt (A u^{m}, u^{m}) over completed steps.
+    ``run_ensemble`` hands out views into one table shared by all members.
+    Columns read by name (``ledger.H2``) are views too. Signed drift and
+    noise work totals are kept for the energy balance diagnostics.
     """
 
-    moment_p: int = 2
-    steps: list[int] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    H2: list[float] = field(default_factory=list)
-    Hp: list[float] = field(default_factory=list)
-    V2: list[float] = field(default_factory=list)
-    L4: list[float] = field(default_factory=list)
-    cumulative_dissipation: list[float] = field(default_factory=list)
+    table: np.ndarray
     drift_work: float = 0.0
     noise_work: float = 0.0
 
-    def append(self, step_index: int, t: float, h2: float, v2: float,
-               l4: float, dissipation_total: float) -> None:
-        h2 = float(h2)
-        self.steps.append(int(step_index))
-        self.times.append(float(t))
-        self.H2.append(h2)
-        self.Hp.append(h2 ** (self.moment_p / 2.0))
-        self.V2.append(float(v2))
-        self.L4.append(float(l4))
-        self.cumulative_dissipation.append(float(dissipation_total))
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name in LEDGER_COLUMNS:
+            return self.table[:, LEDGER_COLUMNS.index(name)]
+        raise AttributeError(name)
 
     def validate(self) -> None:
-        cols = [self.H2, self.Hp, self.V2, self.L4,
-                self.cumulative_dissipation]
-        for col in cols:
-            arr = np.asarray(col)
-            if not np.all(np.isfinite(arr)):
-                raise NonFinite("ledger contains non-finite entries")
-        diss = np.asarray(self.cumulative_dissipation)
-        if diss.size and np.any(np.diff(diss) < -1e-12):
+        if not np.all(np.isfinite(self.table[:, 2:])):
+            raise NonFinite("ledger contains non-finite entries")
+        if np.any(np.diff(self.cumulative_dissipation) < -1e-12):
             raise ValueError("cumulative dissipation must be nondecreasing")
 
     def to_csv(self, path) -> None:
+        """Write the header and every row in one formatted pass.
+
+        The step column prints as an integer and every other value as
+        ``repr`` of the float, which reads back bitwise.
+        """
         self.validate()
+        row = "%d" + ",%r" * (len(LEDGER_COLUMNS) - 1) + "\n"
+        body = (row * len(self.table)) % tuple(self.table.ravel().tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for i in range(len(self.steps)):
-                row = (self.steps[i], self.times[i], self.H2[i], self.Hp[i],
-                       self.V2[i], self.L4[i],
-                       self.cumulative_dissipation[i])
-                fh.write(",".join(repr(v) for v in row) + "\n")
+            fh.write(",".join(LEDGER_COLUMNS) + "\n" + body)
 
 
 def _reaction_bound(max_abs: float, model: ModelSpec) -> float:
@@ -186,8 +158,8 @@ class BatchedStepper:
         self.dt = float(dt)
         self.tol = float(tol)
         self.tensor = homogenized_tensor
-        sig = model.sigma0 / np.arange(1, spec.modes + 1, dtype=float)
-        self._g_weights = np.sqrt(spec.eigenvalues * self.dt) * sig
+        self._g_weights = (np.sqrt(spec.eigenvalues * self.dt)
+                           * model.mode_sigmas(spec.modes))
         self._fac: ImplicitFactorization | None = None
         self._fac_time: float | None = None
 
@@ -211,7 +183,15 @@ class BatchedStepper:
 
     def explicit_terms(self, U: np.ndarray,
                        xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Drift F(U) and noise increment G(U) dW for every path.
+        """Drift F(U, mu) and noise increment G(U) dW for every path.
+
+        mu is the empirical law of each replica's ``members`` paths. The
+        drag adds U - mean: it pushes each member away from its replica
+        mean (u = 1 against a mean of 2 gives -1), it does not pull toward
+        it. The optional cubic adds U - U^3. The noise is
+        (sum_k sqrt(lambda_k dt) sigma_k xi_k) U for the scalar law and
+        U * sum_k sqrt(lambda_k dt) sigma_k xi_k e_k for the mode-modulated
+        one.
 
         Args:
             U: state stack (paths, dof).
@@ -281,87 +261,37 @@ class BatchedStepper:
         return {"t": t_next, "H2": h2, "V2": v2, "L4": l4}
 
 
-def step(u: ScalarField, model: ModelSpec, measure: EmpiricalMeasure | None,
-         stream: NoiseStream, dt: float, t: float,
-         tol: float = 1e-8) -> ScalarField:
-    """One semi-implicit step of a single scalar path (reference version).
-
-    The batched engine is the production path; this form exists for
-    single-path studies and as the executable definition the batched code
-    is tested against.
-    """
-    spec = stream.spec
-    check_guard(float(np.max(np.abs(u.values))), model, dt, u.grid.h)
-    drift = apply_F(u, measure, model) if (
-        model.mean_field == "stokes_drag" or model.cubic) \
-        else ScalarField.zeros(u.grid)
-    xi = stream.draw()
-    noise = apply_G_increment(u, xi, dt, model, spec)
-    rhs = ScalarField(u.grid, u.values + dt * drift.values + noise.values)
-    from .models import solve_implicit
-
-    out = solve_implicit(rhs, model.coefficient, model.epsilon, t, dt, tol)
-    if not np.all(np.isfinite(out.values)):
-        raise NonFinite(f"non-finite state at t={t:.6g}", time=t)
-    return out
-
-
-def step_velocity(u, model: ModelSpec, measure, streams, dt: float, t: float,
-                  tol: float = 1e-8):
-    """One semi-implicit step of the 2D velocity variant.
-
-    Advection enters explicitly through the skew-symmetrized projected
-    form; each component then goes through the scalar implicit solve with
-    its own noise draw.
-    """
-    from .grid import VectorField
-    from .models import solve_implicit
-
-    g = u.grid
-    max_abs = max(float(np.max(np.abs(c.values))) for c in u.components)
-    check_guard(max_abs, model, dt, g.h)
-    b = apply_B(u, u)
-    comps = []
-    for m, comp in enumerate(u.components):
-        drift = np.zeros(g.shape)
-        if model.mean_field == "stokes_drag":
-            drift += comp.values - measure[m].mean.values
-        if model.cubic:
-            drift += comp.values - comp.values * comp.values * comp.values
-        drift -= b[m].values
-        xi = streams[m].draw()
-        noise = apply_G_increment(comp, xi, dt, model, streams[m].spec)
-        rhs = ScalarField(g, comp.values + dt * drift + noise.values)
-        comps.append(solve_implicit(rhs, model.coefficient, model.epsilon,
-                                    t, dt, tol))
-    return VectorField(comps)
-
-
 def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
                  ) -> tuple[Ensemble, list[EnergyLedger]]:
     """Advance every member to the horizon with per-step measure refresh.
 
-    Returns the final ensemble and one energy ledger per member. The
-    empirical measure entering the drag is recomputed from the current
-    members at the top of every step.
+    Returns the final ensemble and one energy ledger per member, each a
+    view into one (steps+1, members, columns) table. The empirical measure
+    entering the drag is recomputed from the current members at the top of
+    every step.
     """
     g = ensemble.grid
     spec = ensemble.noise
     stepper = BatchedStepper(g, model, spec, members=ensemble.size,
                              dt=config.dt, tol=config.tol)
     U = np.stack([m.values.reshape(-1) for m in ensemble.members])
-    ledgers = [EnergyLedger(moment_p=config.moment_p)
-               for _ in range(ensemble.size)]
-    diss = np.zeros(ensemble.size)
-    rows = stepper.energy_rows(U, ensemble.time)
-    for i, led in enumerate(ledgers):
-        led.append(0, ensemble.time, rows["H2"][i], rows["V2"][i],
-                   rows["L4"][i], diss[i])
-
     steps = config.steps
-    if config.max_steps is not None:
-        steps = min(steps, config.max_steps)
+    table = np.empty((steps + 1, ensemble.size, len(LEDGER_COLUMNS)))
+    table[:, :, 0] = np.arange(steps + 1)[:, None]
+    diss = np.zeros(ensemble.size)
+    drift_work = np.zeros(ensemble.size)
+    noise_work = np.zeros(ensemble.size)
+
+    def record(n: int, t: float, U: np.ndarray) -> None:
+        rows = stepper.energy_rows(U, t)
+        table[n, :, 1] = t
+        table[n, :, 2] = table[n, :, 3] = rows["H2"]
+        table[n, :, 4] = rows["V2"]
+        table[n, :, 5] = rows["L4"]
+        table[n, :, 6] = diss
+
     t = ensemble.time
+    record(0, t, U)
     hN = g.h ** g.dimension
     for n in range(steps):
         xi = np.stack([s.draw() for s in ensemble.streams])
@@ -374,15 +304,10 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
         faces = stepper.factorization(t_frozen).faces
         diss += 2.0 * config.dt * gradient_energy(
             U_new.reshape((-1,) + g.shape), g, faces)
-        rows = stepper.energy_rows(U_new, t)
         # signed work pairings against the pre-step state
-        work_drift = config.dt * hN * np.sum(drift * U, axis=-1)
-        work_noise = hN * np.sum(noise * U, axis=-1)
-        for i, led in enumerate(ledgers):
-            led.append(n + 1, t, rows["H2"][i], rows["V2"][i],
-                       rows["L4"][i], diss[i])
-            led.drift_work += work_drift[i]
-            led.noise_work += work_noise[i]
+        drift_work += config.dt * hN * np.sum(drift * U, axis=-1)
+        noise_work += hN * np.sum(noise * U, axis=-1)
+        record(n + 1, t, U_new)
         U = U_new
 
     members = [ScalarField(g, U[i].reshape(g.shape))
@@ -390,6 +315,9 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     final = Ensemble(members=members, noise=spec, time=t,
                      common_noise=ensemble.common_noise,
                      level=ensemble.level, streams=ensemble.streams)
+    ledgers = [EnergyLedger(table[:, i], float(drift_work[i]),
+                            float(noise_work[i]))
+               for i in range(ensemble.size)]
     for led in ledgers:
         led.validate()
     return final, ledgers

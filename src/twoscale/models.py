@@ -7,14 +7,16 @@ The state equation advanced by the integrator is
 where A_eps is the divergence-form operator with coefficient a(x/eps, t/eps)
 discretized conservatively (face fluxes with harmonic coefficient averages,
 zero Dirichlet ghosts), B is the skew-symmetrized advection term of the 2D
-velocity variant (absent for the scalar reaction variant), F couples a
-Stokes-type drag against the ensemble law with an optional bistable cubic
-reaction, and G is a multiplicative noise law on the spectral modes.
+velocity variant (absent for the scalar reaction variant), F is the
+distribution-dependent drift and G is a multiplicative noise law on the
+spectral modes. F and G are evaluated on whole (paths, dof) stacks by
+``integrator.BatchedStepper.explicit_terms``, where mu is the empirical law
+of each replica's members; this module holds their constants.
 
 Every structural assumption the analysis rests on is available as an
 executable check: symmetry and coercivity of A_eps, exact skew-symmetry of
-B, the drift growth and monotonicity inequalities, and the noise Lipschitz
-constant.
+B, the drift growth and monotonicity inequalities (sampled on the batched
+drift), and the noise Lipschitz constant.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .coefficients import CoefficientField
 from .errors import (ContractViolation, NonFinite, NotDivergenceFree,
                      SolverDiverged)
 from .grid import (GridSpec, ScalarField, VectorField, face_differences,
-                   inner_H, norm_H, norm_L4)
+                   inner_H, norm_H)
 from .noise import QWienerSpec
 
 __all__ = [
@@ -38,15 +40,12 @@ __all__ = [
     "face_coefficients",
     "apply_A_eps",
     "apply_A_tensor",
-    "solve_implicit",
     "ImplicitFactorization",
     "apply_B",
     "check_B_local_monotonicity",
     "leray_project",
     "spectral_divergence_norm",
-    "apply_F",
     "check_F_contracts",
-    "apply_G_increment",
     "g_lipschitz_constant",
 ]
 
@@ -59,9 +58,10 @@ NOISE_LAWS = ("scalar_multiplicative", "mode_modulated")
 class ModelSpec:
     """Which terms are active and with which constants.
 
-    The drift constants must respect the monotonicity budget that the
-    well-posedness argument needs: eta < kappa/2 and ell < (kappa - 2*eta)/2,
-    with kappa the declared ellipticity of the coefficient field.
+    ``eta`` and ``ell`` name the strengths of the interaction terms that the
+    well-posedness budget eta < kappa/2, ell < (kappa - 2 eta)/2 bounds. No
+    drift term reads them, so any value other than 0.0 is rejected rather
+    than accepted and ignored.
     """
 
     variant: str
@@ -85,18 +85,19 @@ class ModelSpec:
             raise ValueError("epsilon must be positive")
         if self.variant == "navier_stokes_2d" and self.coefficient.dimension != 2:
             raise ValueError("velocity variant needs a 2D coefficient")
-        kappa = self.coefficient.kappa
-        if not self.eta < kappa / 2.0:
-            raise ValueError(
-                f"eta={self.eta} breaks the budget eta < kappa/2 = {kappa / 2}")
-        if not self.ell < (kappa - 2.0 * self.eta) / 2.0:
-            raise ValueError(
-                f"ell={self.ell} breaks the budget ell < (kappa - 2 eta)/2 = "
-                f"{(kappa - 2 * self.eta) / 2}")
+        for name, value in (("eta", self.eta), ("ell", self.ell)):
+            if value != 0.0:
+                raise ValueError(
+                    f"{name}={value} is not supported: no drift term reads "
+                    f"{name}, so only 0.0 is accepted")
 
     @property
     def has_advection(self) -> bool:
         return self.variant == "navier_stokes_2d"
+
+    def mode_sigmas(self, modes: int) -> np.ndarray:
+        """Per-mode noise amplitudes sigma_k = sigma0 / k, k = 1..modes."""
+        return self.sigma0 / np.arange(1, modes + 1, dtype=float)
 
 
 @dataclass
@@ -314,19 +315,6 @@ class ImplicitFactorization:
         return x
 
 
-def solve_implicit(rhs: ScalarField, coeff: CoefficientField, eps: float,
-                   t: float, dt: float, tol: float = 1e-8) -> ScalarField:
-    """Solve (I + dt * A_eps(t)) v = rhs with the coefficient frozen at t.
-
-    The system is symmetric positive definite by ellipticity; the residual
-    of the returned solution is below tol * ||rhs|| in the H norm.
-    """
-    faces = face_coefficients(coeff, rhs.grid, eps, t)
-    fac = ImplicitFactorization(rhs.grid, faces, dt)
-    out = fac.solve_batch(rhs.values, tol=tol)
-    return ScalarField(rhs.grid, out)
-
-
 # ---------------------------------------------------------------------------
 # advection term (2D velocity variant)
 
@@ -448,29 +436,6 @@ def check_B_local_monotonicity(grid: GridSpec, samples: int = 50,
 # mean-field drift
 
 
-def apply_F(u: ScalarField, measure: EmpiricalMeasure | None,
-            model: ModelSpec) -> ScalarField:
-    """Distribution-dependent drift: Stokes drag toward the ensemble mean
-    plus the optional bistable cubic -u^3 + u."""
-    out = np.zeros(u.grid.shape)
-    if model.mean_field == "stokes_drag":
-        if measure is None:
-            raise ValueError("stokes_drag needs an empirical measure")
-        out = out + (u.values - measure.mean.values)
-    if model.cubic:
-        out = out + (u.values - u.values * u.values * u.values)
-    return ScalarField(u.grid, out)
-
-
-def _drag_growth_gap(u: ScalarField, measure: EmpiricalMeasure,
-                     model: ModelSpec, bound_constant: float) -> float:
-    """Margin of (F(u, mu), u) <= C (||u||^2 + mu(||.||^2)) - ||u||_L4^4."""
-    lhs = inner_H(u, apply_F(u, measure, model))
-    l4 = norm_L4(u) ** 4 if model.cubic else 0.0
-    rhs = bound_constant * (norm_H(u) ** 2 + measure.second_moment) - l4
-    return lhs - rhs
-
-
 #: Growth constant for the drag + cubic drift, fitted once over random
 #: fields and then frozen. Analytically (F(u), u) + ||u||_L4^4
 #: <= 2.5 (||u||^2 + mu(||.||^2)) with Young and Jensen, so 2.5 is sharp
@@ -480,10 +445,13 @@ F_GROWTH_CONSTANT = 2.5
 
 def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
                       seed: int = 20260816, tol: float = 1e-10) -> dict:
-    """Sample the structural drift inequalities on random fields.
+    """Sample the structural drift inequalities on the batched drift.
 
-    Checks, over ``samples`` random (u, measure) draws:
+    Each sample draws a random stack of three paths and evaluates
+    ``BatchedStepper.explicit_terms`` on it as one replica, so mu is the
+    empirical law of that stack. Checks, on every path u of the stack,
       growth        (F(u, mu), u) <= C (||u||_H^2 + mu(||.||_H^2)) - ||u||_L4^4
+    and, on a random pair u1, u2 with the drag off,
       monotonicity  (F2(u1) - F2(u2), u1 - u2) <= ||u1 - u2||_H^2 for the
                     cubic reaction part.
 
@@ -491,27 +459,35 @@ def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
     :class:`ContractViolation` if any margin exceeds ``tol`` times the
     sample scale.
     """
+    from .integrator import BatchedStepper
+
+    members = 3
+    spec = QWienerSpec(grid=grid, modes=1)
+    growth = BatchedStepper(grid, model, spec, members=members, dt=1.0)
+    # one member per replica: the drag is exactly zero, the cubic remains
+    cubic = BatchedStepper(grid, model, spec, members=1, dt=1.0)
+    hN = grid.h ** grid.dimension
     rng = np.random.default_rng(seed)
     worst_growth = -np.inf
     worst_mono = -np.inf
-    drag_model = model
     for _ in range(samples):
-        u = ScalarField(grid, rng.standard_normal(grid.shape))
-        mean = ScalarField(grid, rng.standard_normal(grid.shape))
-        second = norm_H(mean) ** 2 + abs(rng.standard_normal())
-        measure = EmpiricalMeasure(mean=mean, second_moment=second, count=2)
-        scale = max(1.0, norm_H(u) ** 2, second)
+        U = rng.standard_normal((members, grid.dof))
         if model.mean_field == "stokes_drag":
-            gap = _drag_growth_gap(u, measure, drag_model, F_GROWTH_CONSTANT)
-            worst_growth = max(worst_growth, gap / scale)
+            drift, _ = growth.explicit_terms(U, np.zeros((members, 1)))
+            rows = growth.energy_rows(U, 0.0)
+            second = float(np.mean(rows["H2"]))
+            l4 = rows["L4"] if model.cubic else 0.0
+            gap = (hN * np.sum(drift * U, axis=-1)
+                   - F_GROWTH_CONSTANT * (rows["H2"] + second) + l4)
+            scale = np.maximum(1.0, np.maximum(rows["H2"], second))
+            worst_growth = max(worst_growth, float(np.max(gap / scale)))
         if model.cubic:
-            u2 = ScalarField(grid, rng.standard_normal(grid.shape))
-            d = u - u2
-            f1 = u.values - u.values * u.values * u.values
-            f2 = u2.values - u2.values * u2.values * u2.values
-            lhs = inner_H(ScalarField(grid, f1 - f2), d)
-            gap = lhs - norm_H(d) ** 2
-            worst_mono = max(worst_mono, gap / max(1.0, norm_H(d) ** 2))
+            pair = rng.standard_normal((2, grid.dof))
+            drift, _ = cubic.explicit_terms(pair, np.zeros((2, 1)))
+            d = pair[0] - pair[1]
+            d2 = hN * float(np.sum(d * d))
+            gap = hN * float(np.sum((drift[0] - drift[1]) * d)) - d2
+            worst_mono = max(worst_mono, gap / max(1.0, d2))
     report = {
         "samples": samples,
         "growth_constant": F_GROWTH_CONSTANT,
@@ -533,41 +509,13 @@ def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
 # noise law
 
 
-def _mode_sigmas(model: ModelSpec, spec: QWienerSpec) -> np.ndarray:
-    k = np.arange(1, spec.modes + 1, dtype=float)
-    return model.sigma0 / k
-
-
-def apply_G_increment(u: ScalarField, xi: np.ndarray, dt: float,
-                      model: ModelSpec, spec: QWienerSpec) -> ScalarField:
-    """Multiplicative noise increment G(u) dW for one step.
-
-    scalar_multiplicative: (sum_k sqrt(lambda_k) sigma_k xi_k sqrt(dt)) * u,
-    i.e. one common random factor scales the whole field.
-
-    mode_modulated: sum_k sqrt(lambda_k) sigma_k xi_k sqrt(dt) * (u * e_k)
-    with the pointwise product against each retained mode.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (spec.modes,):
-        raise ValueError(f"expected {spec.modes} mode draws, got {xi.shape}")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    sig = _mode_sigmas(model, spec)
-    amp = np.sqrt(spec.eigenvalues * dt) * sig * xi
-    if model.noise_law == "scalar_multiplicative":
-        return ScalarField(u.grid, float(amp.sum()) * u.values)
-    modes = (amp @ spec.basis).reshape(u.grid.shape)
-    return ScalarField(u.grid, u.values * modes)
-
-
 def g_lipschitz_constant(model: ModelSpec, spec: QWienerSpec) -> float:
     """Squared-Lipschitz constant of the noise law in the HS proxy norm.
 
     Exact for the scalar law: sum_k lambda_k sigma_k^2. The modulated law
     picks up the sup of the mode amplitudes, 2^(N/2).
     """
-    sig = _mode_sigmas(model, spec)
+    sig = model.mode_sigmas(spec.modes)
     base = float(np.sum(spec.eigenvalues * sig ** 2))
     if model.noise_law == "scalar_multiplicative":
         return base

@@ -143,26 +143,29 @@ def test_epsilon_ladder_must_decrease():
 
 
 def test_interaction_budget_rejections():
-    # layered alpha=2 beta=1 has kappa = 1, so ell < (1 - 2 eta)/2
+    # no drift term reads eta or ell, so any value but 0.0 is rejected,
+    # even one inside the old budget ell < (kappa - 2 eta)/2
     text = ini("""
         [coefficient]
         alpha = 2.0
         beta = 1.0
         [model]
-        eta = 0.2
-        ell = 0.4
+        eta = 0.0
+        ell = 0.2
         """)
     with pytest.raises(ValidationError) as err:
         parse_config(text)
     assert err.value.field == "model.ell"
     assert str(err.value).startswith("ell=")
-    assert "budget" in str(err.value)
+    assert "no drift term" in str(err.value)
     assert err.value.line == 6
 
     with pytest.raises(ValidationError) as err:
-        parse_config("[model]\neta = 0.6\n")
+        parse_config("[model]\neta = 0.2\nell = 0.1\n")
     assert err.value.field == "model.eta"
-    assert "budget" in str(err.value)
+    assert err.value.line == 2
+    assert "no drift term" in str(err.value)
+    parse_config("[model]\neta = 0.0\nell = 0.0\n")
 
 
 def test_unknown_section_and_key_are_located():
@@ -424,6 +427,31 @@ def test_config_rejection_exits_2_with_error_json(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["ladder", "corrector"])
+def test_rejected_study_creates_no_output_directory(tmp_path, capsys,
+                                                    command):
+    # 64 cells under-resolve epsilon = 1/8 (the study needs 16/eps = 128);
+    # the study is built, and rejected, before the output directory.
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(ini("""
+        [grid]
+        cells = 64
+        [stepper]
+        dt = 0.01
+        horizon = 0.02
+        [study]
+        epsilons = 0.125
+        """), encoding="utf-8")
+    out = tmp_path / "out_ladder"
+    code, _, stderr = run_cli([command, "-c", str(cfg), "-o", str(out)],
+                              capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert payload["error"] == "ValidationError"
+    assert payload["field"] == "epsilon"
+    assert not out.exists()
+
+
 def test_solver_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "blowup.ini"
     cfg.write_text(ini("""
@@ -453,6 +481,8 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     ("[study]\ninitial_amplitude = inf\n", "study.initial_amplitude"),
     ("[stepper]\nhorizon = nan\n", "stepper.horizon"),
     ("[study]\nepsilons = 0.5, inf\n", "study.epsilons"),
+    ("[model]\neta = 0.2\n", "model.eta"),
+    ("[model]\nell = 0.2\n", "model.ell"),
 ])
 def test_config_values_rejected_before_the_run(tmp_path, capsys, text,
                                                field):

@@ -11,7 +11,8 @@ from twoscale.ensemble import (Ensemble, ObservableSamples, chaos_gap,
                                quantile_subsample, wasserstein2_1d)
 from twoscale.errors import CountMismatch
 from twoscale.grid import GridSpec, ScalarField, norm_H
-from twoscale.models import ModelSpec, apply_F
+from twoscale.integrator import BatchedStepper
+from twoscale.models import ModelSpec
 from twoscale.noise import QWienerSpec
 
 
@@ -42,8 +43,11 @@ def test_measure_identical_members_gives_zero_drag():
                       coefficient=make_coefficient("layered", 1, alpha=2.0,
                                                    beta=1.0),
                       epsilon=0.125, mean_field="stokes_drag", cubic=False)
-    drag = apply_F(u, measure, model)
-    assert np.all(drag.values == 0.0)
+    spec = QWienerSpec(grid=grid, modes=4)
+    stepper = BatchedStepper(grid, model, spec, members=4, dt=0.01)
+    U = np.tile(u.values.reshape(-1), (4, 1))
+    drag, _ = stepper.explicit_terms(U, np.zeros((4, spec.modes)))
+    assert np.all(drag == 0.0)
 
 
 def test_measure_two_constants():

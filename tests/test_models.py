@@ -8,13 +8,12 @@ from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
                              SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
                            first_eigenvalue, norm_H, norm_V, sine_mode)
+from twoscale.integrator import BatchedStepper
 from twoscale.models import (EmpiricalMeasure, ImplicitFactorization,
                              ModelSpec, apply_A_eps, apply_A_tensor, apply_B,
-                             apply_F, apply_G_increment,
                              check_B_local_monotonicity, check_F_contracts,
                              face_coefficients, g_lipschitz_constant,
-                             leray_project, solve_implicit,
-                             spectral_divergence_norm)
+                             leray_project, spectral_divergence_norm)
 from twoscale.noise import QWienerSpec
 
 
@@ -126,6 +125,13 @@ def test_tensor_operator_rejects_bad_shape():
 
 # ---------------------------------------------------------------------------
 # implicit solve
+
+
+def solve_implicit(rhs, coeff, eps, t, dt, tol=1e-8):
+    """(I + dt A_eps(t)) v = rhs through the engine's factorization."""
+    fac = ImplicitFactorization(
+        rhs.grid, face_coefficients(coeff, rhs.grid, eps, t), dt)
+    return ScalarField(rhs.grid, fac.solve_batch(rhs.values, tol=tol))
 
 
 def test_implicit_zero_step_is_identity():
@@ -326,7 +332,7 @@ def test_advection_monotonicity_constant_stable():
 
 
 # ---------------------------------------------------------------------------
-# mean-field drift
+# mean-field drift, through the batched engine
 
 
 def drag_only():
@@ -339,73 +345,82 @@ def cubic_only():
                      epsilon=0.125, mean_field="none", cubic=True)
 
 
+def drag_and_cubic():
+    return ModelSpec(variant="allen_cahn", coefficient=layered(),
+                     epsilon=0.125, mean_field="stokes_drag", cubic=True)
+
+
+def explicit_terms(model, paths, members=None, xi=None, spec=None, dt=0.01):
+    """``BatchedStepper.explicit_terms`` on a (paths, dof) stack.
+
+    ``paths`` are fields or raw rows; ``members`` defaults to one replica
+    holding every path, so mu is the empirical law of the whole stack.
+    """
+    rows = [p.values.reshape(-1) if isinstance(p, ScalarField) else p
+            for p in paths]
+    U = np.stack(rows)
+    if spec is None:
+        spec = QWienerSpec(grid=GridSpec(1, U.shape[1] + 1), modes=4, seed=0)
+    stepper = BatchedStepper(spec.grid, model, spec,
+                             members=members or len(U), dt=dt)
+    if xi is None:
+        xi = np.zeros((len(U), spec.modes))
+    return stepper.explicit_terms(U, xi)
+
+
 def test_drag_single_member_vanishes():
     rng = np.random.default_rng(8)
     grid = GridSpec(1, 64)
-    u = random_field(grid, rng)
-    measure = EmpiricalMeasure(mean=u, second_moment=norm_H(u) ** 2, count=1)
-    out = apply_F(u, measure, drag_only())
-    assert np.all(out.values == 0.0)
+    stack = [random_field(grid, rng) for _ in range(3)]
+    drift, _ = explicit_terms(drag_only(), stack, members=1)
+    assert np.all(drift == 0.0)
 
 
 def test_drag_two_constant_members():
+    # The drag adds u - mean: against the mean 2 of the members 1 and 3 it
+    # pushes each member further from the mean, -1 and +1.
     grid = GridSpec(1, 64)
-    one = ScalarField(grid, np.full(grid.shape, 1.0))
-    three = ScalarField(grid, np.full(grid.shape, 3.0))
-    mean = ScalarField(grid, np.full(grid.shape, 2.0))
-    second = (norm_H(one) ** 2 + norm_H(three) ** 2) / 2.0
-    measure = EmpiricalMeasure(mean=mean, second_moment=second, count=2,
-                               members=(one, three))
-    out = apply_F(one, measure, drag_only())
-    assert np.max(np.abs(out.values - (-1.0))) < 1e-14
+    one = np.full(grid.dof, 1.0)
+    drift, _ = explicit_terms(drag_only(), [one, 3.0 * one])
+    assert np.max(np.abs(drift[0] - (-1.0))) < 1e-14
+    assert np.max(np.abs(drift[1] - 1.0)) < 1e-14
+
+
+def test_drag_couples_members_within_a_replica_only():
+    grid = GridSpec(1, 64)
+    one = np.full(grid.dof, 1.0)
+    stack = [one, 3.0 * one, 10.0 * one, 10.0 * one]
+    drift, _ = explicit_terms(drag_only(), stack, members=2)
+    assert np.max(np.abs(drift[:2] - np.array([[-1.0], [1.0]]))) < 1e-14
+    assert np.all(drift[2:] == 0.0)
 
 
 def test_cubic_fixed_points():
     grid = GridSpec(1, 64)
-    model = cubic_only()
-    for level, expected in ((1.0, 0.0), (0.0, 0.0), (2.0, -6.0)):
-        u = ScalarField(grid, np.full(grid.shape, level))
-        out = apply_F(u, None, model)
-        assert np.max(np.abs(out.values - expected)) < 1e-12
+    levels = (1.0, 0.0, 2.0)
+    drift, _ = explicit_terms(cubic_only(),
+                              [np.full(grid.dof, v) for v in levels])
+    for row, expected in zip(drift, (0.0, 0.0, -6.0)):
+        assert np.max(np.abs(row - expected)) < 1e-12
 
 
 def test_drift_sum_of_parts():
     rng = np.random.default_rng(14)
     grid = GridSpec(1, 64)
-    u = random_field(grid, rng)
-    mean = random_field(grid, rng)
-    measure = EmpiricalMeasure(mean=mean, second_moment=norm_H(mean) ** 2,
-                               count=3)
-    both = ModelSpec(variant="allen_cahn", coefficient=layered(),
-                     epsilon=0.125, mean_field="stokes_drag", cubic=True)
-    combined = apply_F(u, measure, both)
-    parts = apply_F(u, measure, drag_only()).values \
-        + apply_F(u, None, cubic_only()).values
-    assert np.max(np.abs(combined.values - parts)) < 1e-14
+    stack = [random_field(grid, rng) for _ in range(3)]
+    combined, _ = explicit_terms(drag_and_cubic(), stack)
+    drag, _ = explicit_terms(drag_only(), stack)
+    cubic, _ = explicit_terms(cubic_only(), stack)
+    assert np.max(np.abs(combined - (drag + cubic))) < 1e-14
 
 
 def test_drag_translation_equivariance():
     rng = np.random.default_rng(21)
     grid = GridSpec(1, 64)
-    u = random_field(grid, rng)
-    mean = random_field(grid, rng)
-    shift = 0.7
-    mean_shifted = ScalarField(grid, mean.values + shift)
-    u_shifted = ScalarField(grid, u.values + shift)
-    base = EmpiricalMeasure(mean=mean, second_moment=norm_H(mean) ** 2,
-                            count=2)
-    shifted = EmpiricalMeasure(mean=mean_shifted,
-                               second_moment=norm_H(mean_shifted) ** 2,
-                               count=2)
-    out_base = apply_F(u, base, drag_only())
-    out_shifted = apply_F(u_shifted, shifted, drag_only())
-    assert np.max(np.abs(out_base.values - out_shifted.values)) < 1e-12
-
-
-def test_drag_requires_measure():
-    grid = GridSpec(1, 32)
-    with pytest.raises(ValueError):
-        apply_F(ScalarField.zeros(grid), None, drag_only())
+    stack = rng.standard_normal((2, grid.dof))
+    base, _ = explicit_terms(drag_only(), stack)
+    shifted, _ = explicit_terms(drag_only(), stack + 0.7)
+    assert np.max(np.abs(base - shifted)) < 1e-12
 
 
 def test_measure_summary_consistency():
@@ -428,20 +443,13 @@ def test_measure_summary_consistency():
 
 def test_drift_zero_point_mass():
     grid = GridSpec(1, 64)
-    zero = ScalarField.zeros(grid)
-    measure = EmpiricalMeasure(mean=zero, second_moment=0.0, count=1)
-    both = ModelSpec(variant="allen_cahn", coefficient=layered(),
-                     epsilon=0.125, mean_field="stokes_drag", cubic=True)
-    out = apply_F(zero, measure, both)
-    assert np.all(out.values == 0.0)
-    assert inner_H(out, zero) == 0.0
+    drift, _ = explicit_terms(drag_and_cubic(), [np.zeros(grid.dof)])
+    assert np.all(drift == 0.0)
 
 
 def test_drift_contract_report():
     grid = GridSpec(1, 64)
-    both = ModelSpec(variant="allen_cahn", coefficient=layered(),
-                     epsilon=0.125, mean_field="stokes_drag", cubic=True)
-    report = check_F_contracts(both, grid, samples=100)
+    report = check_F_contracts(drag_and_cubic(), grid, samples=100)
     assert report["samples"] == 100
     assert report["growth_constant"] == 2.5
     assert report["worst_growth_margin"] <= 1e-10
@@ -455,14 +463,13 @@ def test_cubic_monotonicity_direct():
         u1 = random_field(grid, rng)
         u2 = random_field(grid, rng)
         d = u1 - u2
-        f1 = u1.values - u1.values ** 3
-        f2 = u2.values - u2.values ** 3
-        lhs = inner_H(ScalarField(grid, f1 - f2), d)
+        (f1, f2), _ = explicit_terms(cubic_only(), [u1, u2], members=1)
+        lhs = inner_H(ScalarField(grid, (f1 - f2).reshape(grid.shape)), d)
         assert lhs <= norm_H(d) ** 2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# noise law
+# noise law, through the batched engine
 
 
 def noise_setup(law="scalar_multiplicative", modes=16, cells=64):
@@ -473,12 +480,20 @@ def noise_setup(law="scalar_multiplicative", modes=16, cells=64):
     return grid, spec, model
 
 
+def noise_increments(model, spec, paths, xi, dt):
+    """G(u) dW for each path of the stack against its row of draws."""
+    _, noise = explicit_terms(model, paths, members=1, xi=np.atleast_2d(xi),
+                              spec=spec, dt=dt)
+    return noise
+
+
 def test_noise_zero_field():
     for law in ("scalar_multiplicative", "mode_modulated"):
         grid, spec, model = noise_setup(law)
-        xi = np.ones(spec.modes)
-        out = apply_G_increment(ScalarField.zeros(grid), xi, 0.01, model, spec)
-        assert np.all(out.values == 0.0)
+        xi = np.ones((2, spec.modes))
+        out = noise_increments(model, spec, np.zeros((2, grid.dof)), xi,
+                               0.01)
+        assert np.all(out == 0.0)
 
 
 def test_noise_scalar_lipschitz_exact():
@@ -491,11 +506,10 @@ def test_noise_scalar_lipschitz_exact():
     u2 = random_field(grid, rng)
     total = 0.0
     for k in range(spec.modes):
-        xi = np.zeros(spec.modes)
-        xi[k] = 1.0
-        d1 = apply_G_increment(u1, xi, 1.0, model, spec)
-        d2 = apply_G_increment(u2, xi, 1.0, model, spec)
-        total += norm_H(d1 - d2) ** 2
+        xi = np.zeros((2, spec.modes))
+        xi[:, k] = 1.0
+        d1, d2 = noise_increments(model, spec, [u1, u2], xi, 1.0)
+        total += norm_H(ScalarField(grid, d1 - d2)) ** 2
     expected = g_lipschitz_constant(model, spec) * norm_H(u1 - u2) ** 2
     assert abs(total - expected) <= 1e-12 * expected
 
@@ -505,15 +519,12 @@ def test_noise_variance_oracle():
     # Gaussian sum_k sqrt(lambda_k dt) sigma_k xi_k whose variance is
     # dt * sum_k lambda_k sigma_k^2.
     grid, spec, model = noise_setup("scalar_multiplicative")
-    e1 = sine_mode(grid, (1,))
+    e1 = sine_mode(grid, (1,)).values.reshape(-1)
     dt = 0.01
-    rng = np.random.default_rng(2026)
     draws = 10_000
-    samples = np.empty(draws)
-    for i in range(draws):
-        xi = rng.standard_normal(spec.modes)
-        out = apply_G_increment(e1, xi, dt, model, spec)
-        samples[i] = inner_H(out, e1)
+    xi = np.random.default_rng(2026).standard_normal((draws, spec.modes))
+    out = noise_increments(model, spec, np.tile(e1, (draws, 1)), xi, dt)
+    samples = grid.h * (out @ e1)
     expected = dt * g_lipschitz_constant(model, spec)
     observed = float(np.var(samples))
     assert abs(observed - expected) <= 0.05 * expected
@@ -527,11 +538,12 @@ def test_noise_mode_modulated_single_mode():
     xi = np.zeros(spec.modes)
     xi[k] = 1.0
     dt = 0.04
-    out = apply_G_increment(u, xi, dt, model, spec)
+    (out,) = noise_increments(model, spec, [u], xi, dt)
     sigma_k = model.sigma0 / (k + 1.0)
-    mode = spec.basis[k].reshape(grid.shape)
-    expected = np.sqrt(spec.eigenvalues[k] * dt) * sigma_k * u.values * mode
-    assert np.max(np.abs(out.values - expected)) < 1e-13
+    mode = spec.basis[k]
+    expected = (np.sqrt(spec.eigenvalues[k] * dt) * sigma_k
+                * u.values.reshape(-1) * mode)
+    assert np.max(np.abs(out - expected)) < 1e-13
 
 
 def test_noise_modulated_constant_scales_with_dimension():
@@ -542,29 +554,24 @@ def test_noise_modulated_constant_scales_with_dimension():
         base * 2.0 ** grid.dimension)
 
 
-def test_noise_rejects_bad_arguments():
-    grid, spec, model = noise_setup()
-    u = ScalarField.zeros(grid)
-    with pytest.raises(ValueError):
-        apply_G_increment(u, np.zeros(spec.modes + 1), 0.01, model, spec)
-    with pytest.raises(ValueError):
-        apply_G_increment(u, np.zeros(spec.modes), 0.0, model, spec)
-
-
 # ---------------------------------------------------------------------------
 # model assembly guards
 
 
 def test_model_budget_validation():
+    # no drift term reads eta or ell, so only their 0.0 defaults pass
     with pytest.raises(ValueError, match="eta"):
         ModelSpec(variant="allen_cahn", coefficient=layered(), epsilon=0.125,
                   eta=0.5)
     with pytest.raises(ValueError, match="ell"):
         ModelSpec(variant="allen_cahn", coefficient=layered(), epsilon=0.125,
-                  eta=0.25, ell=0.3)
-    # tight but legal budget passes
+                  ell=0.3)
+    # a budget the old check called tight but legal is rejected too
+    with pytest.raises(ValueError, match="eta"):
+        ModelSpec(variant="allen_cahn", coefficient=layered(), epsilon=0.125,
+                  eta=0.25, ell=0.2)
     ModelSpec(variant="allen_cahn", coefficient=layered(), epsilon=0.125,
-              eta=0.25, ell=0.2)
+              eta=0.0, ell=0.0)
 
 
 def test_model_rejects_unknown_kinds():
