@@ -17,20 +17,23 @@ collapses to the harmonic mean of a, which is the classical sharp answer,
 and the discrete correctors satisfy eta'(y) = a_eff/a(y) - 1 up to solver
 tolerance.
 
-The solver is plain conjugate gradients on the singular but consistent
-system (constants span the kernel); the constant mode is projected out of
-the residual at every iteration and the final corrector is recentred to
-zero mean.
+The solver is conjugate gradients on the singular but consistent system
+(constants span the kernel), preconditioned by the exact FFT inverse of the
+constant-coefficient periodic operator whose per-axis coefficient is the
+mean of that axis's absolute faces (Moulinec & Suquet 1998). The
+directions of one slice are solved as one stack; the constant mode is
+projected out of the residual at every iteration and the final corrector
+is recentred to zero mean.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 
 from .coefficients import CoefficientField
-from .errors import SolverDiverged
-from .grid import is_power_of_two
+from .grid import is_power_of_two, preconditioned_cg
 
 __all__ = [
     "CellGrid",
@@ -131,50 +134,36 @@ def _face_coefficients(scalar_cells: np.ndarray, axis: int) -> np.ndarray:
 
 def _apply_periodic_operator(eta: np.ndarray, faces: list[np.ndarray],
                              h: float) -> np.ndarray:
-    """-div(s grad eta) with the conservative periodic stencil."""
+    """-div(s grad eta) with the conservative periodic stencil.
+
+    ``eta`` is a stack (..., *cell shape); the faces broadcast over it.
+    """
+    dim = len(faces)
     out = np.zeros_like(eta)
     for axis, s_face in enumerate(faces):
-        flux = s_face * (np.roll(eta, -1, axis=axis) - eta) / h
-        out -= (flux - np.roll(flux, 1, axis=axis)) / h
+        ax = axis - dim
+        flux = s_face * (np.roll(eta, -1, axis=ax) - eta) / h
+        out -= (flux - np.roll(flux, 1, axis=ax)) / h
     return out
 
 
-def _cg_periodic(faces: list[np.ndarray], b: np.ndarray, h: float,
-                 tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    """CG on the singular periodic system, constant mode projected out.
+def _periodic_inverse(faces: list[np.ndarray], h: float) -> np.ndarray:
+    """Inverse eigenvalues of -sum_d c_d D_d^2 in the ``rfftn`` layout.
 
-    Returns (solution with zero mean, relative residual, iterations).
+    c_d is the mean of the absolute axis-d faces, which is the plain mean
+    for an elliptic field and keeps the preconditioner positive definite
+    for any faces. The constant mode (eigenvalue 0) maps to 0, which keeps
+    the preconditioned residual mean-free.
     """
-    b = b - b.mean()
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    it = 0
-    while np.sqrt(rs) > tol * b_norm:
-        if it >= max_iter:
-            raise SolverDiverged(
-                f"cell CG exceeded {max_iter} iterations "
-                f"(relative residual {np.sqrt(rs) / b_norm:.3e})",
-                iterations=it, residual=float(np.sqrt(rs) / b_norm))
-        ap = _apply_periodic_operator(p, faces, h)
-        denom = float(np.sum(p * ap))
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise SolverDiverged(
-                "cell CG lost positive definiteness", iterations=it)
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        r -= r.mean()
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    x -= x.mean()
-    return x, float(np.sqrt(rs) / b_norm), it
+    dim = len(faces)
+    m = faces[0].shape[0]
+    lam = np.zeros((1,) * dim)
+    for d, s_face in enumerate(faces):
+        k = np.arange(m // 2 + 1 if d == dim - 1 else m)
+        wave = (4.0 / h ** 2) * np.sin(np.pi * k / m) ** 2
+        lam = lam + np.mean(np.abs(s_face)) * wave.reshape(
+            [-1 if a == d else 1 for a in range(dim)])
+    return np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
 
 
 def _slice_tensor(faces: list[np.ndarray], correctors_slice: np.ndarray,
@@ -217,6 +206,11 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
     residuals = np.zeros((S, dim))
     iterations = np.zeros((S, dim), dtype=int)
 
+    axes = tuple(range(-dim, 0))
+
+    def mean_free(v: np.ndarray) -> np.ndarray:
+        return v - v.mean(axis=axes, keepdims=True)
+
     for s, tau in enumerate(grid.tau_values()):
         if dim == 1:
             s_cells = np.asarray(coeff.scalar(centers[0], tau), dtype=float)
@@ -224,12 +218,15 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
             s_cells = np.asarray(coeff.scalar(centers, tau), dtype=float)
         s_cells = np.broadcast_to(s_cells, grid.shape).astype(float)
         faces = [_face_coefficients(s_cells, axis) for axis in range(dim)]
-        for k in range(dim):
-            b = (faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
-            eta, res, it = _cg_periodic(faces, b, grid.h, tol, max_iter)
-            correctors[s, k] = eta
-            residuals[s, k] = res
-            iterations[s, k] = it
+        inverse = _periodic_inverse(faces, grid.h)
+        b = np.stack([(faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
+                      for k in range(dim)])
+        eta, residuals[s], iterations[s] = preconditioned_cg(
+            lambda v: _apply_periodic_operator(v, faces, grid.h),
+            lambda v: irfftn(rfftn(v, axes=axes) * inverse, s=grid.shape,
+                             axes=axes),
+            b, tol, max_iter, "cell CG", project=mean_free)
+        correctors[s] = mean_free(eta)
         slice_tensors[s] = _slice_tensor(faces, correctors[s], grid.h)
 
     a_tilde = slice_tensors.mean(axis=0)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.fft import dstn
 
-from .errors import CountMismatch
+from .errors import CountMismatch, NonFinite, SolverDiverged
 
 __all__ = [
     "is_power_of_two",
@@ -37,6 +37,7 @@ __all__ = [
     "sine_mode",
     "sine_weights_Hminus1",
     "first_eigenvalue",
+    "preconditioned_cg",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -311,6 +312,81 @@ def first_eigenvalue(grid: GridSpec) -> float:
     h = grid.h
     per_axis = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
     return float(grid.dimension * per_axis)
+
+
+# ---------------------------------------------------------------------------
+# linear solves
+
+
+StackMap = Callable[[np.ndarray], np.ndarray]
+
+
+def preconditioned_cg(apply: StackMap, precondition: StackMap,
+                      b: np.ndarray, tol: float, limit: int, what: str,
+                      project: StackMap | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Preconditioned conjugate gradients on every row of a stack b.
+
+    ``b`` has shape (rows, ...). ``apply`` is the symmetric operator and
+    ``precondition`` a symmetric positive definite approximation of its
+    inverse, both acting on whole stacks. ``project``, when given, removes
+    the operator's kernel (the constant mode of a periodic problem) from
+    the right-hand side and from the residual at every iteration.
+
+    A row stops once its residual r = b - A x meets ||r|| <= tol ||b||
+    and is frozen from then on, so its iterate does not depend on the
+    other rows. Raises :class:`NonFinite` on a non-finite right-hand side
+    and :class:`SolverDiverged`, naming the solve ``what``, when an active
+    row has r.z <= 0 or p.Ap <= 0 or when ``limit`` iterations pass.
+
+    Returns (x, relative residual per row, iterations per row).
+    """
+    def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", u.reshape(len(u), -1),
+                         v.reshape(len(v), -1))
+
+    def diverged(why: str) -> SolverDiverged:
+        worst = float(np.max(np.sqrt(rr) / scale))
+        return SolverDiverged(f"{what} {why} (relative residual {worst:.3e})",
+                              iterations=it, residual=worst)
+
+    if project is not None:
+        b = project(b)
+    b_norm = np.sqrt(dot(b, b))
+    if not np.all(np.isfinite(b_norm)):
+        raise NonFinite(f"{what} got a non-finite right-hand side")
+    scale = np.where(b_norm > 0, b_norm, 1.0)
+    col = (-1,) + (1,) * (b.ndim - 1)
+    x = np.zeros_like(b)
+    r = b.copy()
+    rr = dot(r, r)
+    p = z = precondition(r)
+    rz = dot(r, z)
+    iterations = np.zeros(len(b), dtype=int)
+    it = 0
+    while np.any(active := np.sqrt(rr) > tol * b_norm):
+        if it >= limit:
+            raise diverged(f"exceeded {limit} iterations")
+        if np.any(active & ~(rz > 0)):
+            raise diverged("has an indefinite preconditioner (r.z <= 0)")
+        ap = apply(p)
+        pap = dot(p, ap)
+        if np.any(active & ~(pap > 0)):
+            raise diverged("lost positive definiteness (p.Ap <= 0)")
+        alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=active)
+        x += alpha.reshape(col) * p
+        r -= alpha.reshape(col) * ap
+        if project is not None:
+            r = project(r)
+        rr = dot(r, r)
+        z = precondition(r)
+        rz_next = dot(r, z)
+        beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)
+        p = z + beta.reshape(col) * p
+        rz = rz_next
+        iterations += active
+        it += 1
+    return x, np.sqrt(rr) / scale, iterations
 
 
 # ---------------------------------------------------------------------------

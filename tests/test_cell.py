@@ -11,6 +11,7 @@ from twoscale.cell import (
     solve_cell_problem,
 )
 from twoscale.coefficients import make_coefficient
+from twoscale.errors import SolverDiverged
 
 SQRT3 = np.sqrt(3.0)
 
@@ -62,6 +63,26 @@ def test_residuals_below_tolerance():
     c = make_coefficient("layered", dimension=2, alpha=2.0, beta=1.0)
     sol = solve_cell_problem(c, CellGrid(dimension=2, cells=32), tol=1e-10)
     assert np.all(np.asarray(sol.residuals) <= 1e-10)
+
+
+def test_checkerboard_cell_iterations_stay_pinned():
+    # The FFT preconditioner holds the 256^2 checkerboard at about 20
+    # iterations per direction; plain CG took about 618.
+    c = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    sol = solve_cell_problem(c, CellGrid(dimension=2, cells=256))
+    assert sol.iterations.shape == (1, 2)
+    assert np.all(sol.iterations <= 25)
+    assert np.all(sol.residuals <= 1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cell_cg_stops_at_lost_definiteness():
+    # Negative faces make the cell operator negative definite: the first
+    # search direction has p.Ap <= 0 and CG must stop at once.
+    c = make_coefficient("layered", 2, kappa=1.0, alpha=-2.0, beta=1.0)
+    with pytest.raises(SolverDiverged) as err:
+        solve_cell_problem(c, CellGrid(dimension=2, cells=16))
+    assert err.value.iterations == 0
 
 
 def test_2d_laminate_tensor():

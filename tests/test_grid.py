@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.errors import CountMismatch
+from twoscale.errors import CountMismatch, SolverDiverged
 from twoscale.grid import (
     GridSpec,
     ScalarField,
@@ -17,6 +17,7 @@ from twoscale.grid import (
     norm_Hminus1_proxy,
     norm_L4,
     norm_V,
+    preconditioned_cg,
     sine_coefficients,
     sine_mode,
 )
@@ -186,3 +187,44 @@ def test_inner_product_consistent_with_norm():
     g = GridSpec(dimension=1, cells=32)
     f = ScalarField(g, rng.standard_normal(g.shape))
     assert abs(inner_H(f, f) - norm_H(f) ** 2) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# preconditioned conjugate gradients
+
+
+def _spd_matrix(n, rng):
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n)
+
+
+def test_pcg_solves_each_row_and_counts_per_row():
+    rng = np.random.default_rng(21)
+    a = _spd_matrix(12, rng)
+    diag = np.diag(a)
+    b = rng.standard_normal((3, 12))
+    b[1] = 0.0
+    x, res, its = preconditioned_cg(lambda v: v @ a, lambda v: v / diag,
+                                    b, 1e-12, 100, "test CG")
+    np.testing.assert_allclose(x, np.linalg.solve(a, b.T).T, atol=1e-10)
+    assert np.all(res <= 1e-12)
+    assert its[1] == 0 and res[1] == 0.0 and np.all(its[[0, 2]] > 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pcg_stops_at_indefinite_preconditioner():
+    rng = np.random.default_rng(22)
+    a = _spd_matrix(8, rng)
+    with pytest.raises(SolverDiverged, match=r"r\.z") as err:
+        preconditioned_cg(lambda v: v @ a, lambda v: -v,
+                          rng.standard_normal((2, 8)), 1e-10, 50, "test CG")
+    assert err.value.iterations == 0
+
+
+def test_pcg_reports_exhausted_iteration_limit():
+    rng = np.random.default_rng(23)
+    a = _spd_matrix(16, rng)
+    with pytest.raises(SolverDiverged, match="exceeded 2 iterations") as err:
+        preconditioned_cg(lambda v: v @ a, lambda v: v,
+                          rng.standard_normal((1, 16)), 1e-14, 2, "test CG")
+    assert err.value.iterations == 2 and err.value.residual > 1e-14

@@ -190,8 +190,13 @@ def test_implicit_batch_matches_single_solves():
 
 def _dense_implicit(grid, coeff, eps, dt):
     """I + dt A_eps as a dense matrix, one operator application per column."""
+    return _dense(grid, dt, lambda u: apply_A_eps(u, coeff, eps, 0.0))
+
+
+def _dense(grid, dt, operator):
+    """I + dt * operator as a dense matrix on the flattened grid."""
     eye = np.eye(grid.dof)
-    cols = [apply_A_eps(ScalarField(grid, e), coeff, eps, 0.0).values
+    cols = [operator(ScalarField(grid, e.reshape(grid.shape))).values.ravel()
             for e in eye]
     return eye + dt * np.array(cols).T
 
@@ -232,6 +237,7 @@ def test_tridiagonal_rejects_non_finite_rhs():
             fac.solve_batch(rhs)
 
 
+@pytest.mark.filterwarnings("error")
 def test_implicit_cg_stops_at_lost_definiteness():
     # Negative faces make I + dt A indefinite: the first search direction
     # already has p.Ap <= 0, so CG must give up at once instead of idling
@@ -243,6 +249,70 @@ def test_implicit_cg_stops_at_lost_definiteness():
     with pytest.raises(SolverDiverged) as err:
         fac.solve_batch(rhs)
     assert err.value.iterations == 0
+
+
+def checkerboard():
+    return make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+
+
+@pytest.mark.parametrize("tensor", [None, np.array([[2.0, 0.6], [0.6, 1.5]])],
+                         ids=["checkerboard-faces", "off-diagonal-tensor"])
+def test_preconditioned_2d_solve_matches_dense(tensor):
+    # The DST preconditioner is inexact for oscillating faces and for an
+    # off-diagonal tensor pair, so CG has to iterate. I + dt A >= I, so the
+    # error of each row is at most its residual, tol * ||b||.
+    grid = GridSpec(2, 16)
+    dt, tol = 0.01, 1e-10
+    if tensor is None:
+        fac = ImplicitFactorization(
+            grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt)
+        dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
+    else:
+        fac = ImplicitFactorization(grid, None, dt, tensor=tensor)
+        dense = _dense(grid, dt, lambda u: apply_A_tensor(u, tensor))
+    stack = np.random.default_rng(12).standard_normal((3, grid.dof))
+    out = fac.solve_batch(stack, tol=tol)
+    expected = np.linalg.solve(dense, stack.T).T
+    err = np.linalg.norm(out - expected, axis=-1)
+    assert np.all(err <= tol * np.linalg.norm(stack, axis=-1))
+    assert fac.iterations.shape == (3,)
+    assert np.all(fac.iterations > 1)
+
+
+def test_diagonal_tensor_solve_takes_one_iteration():
+    # With a diagonal tensor the DST preconditioner is the exact inverse.
+    grid = GridSpec(2, 16)
+    tensor = np.diag([1.75, 2.5])
+    fac = ImplicitFactorization(grid, None, 0.01, tensor=tensor)
+    stack = np.random.default_rng(13).standard_normal((4, grid.dof))
+    out = fac.solve_batch(stack, tol=1e-12)
+    assert np.array_equal(fac.iterations, np.ones(4, dtype=int))
+    dense = _dense(grid, 0.01, lambda u: apply_A_tensor(u, tensor))
+    np.testing.assert_allclose(out, np.linalg.solve(dense, stack.T).T,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_implicit_2d_iterations_are_per_path():
+    # A zero row converges at once and is left out of the count; the
+    # recorded counts belong to the last call.
+    grid = GridSpec(2, 16)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt=0.01)
+    row = np.random.default_rng(14).standard_normal(grid.dof)
+    fac.solve_batch(np.stack([row, np.zeros(grid.dof)]))
+    assert fac.iterations[0] > 0 and fac.iterations[1] == 0
+    fac.solve_batch(row)
+    assert fac.iterations.shape == (1,)
+
+
+def test_implicit_2d_rejects_non_finite_rhs():
+    grid = GridSpec(2, 16)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt=0.01)
+    rhs = np.ones((2, grid.dof))
+    rhs[1, 7] = np.nan
+    with pytest.raises(NonFinite):
+        fac.solve_batch(rhs)
 
 
 def test_implicit_cg_converged_zero_row_does_not_break_down():
