@@ -13,7 +13,8 @@ accumulators then measure, per path,
 
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 173 s on 2 cores.
+on 1024 cells (the acceptance reference ladder) took 116 s on a shared
+2-core host with one BLAS thread.
 """
 from __future__ import annotations
 
@@ -295,6 +296,28 @@ def _replica_stats(per_path: np.ndarray, replicas: int,
     return mean, se
 
 
+#: Size of one level stack of a replica block, in float64 values. 16,384
+#: values (128 kB) keep a block's stacks and temporaries in a 2 MiB L2
+#: cache; the 1D reference ladder (8 members, 1023 dof) gets 2 replicas.
+BLOCK_VALUES = 16_384
+
+
+def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
+    """Path slices of blocks of whole replicas, about BLOCK_VALUES each.
+
+    Every block but the last holds a multiple of four paths. OpenBLAS
+    matrix-vector kernels take rows in groups of four, and a row's bits
+    depend on the kind of group it lands in; with such blocks each path
+    lands in the same kind as in the whole stack, so ``xi @ weights`` and
+    ``states @ osc`` keep their bits.
+    """
+    group = 4 // int(np.gcd(members, 4))  # replicas per four-path group
+    per_block = max(1, BLOCK_VALUES // (members * dof))
+    per_block = -(-per_block // group) * group
+    return [slice(r * members, min(r + per_block, replicas) * members)
+            for r in range(0, replicas, per_block)]
+
+
 def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     """Advance all ladder levels in lockstep and reduce the diagnostics.
 
@@ -302,6 +325,14 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     homogenized tensor of the cell solve. All levels see identical initial
     data and identical noise draws per path; the drag couples members
     within each replica only.
+
+    Within each step, the paths go in blocks of whole replicas
+    (``BLOCK_VALUES``): a block draws its noise, advances every level and
+    updates every accumulator before the next block starts. Draws are per
+    path and the drag stays inside a replica, so the block size changes no
+    result; a time-dependent coefficient is still factored once per level
+    and step. ``progress(n, steps)``, when given, is called after about
+    every tenth step.
     """
     grid = cfg.grid
     dim = grid.dimension
@@ -313,7 +344,6 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     spec = cfg.noise_spec()
     eps_list = list(cfg.epsilons)
     n_eps = len(eps_list)
-    levels = [f"eps={e:g}" for e in eps_list] + ["effective"]
     P = cfg.replicas * cfg.members
     steps = cfg.stepper.steps
     dt = cfg.stepper.dt
@@ -332,9 +362,12 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
 
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
+    blocks = _replica_blocks(cfg.replicas, cfg.members, grid.dof)
 
+    # per block, one (block paths, dof) state stack per level
     u0 = cfg.initial_values()
-    states = [np.tile(u0, (P, 1)) for _ in range(n_eps + 1)]
+    states = [[np.tile(u0, (rows.stop - rows.start, 1))
+               for _ in range(n_eps + 1)] for rows in blocks]
 
     # streaming accumulators, all shaped (levels, paths)
     err2 = np.zeros((n_eps, P))
@@ -352,43 +385,50 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     time_dep = cfg.coefficient.time_dependent
 
     # t = 0 contributions: pairing left-point, energy sup
-    for li in range(n_eps):
-        pairing[li] += dt * hN * (states[li] @ osc[li])
-    for li in range(n_eps + 1):
-        sup_h2[li] = steppers[li].energy_rows(states[li], 0.0)["H2"]
+    for rows, S in zip(blocks, states):
+        for li in range(n_eps):
+            pairing[li, rows] += dt * hN * (S[li] @ osc[li])
+        for li in range(n_eps + 1):
+            sup_h2[li, rows] = steppers[li].energy_rows(S[li], 0.0)["H2"]
 
     for n in range(steps):
         t = n * dt
-        xi = np.stack([s.draw() for s in streams])
-        for li in range(n_eps + 1):
-            states[li] = steppers[li].advance(states[li], xi, t, n)
-        hom = states[n_eps]
-        hom_grad = _face_diffs(hom, grid)
-        for li in range(n_eps):
-            diff = states[li] - hom
-            err2[li] += dt * hN * np.sum(diff * diff, axis=-1)
-            eps_grad = _face_diffs(states[li], grid)
-            slopes = face_slopes[li] if not time_dep else \
-                _face_corrector_slopes(cell_sol, grid, eps_list[li],
-                                       (t + dt) / eps_list[li])
-            p2, c2 = _gradient_residuals(eps_grad, hom_grad, slopes, grid)
-            plain2[li] += dt * p2
-            corr2[li] += dt * c2
-        if n < steps - 1:  # left-point pairing: states at t_{n+1} count
+        if time_dep:
+            face_slopes = [_face_corrector_slopes(cell_sol, grid, e,
+                                                  (t + dt) / e)
+                           for e in eps_list]
+        for rows, S in zip(blocks, states):
+            xi = np.stack([s.draw() for s in streams[rows]])
+            for li in range(n_eps + 1):
+                S[li] = steppers[li].advance(S[li], xi, t, n)
+            # one set of face differences per level, shared by the
+            # gradient residuals and the V2 energy
+            grads = [_face_diffs(U, grid) for U in S]
+            hom = S[n_eps]
             for li in range(n_eps):
-                pairing[li] += dt * hN * (states[li] @ osc[li])
-        for li in range(n_eps + 1):
-            rows = steppers[li].energy_rows(states[li], t + dt)
-            sup_h2[li] = np.maximum(sup_h2[li], rows["H2"])
-            int_v2[li] += dt * rows["V2"]
-            int_l4[li] += dt * rows["L4"]
+                diff = S[li] - hom
+                diff *= diff
+                err2[li, rows] += dt * hN * np.sum(diff, axis=-1)
+                p2, c2 = _gradient_residuals(grads[li], grads[n_eps],
+                                             face_slopes[li], grid)
+                plain2[li, rows] += dt * p2
+                corr2[li, rows] += dt * c2
+                if n < steps - 1:  # left-point pairing: t_{n+1} counts
+                    pairing[li, rows] += dt * hN * (S[li] @ osc[li])
+            for li in range(n_eps + 1):
+                energy = steppers[li].energy_rows(S[li], t + dt, grads[li])
+                sup = sup_h2[li, rows]
+                np.maximum(sup, energy["H2"], out=sup)
+                int_v2[li, rows] += dt * energy["V2"]
+                int_l4[li, rows] += dt * energy["L4"]
         if progress is not None and (n + 1) % max(1, steps // 10) == 0:
             progress(n + 1, steps)
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
         "sup_h2": sup_h2, "int_v2": int_v2, "int_l4": int_l4,
-        "final_states": np.stack(states),
+        "final_states": np.concatenate([np.stack(S) for S in states],
+                                       axis=1),
         "epsilons": np.array(eps_list), "a_tilde": np.atleast_2d(a_tilde),
         "grid_scale": np.array([hN]),
         "shape": np.array([cfg.replicas, cfg.members, steps]),
@@ -507,16 +547,19 @@ def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
         de = eps_grad[j]
         dh = hom_grad[j]
         diff = de - dh
-        plain2 += hN * inv_h2 * np.sum(diff.reshape(P, -1) ** 2, axis=-1)
-        rec = dh.copy()
-        for i in range(grid.dimension):
-            slope_ij = face_slopes[j][..., i, j]
-            if i == j:
-                rec = rec + hom_grad[i] * slope_ij[None]
-            else:
-                # transverse component interpolated onto axis-j faces
-                rec = rec + _to_faces(hom_grad[i], i, j, grid) * slope_ij[None]
-        corr2 += hN * inv_h2 * np.sum((de - rec).reshape(P, -1) ** 2, axis=-1)
+        diff *= diff
+        plain2 += hN * inv_h2 * np.sum(diff.reshape(P, -1), axis=-1)
+        # transverse components are interpolated onto axis-j faces
+        terms = [(hom_grad[i] if i == j else _to_faces(hom_grad[i], i, j, grid))
+                 * face_slopes[j][..., i, j][None]
+                 for i in range(grid.dimension)]
+        rec = terms[0]
+        rec += dh  # dh + each slope term, in axis order
+        for term in terms[1:]:
+            rec += term
+        np.subtract(de, rec, out=rec)
+        rec *= rec
+        corr2 += hN * inv_h2 * np.sum(rec.reshape(P, -1), axis=-1)
     return plain2, corr2
 
 

@@ -1,11 +1,12 @@
-"""Interacting ensembles, empirical measures, and law-level distances.
+"""Interacting ensembles and law-level distances.
 
 An ensemble is M member fields advancing on a shared clock; its empirical
-measure feeds the distribution-dependent drift. Law-level comparisons use
-the 1-D quadratic Wasserstein distance between scalar observable samples
-(sorted-quantile coupling, the exact optimal coupling on the line), and the
-propagation-of-chaos gap compares a small ensemble against a large one
-through quantile-matched subsampling.
+measure feeds the distribution-dependent drift, which
+``integrator.BatchedStepper.explicit_terms`` evaluates on the whole stack.
+Law-level comparisons use the 1-D quadratic Wasserstein distance between
+scalar observable samples (sorted-quantile coupling, the exact optimal
+coupling on the line), and the propagation-of-chaos gap compares a small
+ensemble against a large one through quantile-matched subsampling.
 """
 from __future__ import annotations
 
@@ -15,13 +16,11 @@ import numpy as np
 
 from .errors import CountMismatch
 from .grid import GridSpec, ScalarField, norm_H, norm_V
-from .models import EmpiricalMeasure
 from .noise import NoiseStream, QWienerSpec
 
 __all__ = [
     "Ensemble",
     "ObservableSamples",
-    "empirical_measure",
     "observable_samples",
     "wasserstein2_1d",
     "chaos_gap",
@@ -69,23 +68,6 @@ class Ensemble:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def empirical_measure(ensemble: Ensemble | list[ScalarField]) -> EmpiricalMeasure:
-    """Empirical law summary with deterministic index-ordered reductions."""
-    members = ensemble.members if isinstance(ensemble, Ensemble) else ensemble
-    if not members:
-        raise ValueError("empty member list")
-    grid = members[0].grid
-    acc = np.zeros(grid.shape)
-    second = 0.0
-    for m in members:  # fixed order: summation is bitwise reproducible
-        acc = acc + m.values
-        second += norm_H(m) ** 2
-    count = len(members)
-    mean = ScalarField(grid, acc / count)
-    return EmpiricalMeasure(mean=mean, second_moment=second / count,
-                            count=count)
 
 
 @dataclass(frozen=True)

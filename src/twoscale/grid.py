@@ -29,6 +29,7 @@ __all__ = [
     "norm_V",
     "face_differences",
     "gradient_energy",
+    "face_energy",
     "norm_L4",
     "norm_Hminus1_proxy",
     "inner_H",
@@ -220,10 +221,16 @@ def gradient_energy(values: np.ndarray, grid: GridSpec,
     out like the face differences; None means unit weights, which gives
     the squared V norm.
     """
+    return face_energy([face_differences(values, axis, grid.dimension)
+                        for axis in range(grid.dimension)], grid, faces)
+
+
+def face_energy(diffs: list[np.ndarray], grid: GridSpec,
+                faces: list[np.ndarray] | None = None) -> np.ndarray:
+    """``gradient_energy`` from the face differences of each grid axis."""
     grid_axes = tuple(range(-grid.dimension, 0))
     total = 0.0
-    for axis in range(grid.dimension):
-        d = face_differences(values, axis, grid.dimension)
+    for axis, d in enumerate(diffs):
         w = d * d if faces is None else faces[axis] * d * d
         total = total + np.sum(w, axis=grid_axes)
     return total * (grid.h ** grid.dimension / grid.h ** 2)

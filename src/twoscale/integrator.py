@@ -33,7 +33,7 @@ from scipy.fft import dstn
 
 from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected
-from .grid import (GridSpec, ScalarField, gradient_energy,
+from .grid import (GridSpec, ScalarField, face_energy, gradient_energy,
                    sine_weights_Hminus1)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
 from .noise import QWienerSpec
@@ -129,7 +129,15 @@ def _reaction_bound(max_abs: float, model: ModelSpec) -> float:
 
 def check_guard(max_abs: float, model: ModelSpec, dt: float, h: float,
                 step_index: int | None = None) -> float:
-    """Evaluate the stability guard; raise :class:`StepRejected` beyond 1/2."""
+    """Evaluate the stability guard; raise :class:`StepRejected` beyond 1/2.
+
+    A non-finite ``max_abs`` (a NaN or Inf in the state) raises
+    :class:`NonFinite`: NaN compares false against the limit, so it would
+    pass the guard otherwise.
+    """
+    if not np.isfinite(max_abs):
+        raise NonFinite(f"non-finite state before step {step_index} "
+                        f"(max|u| = {max_abs})", step=step_index)
     value = dt * (max_abs / h + _reaction_bound(max_abs, model))
     if value > GUARD_LIMIT:
         raise StepRejected(
@@ -201,16 +209,17 @@ class BatchedStepper:
         drift = np.zeros_like(U)
         if model.mean_field == "stokes_drag":
             groups = U.reshape(-1, self.members, U.shape[-1])
-            means = groups.mean(axis=1, keepdims=True)
-            drift += U - np.broadcast_to(means, groups.shape).reshape(U.shape)
+            np.subtract(groups, groups.mean(axis=1, keepdims=True),
+                        out=drift.reshape(groups.shape))
         if model.cubic:
-            drift += U - U * U * U
+            cubic = U * U
+            cubic *= U
+            drift += np.subtract(U, cubic, out=cubic)
         if model.noise_law == "scalar_multiplicative":
-            amp = xi @ self._g_weights
-            noise = amp[:, None] * U
+            noise = (xi @ self._g_weights)[:, None] * U
         else:
-            fields = (xi * self._g_weights) @ self.spec.basis
-            noise = U * fields
+            noise = (xi * self._g_weights) @ self.spec.basis
+            noise *= U
         return drift, noise
 
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
@@ -218,6 +227,11 @@ class BatchedStepper:
                 terms: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> np.ndarray:
         """One semi-implicit step of the whole stack.
+
+        The right-hand side U + dt drift + noise is checked for finite
+        values once, by the solve; a finite right-hand side and a finite
+        positive definite operator give a finite state, and the guard of
+        the next step checks it again.
 
         Args:
             U: state stack (paths, dof).
@@ -230,34 +244,38 @@ class BatchedStepper:
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
         drift, noise = self.explicit_terms(U, xi) if terms is None else terms
-        rhs = U + self.dt * drift + noise
-        if not np.all(np.isfinite(rhs)):
+        rhs = self.dt * drift
+        rhs += U
+        rhs += noise
+        fac = self.factorization(t)
+        try:
+            return fac.solve_batch(rhs, tol=self.tol)
+        except NonFinite:
             bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0]
             raise NonFinite(
                 f"non-finite explicit update at step {step_index} "
                 f"(t={t:.6g}) in path(s) {bad[:4].tolist()}",
                 step=step_index, time=t,
-                member=int(bad[0]) if bad.size else None)
-        out = self.factorization(t).solve_batch(rhs, tol=self.tol)
-        if not np.all(np.isfinite(out)):
-            bad = np.where(~np.all(np.isfinite(out), axis=-1))[0]
-            raise NonFinite(
-                f"non-finite state after step {step_index} (t={t:.6g}) "
-                f"in path(s) {bad[:4].tolist()}",
-                step=step_index, time=t,
-                member=int(bad[0]) if bad.size else None)
-        return out
+                member=int(bad[0]) if bad.size else None) from None
 
     # -- energy bookkeeping ---------------------------------------------------
 
-    def energy_rows(self, U: np.ndarray, t_next: float) -> dict[str, np.ndarray]:
-        """Instantaneous energy functionals for every path in the stack."""
+    def energy_rows(self, U: np.ndarray, t_next: float,
+                    diffs: list[np.ndarray] | None = None,
+                    ) -> dict[str, np.ndarray]:
+        """Instantaneous energy functionals for every path in the stack.
+
+        ``diffs`` are the face differences of U per axis, shaped
+        (paths, *faces), when the caller has them already.
+        """
         g = self.grid
         hN = g.h ** g.dimension
         U2 = U * U
         h2 = hN * np.sum(U2, axis=-1)
-        v2 = gradient_energy(U.reshape((-1,) + g.shape), g)
-        l4 = hN * np.sum(U2 * U2, axis=-1)
+        v2 = (gradient_energy(U.reshape((-1,) + g.shape), g) if diffs is None
+              else face_energy(diffs, g))
+        U2 *= U2
+        l4 = hN * np.sum(U2, axis=-1)
         return {"t": t_next, "H2": h2, "V2": v2, "L4": l4}
 
 

@@ -21,7 +21,6 @@ drift), and the noise Lipschitz constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.fft import dstn
@@ -36,7 +35,6 @@ from .noise import QWienerSpec
 
 __all__ = [
     "ModelSpec",
-    "EmpiricalMeasure",
     "face_coefficients",
     "apply_A_eps",
     "apply_A_tensor",
@@ -98,40 +96,6 @@ class ModelSpec:
     def mode_sigmas(self, modes: int) -> np.ndarray:
         """Per-mode noise amplitudes sigma_k = sigma0 / k, k = 1..modes."""
         return self.sigma0 / np.arange(1, modes + 1, dtype=float)
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Empirical law of an ensemble: mean field plus scalar second moment.
-
-    ``second_moment`` is the ensemble average of ||u||_H^2, the only
-    measure functional the drift bounds consume. ``members`` may carry the
-    raw sample for diagnostics; when present it must be consistent with the
-    summary (same count, same mean).
-    """
-
-    mean: ScalarField
-    second_moment: float
-    count: int
-    members: Sequence[ScalarField] | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("measure needs at least one member")
-        if self.members is not None:
-            if len(self.members) != self.count:
-                raise ValueError("member list inconsistent with count")
-            acc = np.zeros(self.mean.grid.shape)
-            sq = 0.0
-            for m in self.members:  # fixed index order, reproducible
-                acc = acc + m.values
-                sq += norm_H(m) ** 2
-            acc /= self.count
-            sq /= self.count
-            scale = max(1.0, float(np.max(np.abs(acc))))
-            if np.max(np.abs(acc - self.mean.values)) > 1e-12 * scale \
-                    or abs(sq - self.second_moment) > 1e-12 * max(1.0, sq):
-                raise ValueError("summary inconsistent with member list")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +190,9 @@ class ImplicitFactorization:
     ``tensor[d, d]`` on the effective level, where a diagonal tensor makes
     the preconditioner exact and CG stops after one iteration. The
     eigenvalue array is built on the first 2D solve. ``iterations`` holds
-    the per-path CG iteration counts of the last 2D solve, shape (paths,).
+    the per-path CG iteration counts of the last 2D solve, shape (paths,);
+    in a ladder, which steps its paths in blocks of replicas, that is the
+    last block's solve of the last step.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,
@@ -260,6 +226,10 @@ class ImplicitFactorization:
             raise SolverDiverged(
                 "implicit operator is not positive definite (LAPACK pttrf: "
                 f"leading minor {info})")
+        # a NaN passes pttrf's d > 0 test; any non-finite entry of the
+        # operator reaches the factor's diagonal
+        if not np.all(np.isfinite(d)):
+            raise NonFinite("implicit operator has non-finite entries")
         return d, e
 
     def _apply(self, values: np.ndarray) -> np.ndarray:

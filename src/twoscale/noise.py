@@ -149,7 +149,9 @@ class NoiseStream:
 
     The key is (master seed, id(indices)), see :func:`_philox_key`; the
     counter counts consumed mode draws. Reconstructing a stream with the
-    same key and counter reproduces the continuation bitwise.
+    same key and counter reproduces the continuation bitwise. The key words
+    are computed once, when the stream is built, and kept in the fresh
+    generator state that every draw restores.
     """
 
     spec: QWienerSpec
@@ -179,12 +181,11 @@ class NoiseStream:
         is bitwise that of a fresh build.
         """
         count = self.spec.modes if count is None else int(count)
-        # the rest of the fresh build's state (empty buffer, no spare
+        # the rest of the fresh build's state (key, empty buffer, no spare
         # 32-bit word) is set again as it was
         state = self._state
         state["state"]["counter"] = np.array(
             [self.counter & _MASK64, 0, 0, 0], dtype=np.uint64)
-        state["state"]["key"] = _philox_key(self.spec.seed, self.stream_id)
         self._normal.bit_generator.state = state
         xi = self._normal.standard_normal(count)
         self.counter += count

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from twoscale import diagnostics
 from twoscale.cell import CellGrid, solve_cell_problem
 from twoscale.coefficients import make_coefficient
 from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
@@ -254,6 +255,84 @@ def test_ladder_2d_runs_many_paths():
     for row, out in zip(stack, batched):
         alone = fac.solve_batch(row, tol=1e-10)
         assert np.max(np.abs(out - alone)) <= 1e-8 * np.max(np.abs(alone))
+
+
+def block_study(family="layered", members=4, replicas=8,
+                noise_law="scalar_multiplicative"):
+    coeff = make_coefficient(family, 1, alpha=2.0, beta=1.0) \
+        if family == "layered" else make_coefficient(family, 1)
+    return StudyConfig(coefficient=coeff, grid=GridSpec(1, 128),
+                       epsilons=(0.25, 0.125),
+                       stepper=StepperConfig(dt=0.002, horizon=0.01),
+                       members=members, replicas=replicas,
+                       noise_law=noise_law, sigma0=0.2, cell_cells=32,
+                       initial_amplitude=0.5)
+
+
+@pytest.mark.parametrize("members, replicas, noise_law", [
+    (4, 8, "scalar_multiplicative"),
+    # 4 replicas (12 paths) per block, and a last block of 2 replicas
+    (3, 34, "mode_modulated"),
+])
+def test_ladder_blocks_give_bitwise_equal_raw_arrays(monkeypatch, members,
+                                                     replicas, noise_law):
+    # Blocks of whole replicas step the same paths with the same draws, so
+    # one block and many give the same bits, the pairing states @ osc and
+    # the noise amplitudes xi @ weights included.
+    cfg = block_study(members=members, replicas=replicas,
+                      noise_law=noise_law)
+    dof = cfg.grid.dof
+    assert len(diagnostics._replica_blocks(replicas, members, dof)) == 1
+    whole = run_ladder(cfg).raw
+    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    assert len(diagnostics._replica_blocks(replicas, members, dof)) >= 8
+    blocked = run_ladder(cfg).raw
+    assert whole.keys() == blocked.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], blocked[key]), key
+
+
+def test_replica_blocks_cover_every_path_once():
+    # 2 replicas of 8 paths per block on the 1D reference grid
+    blocks = diagnostics._replica_blocks(32, 8, 1023)
+    assert [(b.start, b.stop) for b in blocks] == [
+        (16 * i, 16 * i + 16) for i in range(16)]
+    # one 2D path fills a block; blocks are rounded up to four paths
+    assert diagnostics._replica_blocks(6, 1, 127 ** 2) == [
+        slice(0, 4), slice(4, 6)]
+
+
+def test_time_dependent_ladder_factors_once_per_level_and_step(monkeypatch):
+    # The coefficient of every eps level moves with t/eps, so each level
+    # builds one factorization per step whatever the block count; the
+    # effective level's tensor is constant and is factored once.
+    cfg = block_study(family="separable_trig")
+    builds = []
+    original = ImplicitFactorization.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImplicitFactorization, "__init__", counting)
+    expected = cfg.stepper.steps * len(cfg.epsilons) + 1
+    whole = run_ladder(cfg).raw
+    assert len(builds) == expected
+    builds.clear()
+    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    blocked = run_ladder(cfg).raw
+    assert len(builds) == expected
+    for key in whole:
+        assert np.array_equal(whole[key], blocked[key]), key
+
+
+def test_ladder_progress_reports_whole_steps(monkeypatch):
+    # one call per finished step (5 steps), not one per block (8 blocks)
+    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    calls = []
+    run_ladder(block_study(), progress=lambda n, steps: calls.append(
+        (n, steps)))
+    assert calls == [(n, 5) for n in range(1, 6)]
 
 
 def stored_ladder_paths(cfg, result):

@@ -7,13 +7,15 @@ import pytest
 
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import (Ensemble, ObservableSamples, chaos_gap,
-                               empirical_measure, observable_samples,
-                               quantile_subsample, wasserstein2_1d)
+                               observable_samples, quantile_subsample,
+                               wasserstein2_1d)
 from twoscale.errors import CountMismatch
 from twoscale.grid import GridSpec, ScalarField, norm_H
 from twoscale.integrator import BatchedStepper
 from twoscale.models import ModelSpec
 from twoscale.noise import QWienerSpec
+
+from empirical import empirical_measure
 
 
 def grid1d(cells=32):

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from twoscale.coefficients import make_coefficient
-from twoscale.ensemble import Ensemble, empirical_measure
+from twoscale.ensemble import Ensemble
 from twoscale.errors import NonFinite, StepRejected
 from twoscale.grid import (GridSpec, ScalarField, VectorField,
                            first_eigenvalue, inner_H, norm_H, sine_mode)
 from twoscale.integrator import (LEDGER_COLUMNS, BatchedStepper, EnergyLedger,
                                  IncrementFit, StepperConfig, check_guard,
                                  increment_scaling, run_ensemble)
-from twoscale.models import (EmpiricalMeasure, ImplicitFactorization,
-                             ModelSpec, apply_A_eps, apply_B,
-                             face_coefficients, leray_project)
+from twoscale.models import (ImplicitFactorization, ModelSpec, apply_A_eps,
+                             apply_B, face_coefficients, leray_project)
 from twoscale.noise import NoiseStream, QWienerSpec
+
+from empirical import EmpiricalMeasure, empirical_measure
 
 
 def layered():
@@ -143,6 +144,23 @@ def test_guard_value_and_rejection():
     with pytest.raises(StepRejected) as err:
         check_guard(100.0, model, dt, h)
     assert err.value.guard_value > 0.5
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_guard_rejects_non_finite_state(bad):
+    # NaN compares false against the limit; the guard must not let it pass
+    model = ModelSpec(variant="allen_cahn", coefficient=layered(),
+                      epsilon=0.125, mean_field="stokes_drag", cubic=True)
+    with pytest.raises(NonFinite) as err:
+        check_guard(bad, model, 1e-4, 1.0 / 1024, step_index=5)
+    assert err.value.step == 5
+    grid = GridSpec(1, 32)
+    stepper = BatchedStepper(grid, model, noise_spec(grid), members=1,
+                             dt=1e-4)
+    U = np.zeros((2, grid.dof))
+    U[1, 3] = bad
+    with pytest.raises(NonFinite):
+        stepper.advance(U, np.zeros((2, 8)), 0.0, 0)
 
 
 def test_step_rejects_oversized_state():
@@ -366,6 +384,15 @@ def test_non_finite_state_aborts():
         with np.errstate(invalid="ignore"):
             stepper.advance(U, xi, 0.0, 3)
     assert err.value.step == 3
+    # the error names the step, the time and the first bad path
+    U3 = np.tile(U, (3, 1))
+    xi3 = np.zeros((3, spec.modes))
+    xi3[2] = np.inf
+    with pytest.raises(NonFinite) as err:
+        with np.errstate(invalid="ignore"):
+            stepper.advance(U3, xi3, 0.25, 7)
+    assert (err.value.step, err.value.time, err.value.member) == (7, 0.25, 2)
+    assert "path(s) [2]" in str(err.value)
 
 
 def test_ledger_validation():

@@ -9,12 +9,14 @@ from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
                            first_eigenvalue, norm_H, norm_V, sine_mode)
 from twoscale.integrator import BatchedStepper
-from twoscale.models import (EmpiricalMeasure, ImplicitFactorization,
-                             ModelSpec, apply_A_eps, apply_A_tensor, apply_B,
+from twoscale.models import (ImplicitFactorization, ModelSpec, apply_A_eps,
+                             apply_A_tensor, apply_B,
                              check_B_local_monotonicity, check_F_contracts,
                              face_coefficients, g_lipschitz_constant,
                              leray_project, spectral_divergence_norm)
 from twoscale.noise import QWienerSpec
+
+from empirical import EmpiricalMeasure
 
 
 def layered():
@@ -224,6 +226,16 @@ def test_tridiagonal_rejects_non_spd_operator():
     grid = GridSpec(1, 16)
     with pytest.raises(SolverDiverged):
         ImplicitFactorization(grid, [np.full(16, -1.0)], dt=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tridiagonal_rejects_non_finite_operator(bad):
+    # NaN passes pttrf's positivity test; the factor check must catch it
+    grid = GridSpec(1, 16)
+    faces = face_coefficients(layered(), grid, 0.125, 0.0)
+    faces[0][5] = bad
+    with pytest.raises(NonFinite):
+        ImplicitFactorization(grid, faces, dt=0.01)
 
 
 def test_tridiagonal_rejects_non_finite_rhs():

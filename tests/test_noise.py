@@ -188,6 +188,22 @@ def test_golden_draws(indices):
     assert (stream.stream_id >= 2 ** 63) == (indices == (1, 0))
 
 
+def test_stream_key_is_computed_once(monkeypatch):
+    # The key words are computed when the stream is built; a draw only
+    # moves the counter.
+    spec = QWienerSpec(grid=GridSpec(dimension=1, cells=16), modes=3,
+                       seed=2026)
+    stream = NoiseStream.derive(spec, 0)
+
+    def recomputed(*args):
+        raise AssertionError("key words computed again")
+
+    monkeypatch.setattr(noise, "_philox_key", recomputed)
+    first, second = GOLDEN[(0,)]
+    assert stream.draw().tolist() == first
+    assert stream.draw(2).tolist() == second
+
+
 def test_reused_stream_matches_fresh_generator_bitwise():
     # One generator per stream, reset before each draw, must give what a
     # Philox built afresh at that counter gives: over several counters,
