@@ -10,13 +10,14 @@ Subcommands map one-to-one onto module operations:
 
 Every run directory receives a deterministic manifest.json (config
 digest, seed, per-file sha256) and a volatile run_info.json (wall clock,
-environment). Reruns with identical config and seed rewrite the data
+environment, and for ladder and corrector the number of processes that
+stepped the paths). Reruns with identical config and seed rewrite the data
 files and the manifest byte for byte.
 
 Exit codes: 0 success, 2 configuration rejected, 3 solver failure,
 4 archive integrity failure, 5 internal error (a bug: a ValueError that
-no toolkit error class describes). Failures print one JSON object on
-stderr.
+no toolkit error class describes, or a ladder process that died without
+a report). Failures print one JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -65,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         _emit_error(exc, digest=exc.digest, path=exc.path)
         return _EXIT_INTEGRITY
+    except InternalError as exc:
+        _emit_error(exc)
+        return _EXIT_INTERNAL
     except ToolkitError as exc:
         _emit_error(exc)
         return _EXIT_SOLVER
@@ -147,7 +151,7 @@ def _resolve_output(args, cfg: RunConfig, command: str) -> Path:
 
 
 def _finish(out: Path, cfg: RunConfig, text: str, command: str,
-            files: list[str], t0: float) -> int:
+            files: list[str], t0: float, info: dict | None = None) -> int:
     snapshot = "config.snapshot.ini"
     (out / snapshot).write_text(text, encoding="utf-8")
     spec = cfg.noise_spec()
@@ -162,7 +166,7 @@ def _finish(out: Path, cfg: RunConfig, text: str, command: str,
     }
     write_manifest(out, cfg.digest(), cfg.seed, sorted(files + [snapshot]),
                    extra=noise_block)
-    write_run_info(out, time.time() - t0, command)
+    write_run_info(out, time.time() - t0, command, info)
     print(str(out))
     return 0
 
@@ -263,7 +267,8 @@ def _run_study(args, command: str, render) -> int:
     files = ["raw.npz"] + render(out, result)
     if getattr(args, "plot_data", False):
         files.append(_write_plot_data(out, result.report))
-    return _finish(out, cfg, text, command, files, t0)
+    return _finish(out, cfg, text, command, files, t0,
+                   {"shards": result.shards})
 
 
 def _write_plot_data(out: Path, report) -> str:

@@ -13,12 +13,17 @@ accumulators then measure, per path,
 
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 116 s on a shared
-2-core host with one BLAS thread.
+on 1024 cells (the acceptance reference ladder) took 64-65 s on a shared
+2-core host in two processes, against 117-120 s in one.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +31,7 @@ import numpy as np
 from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .grid import GridSpec, ScalarField, face_differences
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
@@ -210,6 +215,7 @@ class LadderResult:
     cell: CellSolution
     raw: dict[str, np.ndarray]
     report: "ConvergenceReport"
+    shards: int  # processes that stepped the paths
 
 
 @dataclass
@@ -318,6 +324,34 @@ def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
             for r in range(0, replicas, per_block)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shards(blocks: list[slice], count: int) -> list[list[slice]]:
+    """``count`` contiguous runs of whole blocks, as even as they split."""
+    return [[blocks[i] for i in part]
+            for part in np.array_split(np.arange(len(blocks)), count)]
+
+
+def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Zeroed float64 arrays in one anonymous shared mapping.
+
+    A forked child's writes to these arrays are seen by the parent, so a
+    shard hands back its results without pipes or pickles.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    ends = np.cumsum(sizes)
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
+
+
 def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     """Advance all ladder levels in lockstep and reduce the diagnostics.
 
@@ -331,8 +365,16 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     updates every accumulator before the next block starts. Draws are per
     path and the drag stays inside a replica, so the block size changes no
     result; a time-dependent coefficient is still factored once per level
-    and step. ``progress(n, steps)``, when given, is called after about
-    every tenth step.
+    and step.
+
+    The blocks are split into contiguous shards, one per usable CPU. This
+    process steps shard 0 and a forked child steps each other shard; the
+    accumulators live in shared memory and every shard writes only its own
+    paths, so the shard count changes no bit either. A failure is raised
+    as a one-shard run raises it: of the shards that failed, the one that
+    failed at the earliest step, the lowest on ties. A child that ends
+    without a report raises :class:`InternalError`. ``progress(n, steps)``,
+    when given, is called after about every tenth step of shard 0.
     """
     grid = cfg.grid
     dim = grid.dimension
@@ -363,72 +405,78 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
     blocks = _replica_blocks(cfg.replicas, cfg.members, grid.dof)
-
-    # per block, one (block paths, dof) state stack per level
+    shards = _shards(blocks, min(_usable_cpus(), len(blocks)))
     u0 = cfg.initial_values()
-    states = [[np.tile(u0, (rows.stop - rows.start, 1))
-               for _ in range(n_eps + 1)] for rows in blocks]
 
-    # streaming accumulators, all shaped (levels, paths)
-    err2 = np.zeros((n_eps, P))
-    plain2 = np.zeros((n_eps, P))
-    corr2 = np.zeros((n_eps, P))
-    pairing = np.zeros((n_eps, P))
-    sup_h2 = np.zeros((n_eps + 1, P))
-    int_v2 = np.zeros((n_eps + 1, P))
-    int_l4 = np.zeros((n_eps + 1, P))
+    # streaming accumulators, all shaped (levels, paths), and the final
+    # states, shared with the forked shards
+    (err2, plain2, corr2, pairing, sup_h2, int_v2, int_l4,
+     final_states) = _shared_zeros([(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3
+                                   + [(n_eps + 1, P, grid.dof)])
 
     mesh = grid.meshgrid()
     osc = [np.sin(2.0 * np.pi * mesh[0] / e).reshape(-1) for e in eps_list]
-    face_slopes = [_face_corrector_slopes(cell_sol, grid, e, 0.0)
-                   for e in eps_list]
     time_dep = cfg.coefficient.time_dependent
 
-    # t = 0 contributions: pairing left-point, energy sup
-    for rows, S in zip(blocks, states):
-        for li in range(n_eps):
-            pairing[li, rows] += dt * hN * (S[li] @ osc[li])
-        for li in range(n_eps + 1):
-            sup_h2[li, rows] = steppers[li].energy_rows(S[li], 0.0)["H2"]
-
-    for n in range(steps):
-        t = n * dt
-        if time_dep:
-            face_slopes = [_face_corrector_slopes(cell_sol, grid, e,
-                                                  (t + dt) / e)
-                           for e in eps_list]
-        for rows, S in zip(blocks, states):
-            xi = np.stack([s.draw() for s in streams[rows]])
-            for li in range(n_eps + 1):
-                S[li] = steppers[li].advance(S[li], xi, t, n)
-            # one set of face differences per level, shared by the
-            # gradient residuals and the V2 energy
-            grads = [_face_diffs(U, grid) for U in S]
-            hom = S[n_eps]
+    def run_shard(shard: list[slice], progress):
+        """Step the shard's blocks; yield 0 after t = 0, n after step n."""
+        # per block, one (block paths, dof) state stack per level
+        states = [[np.tile(u0, (rows.stop - rows.start, 1))
+                   for _ in range(n_eps + 1)] for rows in shard]
+        face_slopes = [_face_corrector_slopes(cell_sol, grid, e, 0.0)
+                       for e in eps_list]
+        # t = 0 contributions: pairing left-point, energy sup
+        for rows, S in zip(shard, states):
             for li in range(n_eps):
-                diff = S[li] - hom
-                diff *= diff
-                err2[li, rows] += dt * hN * np.sum(diff, axis=-1)
-                p2, c2 = _gradient_residuals(grads[li], grads[n_eps],
-                                             face_slopes[li], grid)
-                plain2[li, rows] += dt * p2
-                corr2[li, rows] += dt * c2
-                if n < steps - 1:  # left-point pairing: t_{n+1} counts
-                    pairing[li, rows] += dt * hN * (S[li] @ osc[li])
+                pairing[li, rows] += dt * hN * (S[li] @ osc[li])
             for li in range(n_eps + 1):
-                energy = steppers[li].energy_rows(S[li], t + dt, grads[li])
-                sup = sup_h2[li, rows]
-                np.maximum(sup, energy["H2"], out=sup)
-                int_v2[li, rows] += dt * energy["V2"]
-                int_l4[li, rows] += dt * energy["L4"]
-        if progress is not None and (n + 1) % max(1, steps // 10) == 0:
-            progress(n + 1, steps)
+                sup_h2[li, rows] = steppers[li].energy_rows(S[li], 0.0)["H2"]
+        yield 0
+        for n in range(steps):
+            t = n * dt
+            if time_dep:
+                face_slopes = [_face_corrector_slopes(cell_sol, grid, e,
+                                                      (t + dt) / e)
+                               for e in eps_list]
+            for rows, S in zip(shard, states):
+                xi = np.stack([s.draw() for s in streams[rows]])
+                for li in range(n_eps + 1):
+                    S[li] = steppers[li].advance(S[li], xi, t, n,
+                                                 first_row=rows.start)
+                # one set of face differences per level, shared by the
+                # gradient residuals and the V2 energy
+                grads = [_face_diffs(U, grid) for U in S]
+                hom = S[n_eps]
+                for li in range(n_eps):
+                    diff = S[li] - hom
+                    diff *= diff
+                    err2[li, rows] += dt * hN * np.sum(diff, axis=-1)
+                    p2, c2 = _gradient_residuals(grads[li], grads[n_eps],
+                                                 face_slopes[li], grid)
+                    plain2[li, rows] += dt * p2
+                    corr2[li, rows] += dt * c2
+                    if n < steps - 1:  # left-point pairing: t_{n+1} counts
+                        pairing[li, rows] += dt * hN * (S[li] @ osc[li])
+                for li in range(n_eps + 1):
+                    energy = steppers[li].energy_rows(S[li], t + dt,
+                                                      grads[li])
+                    sup = sup_h2[li, rows]
+                    np.maximum(sup, energy["H2"], out=sup)
+                    int_v2[li, rows] += dt * energy["V2"]
+                    int_l4[li, rows] += dt * energy["L4"]
+            if progress is not None and (n + 1) % max(1, steps // 10) == 0:
+                progress(n + 1, steps)
+            yield n + 1
+        for rows, S in zip(shard, states):
+            for li, U in enumerate(S):
+                final_states[li, rows] = U
+
+    _run_shards(run_shard, shards, progress)
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
         "sup_h2": sup_h2, "int_v2": int_v2, "int_l4": int_l4,
-        "final_states": np.concatenate([np.stack(S) for S in states],
-                                       axis=1),
+        "final_states": final_states,
         "epsilons": np.array(eps_list), "a_tilde": np.atleast_2d(a_tilde),
         "grid_scale": np.array([hN]),
         "shape": np.array([cfg.replicas, cfg.members, steps]),
@@ -436,7 +484,109 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     }
     report = reduce_raw(raw)
     return LadderResult(config=cfg, a_tilde=a_tilde, cell=cell_sol, raw=raw,
-                        report=report)
+                        report=report, shards=len(shards))
+
+
+def _run_shards(run_shard, shards: list[list[slice]], progress) -> None:
+    """Run ``run_shard`` on every shard, shards 1 and up in forked children.
+
+    ``run_shard(shard, progress)`` is a generator that yields after each
+    stage (the t = 0 work, then each step) and writes its results into
+    shared memory. Shard 0 runs here and alone gets ``progress``. Every
+    child is waited for, also when shard 0 fails. Of all failures, the one
+    of the earliest stage (the lowest shard on ties) is raised; a child
+    that ended without a report raises :class:`InternalError` before any
+    of them. Python 3.12 and later warn that ``fork`` is called with
+    threads running once OpenBLAS has started its thread pool, which
+    OpenBLAS shuts down before a fork; the warning is left as it is.
+    """
+    children = {}  # shard index -> (pid, read end of its report pipe)
+    try:
+        for index in range(1, len(shards)):
+            children[index] = _fork_shard(run_shard, shards[index],
+                                          [fd for _, fd in children.values()])
+        failures = []
+        failure = _drive(run_shard(shards[0], progress))
+        if failure is not None:
+            if not isinstance(failure[1], Exception):
+                raise failure[1]  # an interrupt: stop the children
+            failures.append((failure[0], 0, failure[1]))
+        for index in list(children):
+            failure = _reap(*children[index], shards[index])
+            del children[index]
+            if failure is not None:
+                failures.append((failure[0], index, failure[1]))
+    finally:
+        for pid, fd in children.values():
+            with contextlib.suppress(OSError):
+                os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+
+
+def _drive(shard):
+    """Exhaust a shard's generator: None, or (stage, exception) on failure."""
+    done = -1
+    try:
+        for done in shard:
+            pass
+    except BaseException as exc:  # noqa: B036 - reported, not swallowed
+        return done + 1, exc
+    return None
+
+
+def _fork_shard(run_shard, shard: list[slice],
+                inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that runs one shard: its pid and its report pipe.
+
+    The child writes nothing to the pipe on success and a pickled
+    (stage, exception) on failure, then leaves through ``os._exit``, so
+    no cleanup of the parent's runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        for fd in [read_fd, *inherited]:
+            os.close(fd)
+        failure = _drive(run_shard(shard, None))
+        with os.fdopen(write_fd, "wb") as pipe:
+            if failure is not None:
+                pipe.write(_pickled_failure(*failure))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_failure(stage: int, exc: BaseException) -> bytes:
+    """(stage, exc) pickled; an exception that does not survive the round
+    trip travels as an InternalError with its class name and message."""
+    try:
+        blob = pickle.dumps((stage, exc))
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps((stage, InternalError(
+            f"{type(exc).__name__}: {exc}")))
+
+
+def _reap(pid: int, fd: int, shard: list[slice]):
+    """Wait for one shard's child: None, or (stage, exception) of its
+    failure. A child that ended without a report sorts before any stage."""
+    with os.fdopen(fd, "rb") as pipe:
+        report = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return pickle.loads(report) if report else None
+    how = f"signal {-status}" if status < 0 else f"exit status {status}"
+    return -1, InternalError(
+        f"ladder shard of paths {shard[0].start}..{shard[-1].stop - 1} "
+        f"ended with {how} and no report")
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:

@@ -225,7 +225,7 @@ class BatchedStepper:
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
                 step_index: int,
                 terms: tuple[np.ndarray, np.ndarray] | None = None,
-                ) -> np.ndarray:
+                first_row: int = 0) -> np.ndarray:
         """One semi-implicit step of the whole stack.
 
         The right-hand side U + dt drift + noise is checked for finite
@@ -240,6 +240,8 @@ class BatchedStepper:
             step_index: for diagnostics.
             terms: ``explicit_terms(U, xi)`` when the caller has it
                 already; evaluated here otherwise.
+            first_row: index of U's first row among all paths, added to
+                the paths a :class:`NonFinite` names.
         """
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
@@ -251,7 +253,8 @@ class BatchedStepper:
         try:
             return fac.solve_batch(rhs, tol=self.tol)
         except NonFinite:
-            bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0]
+            bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0] \
+                + first_row
             raise NonFinite(
                 f"non-finite explicit update at step {step_index} "
                 f"(t={t:.6g}) in path(s) {bad[:4].tolist()}",

@@ -56,8 +56,8 @@ def write_manifest(out_dir: Path | str, config_digest: str, seed: int,
 
 
 def write_run_info(out_dir: Path | str, wall_clock: float,
-                   command: str) -> Path:
-    """Volatile sidecar: timing and environment fingerprint."""
+                   command: str, extra: dict | None = None) -> Path:
+    """Volatile sidecar: timing, environment fingerprint and ``extra``."""
     import numpy
     import scipy
     payload = {
@@ -69,6 +69,7 @@ def write_run_info(out_dir: Path | str, wall_clock: float,
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
+        **(extra or {}),
     }
     path = Path(out_dir) / RUN_INFO_NAME
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -191,8 +191,9 @@ class ImplicitFactorization:
     the preconditioner exact and CG stops after one iteration. The
     eigenvalue array is built on the first 2D solve. ``iterations`` holds
     the per-path CG iteration counts of the last 2D solve, shape (paths,);
-    in a ladder, which steps its paths in blocks of replicas, that is the
-    last block's solve of the last step.
+    in a ladder, whose blocks of replicas are split into shards stepped by
+    forked processes, that is the last step's solve of the parent's last
+    block.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import twoscale
+from twoscale import diagnostics
 from twoscale.cli import OUTPUT_ROOT_ENV, main
 from twoscale.config import config_digest, parse_config
 from twoscale.errors import ConfigError, IntegrityError, ValidationError
 from twoscale.manifest import (file_digest, read_manifest, verify_archive,
                                write_manifest)
+from twoscale.noise import NoiseStream
 
 
 def ini(text):
@@ -514,6 +516,50 @@ def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
     assert payload["error"] == "InternalError"
     assert payload["cause"] == "ValueError"
     assert "could not be broadcast" in payload["message"]
+
+
+def sharded_ladder_ini(tmp_path, monkeypatch, shards):
+    """A ladder of two one-replica blocks, stepped by ``shards`` processes."""
+    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
+    return write_ladder_ini(tmp_path, LADDER_INI.replace(
+        "members = 1", "members = 4"))
+
+
+def test_ladder_archive_does_not_depend_on_the_shard_count(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    outs = {}
+    for shards in (1, 2):
+        cfg = sharded_ladder_ini(tmp_path, monkeypatch, shards)
+        outs[shards] = tmp_path / f"shards{shards}"
+        assert run_cli(["ladder", "-c", str(cfg), "-o", str(outs[shards])],
+                       capsys)[0] == 0
+        info = json.loads((outs[shards] / "run_info.json").read_text())
+        assert info["shards"] == shards
+    for name in ("manifest.json", "raw.npz"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+    assert "shards" not in (outs[1] / "manifest.json").read_text()
+
+
+def test_ladder_child_that_dies_exits_5(tmp_path, monkeypatch, capsys):
+    cfg = sharded_ladder_ini(tmp_path, monkeypatch, 2)
+    parent = os.getpid()
+    draw = NoiseStream.draw
+
+    def dying_draw(self, count=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        return draw(self, count)
+
+    monkeypatch.setattr(NoiseStream, "draw", dying_draw)
+    code, _, stderr = run_cli(["ladder", "-c", str(cfg), "-o",
+                               str(tmp_path / "o")], capsys)
+    assert code == 5
+    payload = json.loads(stderr)
+    assert payload["error"] == "InternalError"
+    assert "paths 4..7" in payload["message"]
+    assert "exit status 3" in payload["message"]
 
 
 def test_output_root_env_var_names_run_directories(tmp_path, monkeypatch,

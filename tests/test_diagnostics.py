@@ -1,6 +1,8 @@
 """Tests for two-scale pairings, corrector residuals, and the ladder study."""
 
 import io
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from twoscale.coefficients import make_coefficient
 from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
                                   corrector_residual, reduce_raw, run_ladder,
                                   two_scale_pairing)
-from twoscale.errors import ValidationError
+from twoscale.errors import InternalError, NonFinite, ValidationError
 from twoscale.grid import GridSpec
 from twoscale.integrator import BatchedStepper, StepperConfig
 from twoscale.models import ImplicitFactorization, face_coefficients
@@ -269,27 +271,43 @@ def block_study(family="layered", members=4, replicas=8,
                        initial_amplitude=0.5)
 
 
+@pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("members, replicas, noise_law", [
     (4, 8, "scalar_multiplicative"),
     # 4 replicas (12 paths) per block, and a last block of 2 replicas
     (3, 34, "mode_modulated"),
 ])
 def test_ladder_blocks_give_bitwise_equal_raw_arrays(monkeypatch, members,
-                                                     replicas, noise_law):
+                                                     replicas, noise_law,
+                                                     shards):
     # Blocks of whole replicas step the same paths with the same draws, so
     # one block and many give the same bits, the pairing states @ osc and
-    # the noise amplitudes xi @ weights included.
+    # the noise amplitudes xi @ weights included; so do shards of blocks
+    # stepped in forked processes.
     cfg = block_study(members=members, replicas=replicas,
                       noise_law=noise_law)
     dof = cfg.grid.dof
     assert len(diagnostics._replica_blocks(replicas, members, dof)) == 1
-    whole = run_ladder(cfg).raw
+    whole = run_ladder(cfg)
+    assert whole.shards == 1
     monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
     assert len(diagnostics._replica_blocks(replicas, members, dof)) >= 8
-    blocked = run_ladder(cfg).raw
-    assert whole.keys() == blocked.keys()
-    for key in whole:
-        assert np.array_equal(whole[key], blocked[key]), key
+    blocked = run_ladder(cfg)
+    assert blocked.shards == shards
+    assert whole.raw.keys() == blocked.raw.keys()
+    for key in whole.raw:
+        assert np.array_equal(whole.raw[key], blocked.raw[key]), key
+
+
+def test_shards_are_contiguous_runs_of_whole_blocks():
+    blocks = diagnostics._replica_blocks(34, 3, 1023)
+    assert len(blocks) == 5
+    for count in (1, 2, 3, 5):
+        shards = diagnostics._shards(blocks, count)
+        assert len(shards) == count
+        assert [b for shard in shards for b in shard] == blocks
+        assert max(map(len, shards)) - min(map(len, shards)) <= 1
 
 
 def test_replica_blocks_cover_every_path_once():
@@ -333,6 +351,95 @@ def test_ladder_progress_reports_whole_steps(monkeypatch):
     run_ladder(block_study(), progress=lambda n, steps: calls.append(
         (n, steps)))
     assert calls == [(n, 5) for n in range(1, 6)]
+
+
+def failing_study(monkeypatch, shards, poisoned):
+    """16 paths in two one-replica blocks, split into ``shards`` shards.
+
+    ``poisoned`` maps a path to the step from which its draws are NaN.
+    """
+    cfg = block_study(members=8, replicas=2)
+    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 8 * cfg.grid.dof)
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
+    spec = cfg.noise_spec()
+    first_bad = {NoiseStream.derive(spec, p % 8, p // 8).stream_id: step
+                 for p, step in poisoned.items()}
+    draw = NoiseStream.draw
+
+    def poisoned_draw(self, count=None):
+        xi = draw(self, count)
+        step = first_bad.get(self.stream_id)
+        return xi * np.nan if step is not None \
+            and self.counter > step * spec.modes else xi
+
+    monkeypatch.setattr(NoiseStream, "draw", poisoned_draw)
+    return cfg
+
+
+def ladder_failure(monkeypatch, shards, poisoned):
+    cfg = failing_study(monkeypatch, shards, poisoned)
+    with pytest.raises(NonFinite) as info:
+        run_ladder(cfg)
+    exc = info.value
+    return type(exc), str(exc), exc.step, exc.time, exc.member
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ladder_nonfinite_names_the_global_path(monkeypatch):
+    # member 5 of replica 1 is path 13, row 5 of the second block; with two
+    # shards a forked child raises it, with the one-shard run's details
+    one = ladder_failure(monkeypatch, 1, {13: 2})
+    assert one[2] == 2 and one[4] == 13
+    assert "path(s) [13]" in one[1]
+    assert ladder_failure(monkeypatch, 2, {13: 2}) == one
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("parent_step, child_step", [(3, 1), (1, 3), (2, 2)])
+def test_earliest_failing_step_wins_across_shards(monkeypatch, parent_step,
+                                                  child_step):
+    # path 3 is in the parent's shard, path 13 in the child's; ties go to
+    # the lower shard, as the one-shard run meets the lower block first
+    poisoned = {3: parent_step, 13: child_step}
+    one = ladder_failure(monkeypatch, 1, poisoned)
+    assert one[2] == min(poisoned.values())
+    assert one[4] == (13 if child_step < parent_step else 3)
+    assert ladder_failure(monkeypatch, 2, poisoned) == one
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_child_shard_that_dies_raises_internal_error(monkeypatch, death):
+    # the lost child outranks the parent's NonFinite of the same step
+    cfg = failing_study(monkeypatch, 2, {3: 0})
+    parent = os.getpid()
+    draw = NoiseStream.draw
+
+    def dying_draw(self, count=None):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(self, count)
+
+    monkeypatch.setattr(NoiseStream, "draw", dying_draw)
+    with pytest.raises(InternalError) as info:
+        run_ladder(cfg)
+    status = "exit status 3" if death == "exit" else \
+        f"signal {int(signal.SIGKILL)}"
+    assert str(info.value) == (f"ladder shard of paths 8..15 ended with "
+                               f"{status} and no report")
+    assert_no_child_left()
+
+
+def test_sharded_ladder_leaves_no_child(monkeypatch):
+    cfg = failing_study(monkeypatch, 2, {})
+    assert run_ladder(cfg).shards == 2
+    assert_no_child_left()
 
 
 def stored_ladder_paths(cfg, result):
