@@ -33,6 +33,7 @@ import numpy as np
 from scipy.fft import irfftn, rfftn
 
 from .coefficients import CoefficientField
+from .errors import ValidationError
 from .grid import is_power_of_two, preconditioned_cg
 
 __all__ = [
@@ -61,12 +62,15 @@ class CellGrid:
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ValidationError("dimension must be 1 or 2",
+                                  field="dimension")
         if self.cells < 16 or not is_power_of_two(self.cells):
-            raise ValueError(
-                f"cells must be a power of two >= 16, got {self.cells}")
+            raise ValidationError(
+                f"cells must be a power of two >= 16, got {self.cells}",
+                field="cells")
         if self.tau_slices < 1:
-            raise ValueError("tau_slices must be >= 1")
+            raise ValidationError("tau_slices must be >= 1",
+                                  field="tau_slices")
 
     @property
     def h(self) -> float:

@@ -32,12 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cell import CellGrid, solve_cell_problem
+from .cell import solve_cell_problem
 from .config import RunConfig, parse_config
 from .diagnostics import reduce_raw, run_ladder, sine_initial_state
 from .ensemble import Ensemble
-from .errors import (ConfigError, IntegrityError, InternalError,
-                     ToolkitError, ValidationError)
+from .errors import ConfigError, IntegrityError, InternalError, ToolkitError
 from .grid import ScalarField, field_to_csv
 from .integrator import run_ensemble
 from .manifest import (
@@ -185,10 +184,8 @@ def _cmd_cell(args) -> int:
     t0 = time.time()
     cfg, text = _load_config(args)
     out = _resolve_output(args, cfg, "cell")
-    st = cfg.values["study"]
     coeff = cfg.coefficient()
-    cell_grid = CellGrid(dimension=coeff.dimension, cells=st["cell_cells"],
-                         tau_slices=st["cell_tau_slices"])
+    cell_grid = cfg.cell_grid()
     sol = solve_cell_problem(coeff, cell_grid)
     payload = {
         "family": coeff.family,
@@ -220,8 +217,8 @@ def _cmd_simulate(args) -> int:
     t0 = time.time()
     cfg, text = _load_config(args)
     if cfg.values["model"]["variant"] != "allen_cahn":
-        raise ValidationError("simulate runs the scalar variant only",
-                              field="model.variant")
+        raise cfg.error("model.variant",
+                        "simulate runs the scalar variant only")
     out = _resolve_output(args, cfg, "simulate")
     grid = cfg.grid()
     st = cfg.values["study"]
@@ -264,7 +261,7 @@ def _run_study(args, command: str, render) -> int:
     out = _resolve_output(args, cfg, command)
     result = run_ladder(study)
     np.savez(out / "raw.npz", **result.raw)
-    files = ["raw.npz"] + render(out, result)
+    files = ["raw.npz"] + render(out, result.report)
     if getattr(args, "plot_data", False):
         files.append(_write_plot_data(out, result.report))
     return _finish(out, cfg, text, command, files, t0,
@@ -280,16 +277,14 @@ def _write_plot_data(out: Path, report) -> str:
     return "plot_data.csv"
 
 
-def _render_ladder(out: Path, result) -> list[str]:
-    report = result.report
+def _render_ladder(out: Path, report) -> list[str]:
     (out / "report.json").write_text(report.to_json() + "\n",
                                      encoding="utf-8")
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return ["report.json", "report.csv"]
 
 
-def _render_corrector(out: Path, result) -> list[str]:
-    report = result.report
+def _render_corrector(out: Path, report) -> list[str]:
     payload = {
         "epsilons": report.epsilons,
         "plain_gradient": report.plain_gradient,
@@ -298,7 +293,7 @@ def _render_corrector(out: Path, result) -> list[str]:
         "corrected_stderr": report.corrected_stderr,
         "a_tilde": report.a_tilde,
     }
-    return _render_ladder(out, result) + \
+    return _render_ladder(out, report) + \
         [_dump_json(out, "corrector.json", payload)]
 
 
@@ -316,12 +311,10 @@ def _cmd_report(args) -> int:
     with np.load(out / "raw.npz") as archive:
         raw = {k: archive[k] for k in archive.files}
     report = reduce_raw(raw)
-    (out / "report.json").write_text(report.to_json() + "\n",
-                                     encoding="utf-8")
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    written = _render_ladder(out, report)
     if "plot_data.csv" in manifest["files"]:
         _write_plot_data(out, report)
-    refreshed = sorted(set(manifest["files"]) | {"report.json", "report.csv"})
+    refreshed = sorted(set(manifest["files"]) | set(written))
     carried = {k: v for k, v in manifest.items()
                if k not in ("toolkit_version", "config_digest", "seed",
                             "files")}

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import EllipticityViolation
+from .errors import EllipticityViolation, ValidationError
 
 __all__ = [
     "CoefficientField",
@@ -28,7 +28,13 @@ __all__ = [
     "FAMILIES",
 ]
 
-FAMILIES = ("constant", "layered", "separable_trig", "checkerboard")
+# family -> its parameters, with the defaults make_coefficient fills in
+FAMILIES = {
+    "constant": {"value": 1.0},
+    "layered": {"alpha": 2.0, "beta": 1.0},
+    "separable_trig": {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0},
+    "checkerboard": {"low": 1.0, "high": 4.0, "width": 1.0 / 16.0},
+}
 
 
 def _frac(z):
@@ -64,11 +70,14 @@ class CoefficientField:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValidationError(f"unknown family {self.family!r}",
+                                  field="family")
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ValidationError("dimension must be 1 or 2",
+                                  field="dimension")
         if not (self.kappa > 0):
-            raise ValueError("declared ellipticity must be positive")
+            raise ValidationError("declared ellipticity must be positive",
+                                  field="kappa")
         object.__setattr__(self, "params", dict(self.params))
 
     @property
@@ -157,28 +166,25 @@ def make_coefficient(family: str, dimension: int, kappa: float | None = None,
                      **params: float) -> CoefficientField:
     """Build a coefficient field, deriving the declared ellipticity if omitted.
 
-    Raises ValueError if the family is non-elliptic for these parameters and
-    no explicit (to-be-audited) kappa was given.
+    Raises :class:`ValidationError` if the family is non-elliptic for these
+    parameters and no explicit (to-be-audited) kappa was given; that rule
+    spans several parameters, so the error names none.
     """
-    defaults = {
-        "constant": {"value": 1.0},
-        "layered": {"alpha": 2.0, "beta": 1.0},
-        "separable_trig": {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0},
-        "checkerboard": {"low": 1.0, "high": 4.0, "width": 1.0 / 16.0},
-    }
-    if family not in defaults:
-        raise ValueError(f"unknown family {family!r}")
-    full = dict(defaults[family])
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}", field="family")
+    full = dict(FAMILIES[family])
     unknown = set(params) - set(full)
     if unknown:
-        raise ValueError(f"unknown parameters for {family}: {sorted(unknown)}")
+        raise ValidationError(
+            f"unknown parameters for {family}: {sorted(unknown)}")
     full.update({k: float(v) for k, v in params.items()})
     if family == "checkerboard" and not full["width"] > 0:
-        raise ValueError("checkerboard width must be positive")
+        raise ValidationError("checkerboard width must be positive",
+                              field="width")
     if kappa is None:
         kappa = _default_kappa(family, full)
         if not kappa > 0:
-            raise ValueError(
+            raise ValidationError(
                 f"{family} with these parameters is not uniformly elliptic "
                 f"(sharp bound {kappa})")
     return CoefficientField(family=family, dimension=dimension,

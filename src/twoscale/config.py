@@ -1,9 +1,10 @@
 """Run configuration: INI-style text in, validated typed config out.
 
-Every key has a default, so the empty string is a valid configuration;
-unknown sections or keys, type mismatches, non-finite numbers, and
-violated invariants (including every one a run's constructors check) are
-rejected with the line and the dotted field name of the first offender.
+Every key has a default, so the empty string is a valid configuration.
+The parser itself rejects unknown sections or keys, type mismatches and
+non-finite numbers. Every other rule lives in the constructor that owns
+the value: the parser builds each component once and re-raises its
+rejection with the line and the dotted field name of the offender.
 
 The content digest hashes the canonical JSON form of the typed values
 (defaults filled, keys sorted), so key order and comments never change
@@ -17,16 +18,16 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cell import CellGrid
 from .coefficients import FAMILIES, CoefficientField, make_coefficient
-from .diagnostics import StudyConfig
+from .diagnostics import StudyConfig, check_ladder
 from .errors import ConfigError, ValidationError
-from .grid import GridSpec, is_power_of_two
+from .grid import GridSpec
 from .integrator import StepperConfig
-from .models import MEAN_FIELD_KINDS, NOISE_LAWS, VARIANTS, ModelSpec
-from .noise import QWienerSpec, default_mode_count
+from .models import ModelSpec
+from .noise import QWienerSpec
 
 __all__ = ["RunConfig", "parse_config", "config_digest"]
 
@@ -88,21 +89,29 @@ _SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
     },
 }
 
-_COEFF_KEYS = {
-    "constant": ("value",),
-    "layered": ("alpha", "beta"),
-    "separable_trig": ("alpha", "beta", "gamma", "delta"),
-    "checkerboard": ("low", "high", "width"),
+# (section, parameter) -> config key, where it is not "section.parameter"
+_KEYS = {
+    ("study", "cells"): "study.cell_cells",
+    ("study", "tau_slices"): "study.cell_tau_slices",
+    ("study", "epsilon"): "study.epsilons",
+    ("study", "dt"): "stepper.dt",
+    ("study", "members"): "ensemble.members",
+    ("study", "replicas"): "ensemble.replicas",
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one run, with a stable content digest."""
+    """Validated configuration for one run, with a stable content digest.
+
+    ``lines`` maps each section and dotted key of the source text to its
+    line. It locates rejections and is neither digested nor compared.
+    """
 
     values: dict
     seed: int
     output: str
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     def canonical(self) -> dict:
         """Typed content payload: defaults filled, placement excluded."""
@@ -114,57 +123,63 @@ class RunConfig:
     def digest(self) -> str:
         return config_digest(self.canonical())
 
-    # -- component builders --------------------------------------------------
+    def error(self, key: str, message: str) -> ValidationError:
+        """A rejection of the dotted ``key``, located at its line."""
+        return ValidationError(message, line=_line(self.lines, key),
+                               field=key)
+
+    def _build(self, section: str, make, **kwargs):
+        """``make(**kwargs)``, its rejection re-raised under a config key."""
+        try:
+            return make(**kwargs)
+        except ValidationError as exc:
+            key = _KEYS.get((section, exc.field), f"{section}.{exc.field}") \
+                if exc.field else section
+            raise self.error(key, str(exc)) from None
+
+    # -- component builders: a key and the parameter it sets share a name
 
     def grid(self) -> GridSpec:
-        g = self.values["grid"]
-        return GridSpec(dimension=g["dimension"], cells=g["cells"])
+        return self._build("grid", GridSpec, **self.values["grid"])
 
     def coefficient(self) -> CoefficientField:
         c = self.values["coefficient"]
-        params = {k: c[k] for k in _COEFF_KEYS[c["family"]]}
-        return make_coefficient(c["family"],
-                                dimension=self.values["grid"]["dimension"],
-                                kappa=c["kappa"], **params)
+        params = {k: c[k] for k in FAMILIES.get(c["family"], {})}
+        return self._build("coefficient", make_coefficient,
+                           family=c["family"],
+                           dimension=self.values["grid"]["dimension"],
+                           kappa=c["kappa"], **params)
 
     def model_for(self, eps: float) -> ModelSpec:
-        m = self.values["model"]
-        return ModelSpec(variant=m["variant"], coefficient=self.coefficient(),
-                         epsilon=eps, mean_field=m["mean_field"],
-                         cubic=m["cubic"], eta=m["eta"], ell=m["ell"],
-                         noise_law=m["noise_law"], sigma0=m["sigma0"])
+        return self._build("model", ModelSpec, coefficient=self.coefficient(),
+                           epsilon=eps, **self.values["model"])
 
     def noise_spec(self) -> QWienerSpec:
-        n = self.values["noise"]
-        grid = self.grid()
-        modes = n["modes"] if n["modes"] is not None \
-            else default_mode_count(grid)
-        return QWienerSpec(grid=grid, modes=modes, gamma=n["gamma"],
-                           lambda0=n["lambda0"], seed=self.seed)
+        return self._build("noise", QWienerSpec, grid=self.grid(),
+                           seed=self.seed, **self.values["noise"])
 
     def stepper(self) -> StepperConfig:
-        s = self.values["stepper"]
-        return StepperConfig(dt=s["dt"], horizon=s["horizon"], tol=s["tol"])
+        return self._build("stepper", StepperConfig, **self.values["stepper"])
+
+    def cell_grid(self) -> CellGrid:
+        st = self.values["study"]
+        return self._build("study", CellGrid,
+                           dimension=self.values["grid"]["dimension"],
+                           cells=st["cell_cells"],
+                           tau_slices=st["cell_tau_slices"])
 
     def study(self) -> StudyConfig:
-        m = self.values["model"]
-        n = self.values["noise"]
-        st = self.values["study"]
-        e = self.values["ensemble"]
-        if m["variant"] != "allen_cahn":
-            raise ValidationError(
-                "ladder and corrector studies run the scalar variant only",
-                field="model.variant")
-        return StudyConfig(
-            coefficient=self.coefficient(), grid=self.grid(),
-            epsilons=tuple(st["epsilons"]), stepper=self.stepper(),
-            members=e["members"], replicas=e["replicas"],
-            mean_field=m["mean_field"], cubic=m["cubic"],
-            noise_law=m["noise_law"], sigma0=m["sigma0"],
-            modes=n["modes"], gamma=n["gamma"], lambda0=n["lambda0"],
-            seed=self.seed, initial_amplitude=st["initial_amplitude"],
-            initial_mode=st["initial_mode"], cell_cells=st["cell_cells"],
-            cell_tau_slices=st["cell_tau_slices"])
+        model = dict(self.values["model"])
+        if model.pop("variant") != "allen_cahn":
+            raise self.error(
+                "model.variant",
+                "ladder and corrector studies run the scalar variant only")
+        del model["eta"], model["ell"]  # checked 0.0; no study term reads them
+        return self._build(
+            "study", StudyConfig, coefficient=self.coefficient(),
+            grid=self.grid(), stepper=self.stepper(), seed=self.seed,
+            **model, **self.values["noise"], **self.values["ensemble"],
+            **self.values["study"])
 
 
 def config_digest(payload: dict) -> str:
@@ -173,26 +188,26 @@ def config_digest(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int | None:
-    """1-based line of a section header or of a key within its section."""
-    sec_re = re.compile(r"^\s*\[" + re.escape(section) + r"\]\s*(?:[#;].*)?$")
-    lines = text.splitlines()
-    start = None
-    for i, line in enumerate(lines):
-        if sec_re.match(line):
-            start = i
-            break
-    if start is None:
-        return None
-    if key is None:
-        return start + 1
-    key_re = re.compile(r"^\s*" + re.escape(key) + r"\s*[=:]")
-    for j in range(start + 1, len(lines)):
-        if re.match(r"^\s*\[", lines[j]):
-            break
-        if key_re.match(lines[j]):
-            return j + 1
-    return start + 1
+_HEADER = re.compile(r"\s*\[(.+?)\]\s*(?:[#;].*)?$")
+_KEY = re.compile(r"\s*([^\s=:#;\[][^=:]*?)\s*[=:]")
+
+
+def _key_lines(text: str) -> dict[str, int]:
+    """1-based line of each section header and of each dotted key."""
+    lines, section = {}, None
+    for number, line in enumerate(text.splitlines(), 1):
+        header = _HEADER.match(line)
+        if header:
+            section = header.group(1)
+            lines.setdefault(section, number)
+        elif section is not None and (key := _KEY.match(line)):
+            lines.setdefault(f"{section}.{key.group(1).lower()}", number)
+    return lines
+
+
+def _line(lines: dict, key: str) -> int | None:
+    """Line of a dotted key, else of its section, else None."""
+    return lines.get(key, lines.get(key.partition(".")[0]))
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
@@ -206,8 +221,7 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _convert(raw: str, kind, section: str, key: str, line: int | None):
-    where = f"{section}.{key}"
+def _convert(raw: str, kind, where: str, line: int | None):
     try:
         if kind is int:
             return int(raw)
@@ -246,106 +260,33 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc.message.splitlines()[0]}",
                           line=line) from None
 
+    lines = _key_lines(text)
     values = {s: {k: d for k, (_, d) in kv.items()}
               for s, kv in _SCHEMA.items()}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]",
-                              line=_line_of(text, section), field=section)
+                              line=_line(lines, section), field=section)
         for key, raw in parser.items(section):
+            where = f"{section}.{key}"
             if key not in _SCHEMA[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]",
-                    line=_line_of(text, section, key),
-                    field=f"{section}.{key}")
+                    line=_line(lines, where), field=where)
             kind = _SCHEMA[section][key][0]
-            values[section][key] = _convert(raw, kind, section, key,
-                                            _line_of(text, section, key))
+            values[section][key] = _convert(raw, kind, where,
+                                            _line(lines, where))
 
     run = values.pop("run")
-    cfg = RunConfig(values=values, seed=run["seed"], output=run["output"])
-    _validate(cfg, text)
+    cfg = RunConfig(values=values, seed=run["seed"], output=run["output"],
+                    lines=lines)
+    # build each component once: its constructor checks its own values
+    cfg.grid()
+    cfg.coefficient()
+    eps = cfg._build("study", check_ladder, **values["ensemble"],
+                     epsilons=values["study"]["epsilons"])
+    cfg.model_for(eps[-1])
+    cfg.noise_spec()
+    cfg.stepper()
+    cfg.cell_grid()
     return cfg
-
-
-def _check(cond: bool, message: str, text: str, section: str,
-           key: str) -> None:
-    if not cond:
-        raise ValidationError(message, line=_line_of(text, section, key),
-                              field=f"{section}.{key}")
-
-
-def _validate(cfg: RunConfig, text: str) -> None:
-    v = cfg.values
-    _check(v["grid"]["dimension"] in (1, 2), "dimension must be 1 or 2",
-           text, "grid", "dimension")
-    n = v["grid"]["cells"]
-    _check(n >= 8 and is_power_of_two(n), "cells must be a power of two >= 8",
-           text, "grid", "cells")
-    fam = v["coefficient"]["family"]
-    _check(fam in FAMILIES, f"unknown coefficient family {fam!r}",
-           text, "coefficient", "family")
-    _check(v["model"]["variant"] in VARIANTS,
-           f"unknown variant {v['model']['variant']!r}",
-           text, "model", "variant")
-    _check(v["model"]["mean_field"] in MEAN_FIELD_KINDS,
-           f"unknown mean-field kind {v['model']['mean_field']!r}",
-           text, "model", "mean_field")
-    _check(v["model"]["noise_law"] in NOISE_LAWS,
-           f"unknown noise law {v['model']['noise_law']!r}",
-           text, "model", "noise_law")
-    _check(v["stepper"]["dt"] > 0, "dt must be positive",
-           text, "stepper", "dt")
-    _check(v["stepper"]["horizon"] > 0, "horizon must be positive",
-           text, "stepper", "horizon")
-    _check(v["stepper"]["tol"] > 0, "tol must be positive",
-           text, "stepper", "tol")
-    modes, dim = v["noise"]["modes"], v["grid"]["dimension"]
-    _check(modes is None or 1 <= modes <= (n - 1) ** dim,
-           f"modes must be between 1 and the {(n - 1) ** dim} sine modes "
-           "of the grid", text, "noise", "modes")
-    _check(v["noise"]["gamma"] > 1.0,
-           "mode decay exponent must exceed 1 for a finite trace",
-           text, "noise", "gamma")
-    _check(v["noise"]["lambda0"] > 0, "lambda0 must be positive",
-           text, "noise", "lambda0")
-    _check(v["ensemble"]["members"] >= 1, "members must be >= 1",
-           text, "ensemble", "members")
-    _check(v["ensemble"]["replicas"] >= 1, "replicas must be >= 1",
-           text, "ensemble", "replicas")
-
-    eps = v["study"]["epsilons"]
-    if any(not e > 0 for e in eps) or \
-            any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-        raise ValidationError(
-            "epsilon ladder must be positive and strictly decreasing",
-            line=_line_of(text, "study", "epsilons"), field="study.epsilons")
-
-    # component invariants: let the constructors judge, attach the location
-    try:
-        coeff = cfg.coefficient()
-    except ValueError as exc:
-        raise ValidationError(str(exc), line=_line_of(text, "coefficient"),
-                              field="coefficient") from None
-    try:
-        cfg.model_for(eps[-1])
-    except ValueError as exc:
-        msg = str(exc)
-        key = "eta" if msg.startswith("eta=") else \
-            ("ell" if msg.startswith("ell=") else "variant")
-        raise ValidationError(msg, line=_line_of(text, "model", key),
-                              field=f"model.{key}") from None
-    try:
-        cfg.stepper()
-    except ValueError as exc:
-        raise ValidationError(str(exc), line=_line_of(text, "stepper",
-                                                      "horizon"),
-                              field="stepper.horizon") from None
-    st = v["study"]
-    try:
-        CellGrid(dimension=coeff.dimension, cells=st["cell_cells"],
-                 tau_slices=st["cell_tau_slices"])
-    except ValueError as exc:
-        key = "cell_tau_slices" if "tau_slices" in str(exc) else "cell_cells"
-        raise ValidationError(str(exc), line=_line_of(text, "study", key),
-                              field=f"study.{key}") from None

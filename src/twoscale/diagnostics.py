@@ -35,10 +35,11 @@ from .errors import InternalError, ValidationError
 from .grid import GridSpec, ScalarField, face_differences
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
-from .noise import NoiseStream, QWienerSpec, default_mode_count
+from .noise import NoiseStream, QWienerSpec
 
 __all__ = [
     "sine_initial_state",
+    "check_ladder",
     "StudyConfig",
     "ConvergenceReport",
     "LadderResult",
@@ -135,6 +136,24 @@ def sine_initial_state(grid: GridSpec, amplitude: float,
     return vals
 
 
+def check_ladder(epsilons, members: int, replicas: int) -> tuple[float, ...]:
+    """The epsilons as floats; rejects a ladder that is empty, not positive
+    or not strictly decreasing, and fewer than one member or replica."""
+    eps = tuple(float(e) for e in epsilons)
+    if not eps:
+        raise ValidationError("epsilon list is empty", field="epsilon")
+    if any(not e > 0 for e in eps):
+        raise ValidationError("epsilon values must be positive",
+                              field="epsilon")
+    if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
+        raise ValidationError(
+            "epsilon ladder must be strictly decreasing", field="epsilon")
+    for name, count in (("members", members), ("replicas", replicas)):
+        if count < 1:
+            raise ValidationError(f"{name} must be >= 1", field=name)
+    return eps
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a coupled resolution-ladder study needs.
@@ -162,18 +181,9 @@ class StudyConfig:
     initial_mode: int = 1
     cell_cells: int = 256
     cell_tau_slices: int = 1
-    observable: str = "H_norm"
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
-            raise ValidationError("epsilon list is empty", field="epsilon")
-        if any(not e > 0 for e in eps):
-            raise ValidationError("epsilon values must be positive",
-                                  field="epsilon")
-        if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise ValidationError(
-                "epsilon ladder must be strictly decreasing", field="epsilon")
+        eps = check_ladder(self.epsilons, self.members, self.replicas)
         n = self.grid.cells
         for e in eps:
             if n < 16.0 / e:
@@ -184,15 +194,10 @@ class StudyConfig:
                 raise ValidationError(
                     f"dt={self.stepper.dt} exceeds epsilon/8 for "
                     f"epsilon={e}", field="dt")
-        if self.members < 1 or self.replicas < 1:
-            raise ValidationError("members and replicas must be >= 1",
-                                  field="members")
         object.__setattr__(self, "epsilons", eps)
 
     def noise_spec(self) -> QWienerSpec:
-        modes = self.modes if self.modes is not None \
-            else default_mode_count(self.grid)
-        return QWienerSpec(grid=self.grid, modes=modes, gamma=self.gamma,
+        return QWienerSpec(grid=self.grid, modes=self.modes, gamma=self.gamma,
                            lambda0=self.lambda0, seed=self.seed)
 
     def model_for(self, eps: float) -> ModelSpec:
@@ -416,7 +421,8 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
 
     mesh = grid.meshgrid()
     osc = [np.sin(2.0 * np.pi * mesh[0] / e).reshape(-1) for e in eps_list]
-    time_dep = cfg.coefficient.time_dependent
+    # corrector_slopes reads tau only when the cell solve has several slices
+    slopes_move = cfg.coefficient.time_dependent and cell_grid.tau_slices > 1
 
     def run_shard(shard: list[slice], progress):
         """Step the shard's blocks; yield 0 after t = 0, n after step n."""
@@ -434,7 +440,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         yield 0
         for n in range(steps):
             t = n * dt
-            if time_dep:
+            if slopes_move:
                 face_slopes = [_face_corrector_slopes(cell_sol, grid, e,
                                                       (t + dt) / e)
                                for e in eps_list]

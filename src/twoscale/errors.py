@@ -86,8 +86,9 @@ class ConfigError(ToolkitError):
         self.field = field
 
 
-class ValidationError(ConfigError):
-    """A parsed configuration violated a semantic constraint."""
+class ValidationError(ConfigError, ValueError):
+    """A value broke a rule of the constructor that owns it; ``field`` names
+    the parameter, or the dotted config key once the parser located it."""
 
 
 class InternalError(ToolkitError):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.fft import dstn
 
-from .errors import CountMismatch, NonFinite, SolverDiverged
+from .errors import CountMismatch, NonFinite, SolverDiverged, ValidationError
 
 __all__ = [
     "is_power_of_two",
@@ -62,10 +62,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+            raise ValidationError(f"dimension must be 1 or 2, got "
+                                  f"{self.dimension}", field="dimension")
         if self.cells < 8 or not is_power_of_two(self.cells):
-            raise ValueError(
-                f"cells must be a power of two >= 8, got {self.cells}")
+            raise ValidationError(f"cells must be a power of two >= 8, got "
+                                  f"{self.cells}", field="cells")
 
     @property
     def h(self) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.fft import dstn
 
 from .ensemble import Ensemble
-from .errors import NonFinite, StepRejected
+from .errors import NonFinite, StepRejected, ValidationError
 from .grid import (GridSpec, ScalarField, face_energy, gradient_energy,
                    sine_weights_Hminus1)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
@@ -55,7 +55,12 @@ LEDGER_COLUMNS = ("step", "t", "H2", "Hp", "V2", "L4",
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping parameters; horizon / dt must be integral (to round-off)."""
+    """Time-stepping parameters; horizon / dt must be integral (to round-off).
+
+    ``tol`` is the relative residual of the 2D implicit CG solve; the 1D
+    implicit solve is a direct LAPACK ``pttrf``/``pttrs`` solve and does
+    not read it.
+    """
 
     dt: float
     horizon: float
@@ -63,14 +68,16 @@ class StepperConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ValidationError("dt must be positive", field="dt")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise ValidationError("horizon must be positive", field="horizon")
+        if not self.tol > 0:
+            raise ValidationError("tol must be positive", field="tol")
         ratio = self.horizon / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError(
+            raise ValidationError(
                 f"horizon {self.horizon} is not an integer number of steps "
-                f"of dt {self.dt}")
+                f"of dt {self.dt}", field="horizon")
 
     @property
     def steps(self) -> int:
@@ -168,6 +175,8 @@ class BatchedStepper:
         self.tensor = homogenized_tensor
         self._g_weights = (np.sqrt(spec.eigenvalues * self.dt)
                            * model.mode_sigmas(spec.modes))
+        if model.noise_law == "mode_modulated":  # built before a ladder forks
+            self._g_basis = spec.basis
         self._fac: ImplicitFactorization | None = None
         self._fac_time: float | None = None
 
@@ -218,7 +227,7 @@ class BatchedStepper:
         if model.noise_law == "scalar_multiplicative":
             noise = (xi @ self._g_weights)[:, None] * U
         else:
-            noise = (xi * self._g_weights) @ self.spec.basis
+            noise = (xi * self._g_weights) @ self._g_basis
             noise *= U
         return drift, noise
 

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField
 from .errors import (ContractViolation, NonFinite, NotDivergenceFree,
-                     SolverDiverged)
+                     SolverDiverged, ValidationError)
 from .grid import (GridSpec, ScalarField, VectorField, face_differences,
                    inner_H, norm_H, preconditioned_cg)
 from .noise import QWienerSpec
@@ -74,20 +74,25 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValidationError(f"unknown variant {self.variant!r}",
+                                  field="variant")
         if self.mean_field not in MEAN_FIELD_KINDS:
-            raise ValueError(f"unknown mean-field kind {self.mean_field!r}")
+            raise ValidationError(
+                f"unknown mean-field kind {self.mean_field!r}",
+                field="mean_field")
         if self.noise_law not in NOISE_LAWS:
-            raise ValueError(f"unknown noise law {self.noise_law!r}")
+            raise ValidationError(f"unknown noise law {self.noise_law!r}",
+                                  field="noise_law")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ValidationError("epsilon must be positive", field="epsilon")
         if self.variant == "navier_stokes_2d" and self.coefficient.dimension != 2:
-            raise ValueError("velocity variant needs a 2D coefficient")
+            raise ValidationError("velocity variant needs a 2D coefficient",
+                                  field="variant")
         for name, value in (("eta", self.eta), ("ell", self.ell)):
             if value != 0.0:
-                raise ValueError(
+                raise ValidationError(
                     f"{name}={value} is not supported: no drift term reads "
-                    f"{name}, so only 0.0 is accepted")
+                    f"{name}, so only 0.0 is accepted", field=name)
 
     @property
     def has_advection(self) -> bool:
@@ -265,11 +270,12 @@ class ImplicitFactorization:
 
         A single right-hand side (dof...) is a stack of one, and a
         non-finite right-hand side raises :class:`NonFinite`. 1D applies
-        the cached LDL^T factor to the whole stack in one ``pttrs`` call.
-        2D runs DST-preconditioned CG on the whole stack with per-path step
-        scalars for at most 20 n^2 iterations; each path stops once its
-        residual is within ``tol`` of its right-hand side, and
-        ``iterations`` records how many steps each path took.
+        the cached LDL^T factor to the whole stack in one direct ``pttrs``
+        call and ignores ``tol``. 2D runs DST-preconditioned CG on the
+        whole stack with per-path step scalars for at most 20 n^2
+        iterations; each path stops once its residual is within ``tol`` of
+        its right-hand side, and ``iterations`` records how many steps
+        each path took.
         """
         if self.grid.dimension == 2:
             out, _, self.iterations = preconditioned_cg(

@@ -21,10 +21,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .errors import ValidationError
 from .grid import GridSpec
 
 __all__ = [
@@ -48,14 +50,10 @@ def _mode_indices(grid: GridSpec, count: int) -> np.ndarray:
     """First ``count`` sine modes ordered by |k|^2 then lexicographically."""
     nmax = grid.cells - 1
     if grid.dimension == 1:
-        if count > nmax:
-            raise ValueError(f"at most {nmax} modes on this grid")
         return np.arange(1, count + 1, dtype=int).reshape(-1, 1)
     ks = [(k1 * k1 + k2 * k2, k1, k2)
           for k1 in range(1, nmax + 1) for k2 in range(1, nmax + 1)]
     ks.sort()
-    if count > len(ks):
-        raise ValueError(f"at most {len(ks)} modes on this grid")
     return np.array([(k1, k2) for _, k1, k2 in ks[:count]], dtype=int)
 
 
@@ -64,9 +62,9 @@ def _basis_matrix(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     ax = grid.axis_nodes()
     if grid.dimension == 1:
         return np.sqrt(2.0) * np.sin(np.outer(modes[:, 0], np.pi * ax))
-    s1 = np.sin(np.pi * np.outer(modes[:, 0], ax))
+    s1 = 2.0 * np.sin(np.pi * np.outer(modes[:, 0], ax))
     s2 = np.sin(np.pi * np.outer(modes[:, 1], ax))
-    return 2.0 * (s1[:, :, None] * s2[:, None, :]).reshape(len(modes), -1)
+    return (s1[:, :, None] * s2[:, None, :]).reshape(len(modes), -1)
 
 
 @dataclass(frozen=True)
@@ -75,36 +73,46 @@ class QWienerSpec:
 
     Attributes:
         grid: the spatial grid carrying the sine basis.
-        modes: truncation K; at most the grid's sine spectrum size.
+        modes: truncation K, between 1 and the grid's (n-1)^N sine modes;
+            None takes :func:`default_mode_count`.
         gamma: eigenvalue decay exponent, must exceed 1 (trace class).
         lambda0: eigenvalue scale.
         seed: 64-bit master seed all stream keys derive from.
     """
 
     grid: GridSpec
-    modes: int
+    modes: int | None = None
     gamma: float = 2.0
     lambda0: float = 1.0
     seed: int = 0
     mode_indices: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("need at least one mode")
+        if self.modes is None:
+            object.__setattr__(self, "modes", default_mode_count(self.grid))
+        if not 1 <= self.modes <= self.grid.dof:
+            raise ValidationError(f"modes must be between 1 and the "
+                                  f"{self.grid.dof} sine modes of the grid",
+                                  field="modes")
         if not self.gamma > 1.0:
-            raise ValueError("gamma must exceed 1 for a trace-class noise")
+            raise ValidationError(
+                "gamma must exceed 1 for a trace-class noise", field="gamma")
         if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
+            raise ValidationError("lambda0 must be positive", field="lambda0")
         idx = _mode_indices(self.grid, self.modes)
         lam = self.lambda0 * np.arange(1, self.modes + 1, dtype=float) ** (-self.gamma)
-        basis = _basis_matrix(self.grid, idx)
-        for arr in (idx, lam, basis):
+        for arr in (idx, lam):
             arr.setflags(write=False)
         object.__setattr__(self, "mode_indices", idx)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "basis", basis)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """H-orthonormal mode values, shape (modes, dof), built on use."""
+        basis = _basis_matrix(self.grid, self.mode_indices)
+        basis.setflags(write=False)
+        return basis
 
 
 def partial_trace(spec: QWienerSpec) -> float:

@@ -14,7 +14,7 @@ import pytest
 import twoscale
 from twoscale import diagnostics
 from twoscale.cli import OUTPUT_ROOT_ENV, main
-from twoscale.config import config_digest, parse_config
+from twoscale.config import _SCHEMA, config_digest, parse_config
 from twoscale.errors import ConfigError, IntegrityError, ValidationError
 from twoscale.manifest import (file_digest, read_manifest, verify_archive,
                                write_manifest)
@@ -219,6 +219,44 @@ def test_semantic_guards(text, field):
         parse_config(text)
     assert err.value.field == field
     assert err.value.line is not None
+
+
+@pytest.mark.parametrize("text, field, line", [
+    # a multi-key rule names the bare section, at its header
+    ("[coefficient]\nalpha = 1.0\nbeta = 2.0\n", "coefficient", 1),
+    ("[coefficient]\nfamily = checkerboard\nwidth = 0\n",
+     "coefficient.width", 3),
+    ("[coefficient]\nkappa = -1\n", "coefficient.kappa", 2),
+    ("[grid]\ndimension = 2\ncells = 16\n[noise]\nmodes = 226\n",
+     "noise.modes", 5),
+    ("[stepper]\ndt = 0.003\n# pad\nhorizon = 0.01\n", "stepper.horizon", 4),
+    ("[study]\ncell_tau_slices = 0\n", "study.cell_tau_slices", 2),
+    ("[ensemble]\nmembers = 1\nreplicas = 0\n", "ensemble.replicas", 3),
+    # the rules only a ladder study checks, reached through study()
+    ("[grid]\ncells = 64\n[study]\n# pad\nepsilons = 0.125\n",
+     "study.epsilons", 5),
+    ("[grid]\ncells = 256\n[stepper]\ndt = 0.02\nhorizon = 0.1\n"
+     "[study]\nepsilons = 0.125\n", "stepper.dt", 4),
+    ("[ensemble]\nmembers = 0\n", "ensemble.members", 2),
+    ("[grid]\ndimension = 2\ncells = 32\n[coefficient]\n"
+     "family = checkerboard\n[model]\nvariant = navier_stokes_2d\n",
+     "model.variant", 7),
+    # a key absent from the text has no line
+    ("[grid]\ncells = 64\n", "study.epsilons", None),
+])
+def test_rejections_name_a_config_key_and_its_line(text, field, line):
+    with pytest.raises(ValidationError) as err:
+        parse_config(text).study()
+    section, _, key = err.value.field.partition(".")
+    assert section in _SCHEMA and (not key or key in _SCHEMA[section])
+    assert err.value.field == field
+    assert err.value.line == line
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block).digest() == parse_config("").digest()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +488,7 @@ def test_rejected_study_creates_no_output_directory(tmp_path, capsys,
     assert code == 2
     payload = json.loads(stderr)
     assert payload["error"] == "ValidationError"
-    assert payload["field"] == "epsilon"
+    assert payload["field"] == "study.epsilons"
     assert not out.exists()
 
 

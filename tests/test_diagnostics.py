@@ -491,6 +491,38 @@ def test_stored_paths_reproduce_ladder_accumulators(family):
                                               rel=1e-12)
 
 
+def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
+    # With one tau slice the corrector slopes do not move with t/eps, so a
+    # time-dependent ladder computes them once per level and axis. corr2,
+    # the only raw array that reads them, keeps every bit it had when they
+    # were recomputed at each step's (t + dt)/eps.
+    cfg = small_study(coefficient=make_coefficient("separable_trig", 1))
+    calls = []
+    original = diagnostics.corrector_slopes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "corrector_slopes", counting)
+    result = run_ladder(cfg)
+    assert len(calls) == len(cfg.epsilons) * cfg.grid.dimension
+
+    grid, dt = cfg.grid, cfg.stepper.dt
+    paths = stored_ladder_paths(cfg, result)
+    hom = paths[-1]
+    for li, eps in enumerate(cfg.epsilons):
+        corr2 = np.zeros(hom.shape[0])
+        for n in range(cfg.stepper.steps):
+            slopes = diagnostics._face_corrector_slopes(
+                result.cell, grid, eps, (n * dt + dt) / eps)
+            _, c2 = diagnostics._gradient_residuals(
+                diagnostics._face_diffs(paths[li][:, n + 1], grid),
+                diagnostics._face_diffs(hom[:, n + 1], grid), slopes, grid)
+            corr2 += dt * c2
+        assert np.array_equal(corr2, result.raw["corr2"][li]), eps
+
+
 def test_ladder_seed_changes_output():
     base = run_ladder(small_study(seed=0)).report
     other = run_ladder(small_study(seed=1)).report

@@ -126,6 +126,16 @@ def test_basis_gram_matrix_is_identity():
 def test_default_mode_count_caps_at_grid_resolution():
     assert default_mode_count(GridSpec(dimension=1, cells=16)) == 15
     assert default_mode_count(GridSpec(dimension=1, cells=256)) == 64
+    # a spec without a truncation takes the default
+    assert QWienerSpec(grid=GridSpec(dimension=2, cells=16)).modes == 15
+
+
+def test_basis_is_built_on_first_use():
+    # checking a spec (as the config parser does) leaves the (modes, dof)
+    # basis unbuilt; the scalar noise law never reads it
+    spec = QWienerSpec(grid=GridSpec(dimension=1, cells=64))
+    assert "basis" not in vars(spec)
+    assert spec.basis is spec.basis and not spec.basis.flags.writeable
 
 
 def test_spec_rejects_bad_parameters():
