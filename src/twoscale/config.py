@@ -249,8 +249,10 @@ def _convert(raw: str, kind, where: str, line: int | None):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; the first problem raises with line and field."""
+    # no header can spell an empty name, so a [DEFAULT] section is an
+    # ordinary (and unknown) one instead of defaults for every section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

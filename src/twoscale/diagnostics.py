@@ -32,7 +32,7 @@ from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import InternalError, ValidationError
-from .grid import GridSpec, ScalarField, face_differences
+from .grid import GridSpec, ScalarField, stack_face_differences
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -115,9 +115,9 @@ def corrector_residual(trajectory_eps, trajectory_hom, solution: CellSolution,
     corr2 = 0.0
     for n in range(1, ue.shape[0]):
         slopes = _face_corrector_slopes(solution, grid, eps, n * dt / eps)
-        p2, c2 = _gradient_residuals(_face_diffs(ue[n:n + 1], grid),
-                                     _face_diffs(uh[n:n + 1], grid),
-                                     slopes, grid)
+        p2, c2 = _gradient_residuals(
+            stack_face_differences(ue[n:n + 1], grid),
+            stack_face_differences(uh[n:n + 1], grid), slopes, grid)
         plain2 += dt * float(p2[0])
         corr2 += dt * float(c2[0])
     return float(np.sqrt(plain2)), float(np.sqrt(corr2))
@@ -319,8 +319,8 @@ def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
     Every block but the last holds a multiple of four paths. OpenBLAS
     matrix-vector kernels take rows in groups of four, and a row's bits
     depend on the kind of group it lands in; with such blocks each path
-    lands in the same kind as in the whole stack, so ``xi @ weights`` and
-    ``states @ osc`` keep their bits.
+    lands in the same kind as in the whole stack, so ``xi @ weights`` keeps
+    its bits.
     """
     group = 4 // int(np.gcd(members, 4))  # replicas per four-path group
     per_block = max(1, BLOCK_VALUES // (members * dof))
@@ -338,10 +338,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shards(blocks: list[slice], count: int) -> list[list[slice]]:
-    """``count`` contiguous runs of whole blocks, as even as they split."""
-    return [[blocks[i] for i in part]
-            for part in np.array_split(np.arange(len(blocks)), count)]
+def _shards(items: list, count: int) -> list[list]:
+    """``count`` contiguous runs of ``items``, as even as they split."""
+    return [[items[i] for i in part]
+            for part in np.array_split(np.arange(len(items)), count)]
 
 
 def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -372,14 +372,19 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     result; a time-dependent coefficient is still factored once per level
     and step.
 
-    The blocks are split into contiguous shards, one per usable CPU. This
-    process steps shard 0 and a forked child steps each other shard; the
-    accumulators live in shared memory and every shard writes only its own
-    paths, so the shard count changes no bit either. A failure is raised
-    as a one-shard run raises it: of the shards that failed, the one that
-    failed at the earliest step, the lowest on ties. A child that ends
-    without a report raises :class:`InternalError`. ``progress(n, steps)``,
-    when given, is called after about every tenth step of shard 0.
+    The work is split into shards, one per usable CPU. With at least as
+    many blocks as the smaller of the CPU and eps level counts, each shard
+    steps every level over a contiguous run of blocks. With fewer blocks,
+    each shard steps every block for a contiguous group of eps levels plus
+    its own copy of the effective level, whose rows only the shard of eps
+    level 0 writes. This process steps shard 0 and a forked child steps
+    each other shard; the accumulators live in shared memory and every
+    shard writes only its own rows, so the shard count changes no bit
+    either. A failure is raised as a one-shard run raises it: the first in
+    (step, block, level) order, the effective level last in each block. A
+    child that ends without a report raises :class:`InternalError`.
+    ``progress(n, steps)``, when given, is called after about every tenth
+    step of shard 0.
     """
     grid = cfg.grid
     dim = grid.dimension
@@ -410,7 +415,14 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
     blocks = _replica_blocks(cfg.replicas, cfg.members, grid.dof)
-    shards = _shards(blocks, min(_usable_cpus(), len(blocks)))
+    cpus = _usable_cpus()
+    # shards are (eps levels, blocks); ties go to blocks, which repeat no work
+    if len(blocks) >= min(cpus, n_eps):
+        shards = [(range(n_eps), part)
+                  for part in _shards(blocks, min(cpus, len(blocks)))]
+    else:
+        shards = [(part, blocks)
+                  for part in _shards(range(n_eps), min(cpus, n_eps))]
     u0 = cfg.initial_values()
 
     # streaming accumulators, all shaped (levels, paths), and the final
@@ -424,36 +436,45 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     # corrector_slopes reads tau only when the cell solve has several slices
     slopes_move = cfg.coefficient.time_dependent and cell_grid.tau_slices > 1
 
-    def run_shard(shard: list[slice], progress):
-        """Step the shard's blocks; yield 0 after t = 0, n after step n."""
+    def run_shard(shard, progress):
+        """Step the shard's eps levels and the effective level over its
+        blocks; before each level's step, yield its failure rank (step,
+        first path of the block, level)."""
+        levels, shard_blocks = shard
+        # the effective level steps last; the shard of eps level 0 owns its
+        # energy rows and final states
+        stepped = [*levels, n_eps]
+        owned = stepped if levels[0] == 0 else list(levels)
         # per block, one (block paths, dof) state stack per level
-        states = [[np.tile(u0, (rows.stop - rows.start, 1))
-                   for _ in range(n_eps + 1)] for rows in shard]
-        face_slopes = [_face_corrector_slopes(cell_sol, grid, e, 0.0)
-                       for e in eps_list]
+        states = [{li: np.tile(u0, (rows.stop - rows.start, 1))
+                   for li in stepped} for rows in shard_blocks]
+        face_slopes = {li: _face_corrector_slopes(cell_sol, grid,
+                                                  eps_list[li], 0.0)
+                       for li in levels}
         # t = 0 contributions: pairing left-point, energy sup
-        for rows, S in zip(shard, states):
-            for li in range(n_eps):
-                pairing[li, rows] += dt * hN * (S[li] @ osc[li])
-            for li in range(n_eps + 1):
+        for rows, S in zip(shard_blocks, states):
+            for li in levels:
+                pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
+            for li in owned:
                 sup_h2[li, rows] = steppers[li].energy_rows(S[li], 0.0)["H2"]
-        yield 0
         for n in range(steps):
             t = n * dt
             if slopes_move:
-                face_slopes = [_face_corrector_slopes(cell_sol, grid, e,
-                                                      (t + dt) / e)
-                               for e in eps_list]
-            for rows, S in zip(shard, states):
+                face_slopes = {li: _face_corrector_slopes(
+                    cell_sol, grid, eps_list[li], (t + dt) / eps_list[li])
+                    for li in levels}
+            for rows, S in zip(shard_blocks, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
-                for li in range(n_eps + 1):
+                for li in stepped:
+                    yield n + 1, rows.start, li
                     S[li] = steppers[li].advance(S[li], xi, t, n,
                                                  first_row=rows.start)
                 # one set of face differences per level, shared by the
                 # gradient residuals and the V2 energy
-                grads = [_face_diffs(U, grid) for U in S]
+                grads = {li: stack_face_differences(U, grid)
+                         for li, U in S.items()}
                 hom = S[n_eps]
-                for li in range(n_eps):
+                for li in levels:
                     diff = S[li] - hom
                     diff *= diff
                     err2[li, rows] += dt * hN * np.sum(diff, axis=-1)
@@ -462,8 +483,8 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                     plain2[li, rows] += dt * p2
                     corr2[li, rows] += dt * c2
                     if n < steps - 1:  # left-point pairing: t_{n+1} counts
-                        pairing[li, rows] += dt * hN * (S[li] @ osc[li])
-                for li in range(n_eps + 1):
+                        pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
+                for li in owned:
                     energy = steppers[li].energy_rows(S[li], t + dt,
                                                       grads[li])
                     sup = sup_h2[li, rows]
@@ -472,10 +493,9 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                     int_l4[li, rows] += dt * energy["L4"]
             if progress is not None and (n + 1) % max(1, steps // 10) == 0:
                 progress(n + 1, steps)
-            yield n + 1
-        for rows, S in zip(shard, states):
-            for li, U in enumerate(S):
-                final_states[li, rows] = U
+        for rows, S in zip(shard_blocks, states):
+            for li in owned:
+                final_states[li, rows] = S[li]
 
     _run_shards(run_shard, shards, progress)
 
@@ -493,19 +513,24 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                         report=report, shards=len(shards))
 
 
-def _run_shards(run_shard, shards: list[list[slice]], progress) -> None:
+def _run_shards(run_shard, shards: list[tuple], progress) -> None:
     """Run ``run_shard`` on every shard, shards 1 and up in forked children.
 
-    ``run_shard(shard, progress)`` is a generator that yields after each
-    stage (the t = 0 work, then each step) and writes its results into
-    shared memory. Shard 0 runs here and alone gets ``progress``. Every
-    child is waited for, also when shard 0 fails. Of all failures, the one
-    of the earliest stage (the lowest shard on ties) is raised; a child
-    that ended without a report raises :class:`InternalError` before any
-    of them. Python 3.12 and later warn that ``fork`` is called with
-    threads running once OpenBLAS has started its thread pool, which
-    OpenBLAS shuts down before a fork; the warning is left as it is.
+    A shard is a pair (eps levels, blocks). ``run_shard(shard, progress)``
+    is a generator that yields the (step, block, level) rank of each piece
+    of work before it does it, and writes its results into shared memory.
+    Shard 0 runs here and alone gets ``progress``. Every child is waited
+    for, also when shard 0 fails. Of all failures, the one of the lowest
+    rank is raised: the one a one-shard run meets first (the lowest shard
+    on ties, whose work is the same). A failure before the first yield
+    ranks as step 0, and a child that ended without a report raises
+    :class:`InternalError` before any of them. Python 3.12 and later warn
+    that ``fork`` is called with threads running once OpenBLAS has started
+    its thread pool, which OpenBLAS shuts down before a fork; the warning
+    is left as it is.
     """
+    # level shards share their blocks, block shards their levels
+    by_levels = len(shards) > 1 and shards[0][1] == shards[1][1]
     children = {}  # shard index -> (pid, read end of its report pipe)
     try:
         for index in range(1, len(shards)):
@@ -518,7 +543,8 @@ def _run_shards(run_shard, shards: list[list[slice]], progress) -> None:
                 raise failure[1]  # an interrupt: stop the children
             failures.append((failure[0], 0, failure[1]))
         for index in list(children):
-            failure = _reap(*children[index], shards[index])
+            failure = _reap(*children[index],
+                            _shard_name(shards[index], by_levels))
             del children[index]
             if failure is not None:
                 failures.append((failure[0], index, failure[1]))
@@ -532,23 +558,31 @@ def _run_shards(run_shard, shards: list[list[slice]], progress) -> None:
         raise min(failures, key=lambda f: f[:2])[2]
 
 
+def _shard_name(shard: tuple, by_levels: bool) -> str:
+    levels, blocks = shard
+    if by_levels:
+        return f"eps levels {levels[0]}..{levels[-1]}"
+    return f"paths {blocks[0].start}..{blocks[-1].stop - 1}"
+
+
 def _drive(shard):
-    """Exhaust a shard's generator: None, or (stage, exception) on failure."""
-    done = -1
+    """Exhaust a shard's generator: None, or (rank, exception) on failure,
+    the rank being the last one the generator yielded."""
+    rank = (0,)
     try:
-        for done in shard:
+        for rank in shard:
             pass
     except BaseException as exc:  # noqa: B036 - reported, not swallowed
-        return done + 1, exc
+        return rank, exc
     return None
 
 
-def _fork_shard(run_shard, shard: list[slice],
+def _fork_shard(run_shard, shard: tuple,
                 inherited: list[int]) -> tuple[int, int]:
     """Fork a child that runs one shard: its pid and its report pipe.
 
     The child writes nothing to the pipe on success and a pickled
-    (stage, exception) on failure, then leaves through ``os._exit``, so
+    (rank, exception) on failure, then leaves through ``os._exit``, so
     no cleanup of the parent's runs twice.
     """
     read_fd, write_fd = os.pipe()
@@ -569,30 +603,29 @@ def _fork_shard(run_shard, shard: list[slice],
         os._exit(code)
 
 
-def _pickled_failure(stage: int, exc: BaseException) -> bytes:
-    """(stage, exc) pickled; an exception that does not survive the round
+def _pickled_failure(rank: tuple, exc: BaseException) -> bytes:
+    """(rank, exc) pickled; an exception that does not survive the round
     trip travels as an InternalError with its class name and message."""
     try:
-        blob = pickle.dumps((stage, exc))
+        blob = pickle.dumps((rank, exc))
         pickle.loads(blob)
         return blob
     except Exception:
-        return pickle.dumps((stage, InternalError(
+        return pickle.dumps((rank, InternalError(
             f"{type(exc).__name__}: {exc}")))
 
 
-def _reap(pid: int, fd: int, shard: list[slice]):
-    """Wait for one shard's child: None, or (stage, exception) of its
-    failure. A child that ended without a report sorts before any stage."""
+def _reap(pid: int, fd: int, name: str):
+    """Wait for one shard's child: None, or (rank, exception) of its
+    failure. A child that ended without a report ranks before any step."""
     with os.fdopen(fd, "rb") as pipe:
         report = pipe.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status == 0:
         return pickle.loads(report) if report else None
     how = f"signal {-status}" if status < 0 else f"exit status {status}"
-    return -1, InternalError(
-        f"ladder shard of paths {shard[0].start}..{shard[-1].stop - 1} "
-        f"ended with {how} and no report")
+    return (-1,), InternalError(
+        f"ladder shard of {name} ended with {how} and no report")
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:
@@ -657,11 +690,10 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
         levels=[f"eps={e:g}" for e in eps_list] + ["effective"])
 
 
-def _face_diffs(U: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Face differences (not divided by h) of a (paths, dof) stack, per axis."""
-    fields = U.reshape((-1,) + grid.shape)
-    return [face_differences(fields, axis, grid.dimension)
-            for axis in range(grid.dimension)]
+def _pair(U: np.ndarray, osc: np.ndarray) -> np.ndarray:
+    """Per-path sums of U * osc in a fixed order: the bits of a BLAS
+    product ``U @ osc`` depend on the BLAS thread count."""
+    return np.einsum("pd,d->p", U, osc)
 
 
 def _face_corrector_slopes(sol: CellSolution, grid: GridSpec, eps: float,

@@ -28,6 +28,7 @@ __all__ = [
     "norm_H",
     "norm_V",
     "face_differences",
+    "stack_face_differences",
     "gradient_energy",
     "face_energy",
     "norm_L4",
@@ -211,6 +212,14 @@ def face_differences(values: np.ndarray, axis: int,
                                 - values[along(slice(None, -1))])
     out[along(slice(-1, None))] = 0.0 - values[along(slice(-1, None))]
     return out
+
+
+def stack_face_differences(U: np.ndarray,
+                           grid: GridSpec) -> list[np.ndarray]:
+    """Per-axis face differences (not divided by h) of a (paths, dof) stack."""
+    fields = U.reshape((-1,) + grid.shape)
+    return [face_differences(fields, axis, grid.dimension)
+            for axis in range(grid.dimension)]
 
 
 def gradient_energy(values: np.ndarray, grid: GridSpec,

@@ -196,9 +196,9 @@ class ImplicitFactorization:
     the preconditioner exact and CG stops after one iteration. The
     eigenvalue array is built on the first 2D solve. ``iterations`` holds
     the per-path CG iteration counts of the last 2D solve, shape (paths,);
-    in a ladder, whose blocks of replicas are split into shards stepped by
-    forked processes, that is the last step's solve of the parent's last
-    block.
+    in a ladder, whose work is split into shards stepped by forked
+    processes, the caller's copy holds the last step's solve of the last
+    block it stepped itself, and stays None for a level it left to a child.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,

@@ -47,8 +47,13 @@ def default_mode_count(grid: GridSpec) -> int:
 
 
 def _mode_indices(grid: GridSpec, count: int) -> np.ndarray:
-    """First ``count`` sine modes ordered by |k|^2 then lexicographically."""
-    nmax = grid.cells - 1
+    """First ``count`` sine modes ordered by |k|^2 then lexicographically.
+
+    In 2D no mode with a wavenumber above ``count`` is among them: the
+    ``count`` modes (1, 1)..(1, count) all have a smaller |k|^2. So only
+    wavenumbers up to min(n - 1, count) are sorted.
+    """
+    nmax = min(grid.cells - 1, count)
     if grid.dimension == 1:
         return np.arange(1, count + 1, dtype=int).reshape(-1, 1)
     ks = [(k1 * k1 + k2 * k2, k1, k2)

@@ -180,6 +180,26 @@ def test_unknown_section_and_key_are_located():
     assert err.value.field == "grid.spacing" and err.value.line == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[DEFAULT]\ncells = 64\n", 1),
+    ("[grid]\ncells = 32\n[DEFAULT]\ncells = 64\n", 3),
+    ("[model]\ncubic = true\n\n[DEFAULT]\ncells = 64\n", 4),
+])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text, line):
+    # configparser would apply [DEFAULT] to every section: alone its value
+    # was dropped, with [grid] it set grid.cells, with [model] it was
+    # reported as model.cells
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o",
+                               str(tmp_path / "o")], capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == "unknown section [DEFAULT]"
+    assert payload["field"] == "DEFAULT" and payload["line"] == line
+
+
 def test_unparseable_values_are_located():
     with pytest.raises(ConfigError) as err:
         parse_config("[grid]\ncells = many\n")
@@ -578,6 +598,62 @@ def test_ladder_archive_does_not_depend_on_the_shard_count(tmp_path,
     for name in ("manifest.json", "raw.npz"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
     assert "shards" not in (outs[1] / "manifest.json").read_text()
+
+
+def test_level_split_ladder_archive_matches_one_shard(tmp_path, monkeypatch,
+                                                     capsys):
+    # one block of two paths and two eps levels: with two CPUs each process
+    # steps one eps level and its own copy of the effective level
+    cfg = write_ladder_ini(tmp_path)
+    outs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        assert run_cli(["ladder", "-c", str(cfg), "-o", str(outs[cpus])],
+                       capsys)[0] == 0
+        info = json.loads((outs[cpus] / "run_info.json").read_text())
+        assert info["shards"] == cpus
+    for name in ("manifest.json", "raw.npz"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+
+ONE_PATH_2D_INI = ini("""
+    [grid]
+    dimension = 2
+    cells = 128
+    [coefficient]
+    family = checkerboard
+    [stepper]
+    dt = 0.001
+    horizon = 0.005
+    [ensemble]
+    members = 1
+    replicas = 1
+    [study]
+    epsilons = 0.25
+    [run]
+    seed = 7
+    """)
+
+
+def test_ladder_bits_do_not_depend_on_blas_threads(tmp_path):
+    # The pairing of a one-path 2D ladder was a BLAS product whose bits
+    # changed with the OpenBLAS thread count; it is a fixed-order sum now.
+    cfg = write_ladder_ini(tmp_path, ONE_PATH_2D_INI)
+    package_root = str(Path(twoscale.__file__).resolve().parents[1])
+    script = "import sys; from twoscale.cli import main; sys.exit(main())"
+    raw = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, "ladder", "-c",
+                               str(cfg), "-o", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        raw.append((out / "raw.npz").read_bytes())
+    assert raw[0] == raw[1]
 
 
 def test_ladder_child_that_dies_exits_5(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
                                   corrector_residual, reduce_raw, run_ladder,
                                   two_scale_pairing)
 from twoscale.errors import InternalError, NonFinite, ValidationError
-from twoscale.grid import GridSpec
+from twoscale.grid import GridSpec, stack_face_differences
 from twoscale.integrator import BatchedStepper, StepperConfig
 from twoscale.models import ImplicitFactorization, face_coefficients
 from twoscale.noise import NoiseStream
@@ -281,13 +281,14 @@ def test_ladder_blocks_give_bitwise_equal_raw_arrays(monkeypatch, members,
                                                      replicas, noise_law,
                                                      shards):
     # Blocks of whole replicas step the same paths with the same draws, so
-    # one block and many give the same bits, the pairing states @ osc and
-    # the noise amplitudes xi @ weights included; so do shards of blocks
-    # stepped in forked processes.
+    # one block and many give the same bits, the pairing and the noise
+    # amplitudes xi @ weights included; so do shards of blocks stepped in
+    # forked processes. One CPU keeps the one block in one process.
     cfg = block_study(members=members, replicas=replicas,
                       noise_law=noise_law)
     dof = cfg.grid.dof
     assert len(diagnostics._replica_blocks(replicas, members, dof)) == 1
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     whole = run_ladder(cfg)
     assert whole.shards == 1
     monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
@@ -323,8 +324,10 @@ def test_replica_blocks_cover_every_path_once():
 def test_time_dependent_ladder_factors_once_per_level_and_step(monkeypatch):
     # The coefficient of every eps level moves with t/eps, so each level
     # builds one factorization per step whatever the block count; the
-    # effective level's tensor is constant and is factored once.
+    # effective level's tensor is constant and is factored once. One CPU
+    # keeps every level in this process, where the builds are counted.
     cfg = block_study(family="separable_trig")
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     builds = []
     original = ImplicitFactorization.__init__
 
@@ -442,6 +445,123 @@ def test_sharded_ladder_leaves_no_child(monkeypatch):
     assert_no_child_left()
 
 
+def three_level_study():
+    """A one-block 1D ladder with three eps levels."""
+    coeff = make_coefficient("layered", 1, alpha=2.0, beta=1.0)
+    return StudyConfig(coefficient=coeff, grid=GridSpec(1, 128),
+                       epsilons=(0.5, 0.25, 0.125),
+                       stepper=StepperConfig(dt=0.002, horizon=0.01),
+                       members=4, replicas=2, noise_law="mode_modulated",
+                       sigma0=0.2, cell_cells=32, initial_amplitude=0.5)
+
+
+def small_2d_study():
+    """A one-block 2D ladder of one path with two eps levels."""
+    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    return StudyConfig(coefficient=coeff, grid=GridSpec(2, 64),
+                       epsilons=(0.5, 0.25),
+                       stepper=StepperConfig(dt=0.002, horizon=0.006),
+                       members=1, replicas=1, noise_law="mode_modulated",
+                       cell_cells=32, initial_amplitude=0.5)
+
+
+@pytest.mark.parametrize("make, shards", [
+    (three_level_study, {1: 1, 2: 2, 3: 3}),
+    (small_2d_study, {1: 1, 2: 2, 3: 2}),
+])
+def test_level_shards_give_bitwise_equal_raw_arrays(monkeypatch, make,
+                                                    shards):
+    # With fewer blocks than CPUs each shard steps a group of eps levels
+    # and its own copy of the effective level, whose rows the shard of eps
+    # level 0 writes; every raw array keeps the one-process bits.
+    cfg = make()
+    assert len(diagnostics._replica_blocks(
+        cfg.replicas, cfg.members, cfg.grid.dof)) == 1
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        results[cpus] = run_ladder(cfg)
+        assert results[cpus].shards == shards[cpus]
+        assert_no_child_left()
+    for cpus in (2, 3):
+        assert results[cpus].raw.keys() == results[1].raw.keys()
+        for key in results[1].raw:
+            assert np.array_equal(results[cpus].raw[key],
+                                  results[1].raw[key]), (cpus, key)
+
+
+def test_level_split_keeps_progress_calls(monkeypatch):
+    calls = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        calls[cpus] = []
+        run_ladder(three_level_study(), progress=lambda n, steps, c=cpus:
+                   calls[c].append((n, steps)))
+    assert calls[1] == calls[2] == [(n, 5) for n in range(1, 6)]
+
+
+def level_failure(monkeypatch, cpus, plan):
+    """The error of a three-level ladder stepped by ``cpus`` processes.
+
+    ``plan`` maps a level (an eps index, or 3 for the effective level) to
+    the step at which its advance raises.
+    """
+    cfg = three_level_study()
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+    advance = BatchedStepper.advance
+
+    def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
+        level = 3 if self.tensor is not None else \
+            cfg.epsilons.index(self.model.epsilon)
+        if plan.get(level) == step_index:
+            raise NonFinite(f"level {level} fails", step=step_index)
+        return advance(self, U, xi, t, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedStepper, "advance", failing_advance)
+    with pytest.raises(NonFinite) as info:
+        run_ladder(cfg)
+    assert_no_child_left()
+    return str(info.value), info.value.step
+
+
+@pytest.mark.parametrize("plan", [
+    # shard 0 fails in its effective copy, shard 1 at eps level 1 before
+    {3: 2, 1: 2},
+    {0: 3, 2: 1},
+    {0: 2, 2: 2},
+    {1: 1, 3: 1},
+    {3: 0},
+])
+def test_level_shard_failures_rank_as_one_shard(monkeypatch, plan):
+    # a one-shard run meets failures in (step, block, level) order, with
+    # the effective level last
+    one = level_failure(monkeypatch, 1, plan)
+    step = min(plan.values())
+    assert one == (f"level {min(k for k, v in plan.items() if v == step)} "
+                   f"fails", step)
+    for cpus in (2, 3):
+        assert level_failure(monkeypatch, cpus, plan) == one
+
+
+def test_level_shard_that_dies_raises_internal_error(monkeypatch):
+    cfg = three_level_study()
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    draw = NoiseStream.draw
+
+    def dying_draw(self, count=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        return draw(self, count)
+
+    monkeypatch.setattr(NoiseStream, "draw", dying_draw)
+    with pytest.raises(InternalError) as info:
+        run_ladder(cfg)
+    assert str(info.value) == ("ladder shard of eps levels 2..2 ended with "
+                               "exit status 3 and no report")
+    assert_no_child_left()
+
+
 def stored_ladder_paths(cfg, result):
     """Re-step every ladder path with the ladder's engine and draws.
 
@@ -495,8 +615,10 @@ def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
     # With one tau slice the corrector slopes do not move with t/eps, so a
     # time-dependent ladder computes them once per level and axis. corr2,
     # the only raw array that reads them, keeps every bit it had when they
-    # were recomputed at each step's (t + dt)/eps.
+    # were recomputed at each step's (t + dt)/eps. One CPU keeps every
+    # level in this process, where the calls are counted.
     cfg = small_study(coefficient=make_coefficient("separable_trig", 1))
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     calls = []
     original = diagnostics.corrector_slopes
 
@@ -517,8 +639,8 @@ def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
             slopes = diagnostics._face_corrector_slopes(
                 result.cell, grid, eps, (n * dt + dt) / eps)
             _, c2 = diagnostics._gradient_residuals(
-                diagnostics._face_diffs(paths[li][:, n + 1], grid),
-                diagnostics._face_diffs(hom[:, n + 1], grid), slopes, grid)
+                stack_face_differences(paths[li][:, n + 1], grid),
+                stack_face_differences(hom[:, n + 1], grid), slopes, grid)
             corr2 += dt * c2
         assert np.array_equal(corr2, result.raw["corr2"][li]), eps
 

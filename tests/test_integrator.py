@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from twoscale import grid as grid_module
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import Ensemble
 from twoscale.errors import NonFinite, StepRejected
@@ -363,6 +364,31 @@ def test_run_ensemble_evaluates_explicit_terms_once_per_step(monkeypatch):
     cfg = StepperConfig(dt=1e-3, horizon=7e-3)
     run_ensemble(ens, model, cfg)
     assert len(calls) == cfg.steps == 7
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_run_ensemble_takes_face_differences_once_per_step(monkeypatch,
+                                                          dimension):
+    # the dissipation and the V2 energy of a step share one set of face
+    # differences of the new state; the initial ledger row takes one more
+    calls = []
+    original = grid_module.face_differences
+
+    def counting(values, axis, dim):
+        calls.append(axis)
+        return original(values, axis, dim)
+
+    monkeypatch.setattr(grid_module, "face_differences", counting)
+    grid = GridSpec(dimension, 16)
+    model = ModelSpec(variant="allen_cahn",
+                      coefficient=make_coefficient("constant", dimension),
+                      epsilon=1.0, mean_field="stokes_drag", cubic=True,
+                      sigma0=0.2)
+    u0 = ScalarField(grid, 0.5 * sine_mode(grid, (1,) * dimension).values)
+    ens = Ensemble(members=[u0] * 2, noise=noise_spec(grid))
+    cfg = StepperConfig(dt=1e-3, horizon=4e-3)
+    run_ensemble(ens, model, cfg)
+    assert calls == list(range(dimension)) * (cfg.steps + 1)
 
 
 # ---------------------------------------------------------------------------

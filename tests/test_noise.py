@@ -246,3 +246,22 @@ def test_stream_builds_one_generator(monkeypatch):
         for stream in streams:
             stream.draw()
     assert len(builds) == 3
+
+
+def sorted_mode_list(grid, count):
+    """Every 2D wavevector sorted by (|k|^2, k1, k2), cut to ``count``."""
+    n = grid.cells - 1
+    ks = sorted((k1 * k1 + k2 * k2, k1, k2)
+                for k1 in range(1, n + 1) for k2 in range(1, n + 1))
+    return np.array([(k1, k2) for _, k1, k2 in ks[:count]], dtype=int)
+
+
+@pytest.mark.parametrize("cells, count", [
+    (16, 64), (128, 64), (512, 64), (128, 1), (8, 49), (8, 30)])
+def test_2d_mode_list_is_the_first_of_all_sorted_wavevectors(cells, count):
+    # only wavenumbers up to the mode count are enumerated; count = 49 is
+    # every mode of an 8-cell grid
+    grid = GridSpec(dimension=2, cells=cells)
+    got = noise._mode_indices(grid, count)
+    assert got.dtype == int
+    assert np.array_equal(got, sorted_mode_list(grid, count))
