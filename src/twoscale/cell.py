@@ -1,4 +1,4 @@
-"""Periodic cell problems, effective tensors, and corrector reconstruction.
+"""Periodic cell problems, effective tensors, and corrector slopes.
 
 For each frozen fast time tau and each direction k we solve, on the periodic
 unit cell with cells of width 1/m,
@@ -41,7 +41,6 @@ __all__ = [
     "CellSolution",
     "solve_cell_problem",
     "corrector_slopes",
-    "corrector_gradient",
 ]
 
 
@@ -294,40 +293,3 @@ def corrector_slopes(solution: CellSolution, y, tau: float = 0.0) -> np.ndarray:
     w = pos - np.floor(pos)
     return (1.0 - w) * at_slice(s0) + w * at_slice((s0 + 1) % S)
 
-
-def corrector_gradient(solution: CellSolution, grad_components, x, t: float,
-                       eps: float) -> np.ndarray:
-    """Reconstructed oscillatory gradient from a smooth-field gradient.
-
-    Component j of the result is
-
-        grad_j + sum_i grad_i * d(eta_i)/d(y_j)  evaluated at (x/eps, t/eps),
-
-    which tracks the gradient of the oscillating solution rather than the
-    smooth one: with this module's corrector normalization (eta_k solves
-    the cell problem driven by -div(a e_k), so eta' = a_eff/a - 1 in 1D)
-    the reconstruction of a linear profile equals a_eff/a(x/eps), the exact
-    oscillatory flux profile. ``grad_components`` is a sequence of N arrays
-    of identical shape; ``x`` is a coordinate array (1D) or a length-N
-    sequence (2D).
-
-    Returns an array with one trailing axis of length N.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    g = solution.grid
-    grads = tuple(np.asarray(c, dtype=float) for c in grad_components)
-    if len(grads) != g.dimension:
-        raise ValueError("wrong number of gradient components")
-    if g.dimension == 1:
-        y = np.asarray(x, dtype=float) / eps
-    else:
-        y = tuple(np.asarray(c, dtype=float) / eps for c in x)
-    slopes = corrector_slopes(solution, y, float(t) / eps)
-    out = np.empty(np.broadcast_arrays(*grads)[0].shape + (g.dimension,))
-    for j in range(g.dimension):
-        acc = grads[j].astype(float).copy()
-        for i in range(g.dimension):
-            acc = acc + grads[i] * slopes[..., i, j]
-        out[..., j] = acc
-    return out

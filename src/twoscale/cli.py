@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -308,9 +309,7 @@ def _cmd_corrector(args) -> int:
 def _cmd_report(args) -> int:
     out = Path(args.directory)
     manifest = verify_archive(out, only=["raw.npz"])
-    with np.load(out / "raw.npz") as archive:
-        raw = {k: archive[k] for k in archive.files}
-    report = reduce_raw(raw)
+    report = reduce_raw(_load_raw(out / "raw.npz"))
     written = _render_ladder(out, report)
     if "plot_data.csv" in manifest["files"]:
         _write_plot_data(out, report)
@@ -322,6 +321,54 @@ def _cmd_report(args) -> int:
                    refreshed, extra=carried)
     print(str(out))
     return 0
+
+
+_ACCUMULATORS = ("err2", "plain2", "corr2", "pairing")
+_LEVEL_ROWS = ("sup_h2", "int_v2", "int_l4")
+_RAW_KEYS = (("epsilons", "shape", "dt", "grid_scale", "a_tilde",
+              "final_states") + _ACCUMULATORS + _LEVEL_ROWS)
+
+
+def _load_raw(path: Path) -> dict:
+    """The arrays of a stored ladder archive, laid out as ``run_ladder``
+    writes them. Raises :class:`IntegrityError` when the file is not an npz
+    archive, or naming the first array that is missing or misshapen."""
+    def bad(key: str, why: str) -> IntegrityError:
+        return IntegrityError(f"{path}: array {key!r} {why}", path=str(path))
+
+    try:
+        with np.load(path) as archive:
+            raw = {k: archive[k] for k in archive.files}
+    except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise IntegrityError(f"{path}: not a readable npz archive ({exc})",
+                             path=str(path)) from None
+    for key in _RAW_KEYS:
+        if key not in raw:
+            raise bad(key, "is missing")
+        if not np.issubdtype(raw[key].dtype, np.number):
+            raise bad(key, f"has non-numeric dtype {raw[key].dtype}")
+    eps, shape, states = raw["epsilons"], raw["shape"], raw["final_states"]
+    if (eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0)
+            or np.any(np.diff(eps) >= 0)):
+        raise bad("epsilons", "is not a strictly decreasing list of "
+                              "positive values")
+    if shape.shape != (3,) or not np.all(shape >= 1):
+        raise bad("shape", "is not three counts >= 1 (replicas, members, "
+                           "steps)")
+    levels, paths = eps.size, int(shape[0]) * int(shape[1])
+    expected = {
+        "dt": (1,), "grid_scale": (1,),
+        "a_tilde": raw["a_tilde"].shape[:1] * 2,
+        **dict.fromkeys(_ACCUMULATORS, (levels, paths)),
+        **dict.fromkeys(_LEVEL_ROWS, (levels + 1, paths)),
+        "final_states": (levels + 1, paths,
+                         states.shape[-1] if states.ndim == 3 else "dof"),
+    }
+    for key, want in expected.items():
+        if raw[key].shape != want:
+            raise bad(key, f"has shape {raw[key].shape}, but 'epsilons' and "
+                           f"'shape' ask for {want}")
+    return raw
 
 
 if __name__ == "__main__":

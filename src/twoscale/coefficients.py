@@ -3,8 +3,8 @@
 Every family in v1 is diagonal-scalar, a(y, tau) = s(y, tau) * I, with s
 1-periodic in each fast variable. The fast arguments are always reduced to
 the unit torus before evaluation, so callers may pass x/eps and t/eps
-directly. Ellipticity is declared per instance and can be audited against
-dense sampling with :func:`verify_ellipticity`.
+directly. Ellipticity is declared per instance: ``make_coefficient``
+derives the sharp lower bound of s when no constant is given.
 
 Families:
     constant        s = c
@@ -19,12 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import EllipticityViolation, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "CoefficientField",
     "make_coefficient",
-    "verify_ellipticity",
     "FAMILIES",
 ]
 
@@ -84,8 +83,6 @@ class CoefficientField:
     def time_dependent(self) -> bool:
         return self.family == "separable_trig"
 
-    # -- scalar factor ------------------------------------------------------
-
     def scalar(self, y, tau=0.0) -> np.ndarray:
         """Evaluate s at torus-reduced fast variables.
 
@@ -120,26 +117,8 @@ class CoefficientField:
             same = b1 * b2 + (1.0 - b1) * (1.0 - b2)
         return lo + (hi - lo) * same
 
-    # -- matrix interface ---------------------------------------------------
-
-    def evaluate(self, y, tau=0.0) -> np.ndarray:
-        """Coefficient matrix a(y, tau), shape (..., N, N), symmetric."""
-        s = np.asarray(self.scalar(y, tau), dtype=float)
-        eye = np.eye(self.dimension)
-        return s[..., None, None] * eye
-
-    def evaluate_scaled(self, x, t: float, eps: float) -> np.ndarray:
-        """a(x/eps, t/eps) with torus reduction of both fast arguments."""
-        if not eps > 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if self.dimension == 1:
-            y = np.asarray(x, dtype=float) / eps
-        else:
-            y = tuple(np.asarray(c, dtype=float) / eps for c in x)
-        return self.evaluate(y, float(t) / eps)
-
     def scalar_scaled(self, x, t: float, eps: float) -> np.ndarray:
-        """Scalar factor s(x/eps, t/eps); the fast path for grid assembly."""
+        """Scalar factor s(x/eps, t/eps), fast arguments on the torus."""
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
         if self.dimension == 1:
@@ -190,43 +169,3 @@ def make_coefficient(family: str, dimension: int, kappa: float | None = None,
     return CoefficientField(family=family, dimension=dimension,
                             kappa=float(kappa), params=full)
 
-
-def verify_ellipticity(coeff: CoefficientField, samples: int = 4096,
-                       tau_samples: int = 8) -> float:
-    """Audit the declared ellipticity against dense torus sampling.
-
-    Samples at least ``samples`` points of the (y, tau) torus, takes the
-    minimum eigenvalue of a at each, and returns the sampled constant.
-    Raises :class:`EllipticityViolation` carrying a witness point when the
-    sampled minimum undercuts the declared constant beyond round-off.
-    """
-    samples = max(int(samples), 1000)
-    if coeff.dimension == 1:
-        m = samples
-        y_axes = (np.arange(m) / m,)
-        mesh = np.meshgrid(*y_axes, np.arange(tau_samples) / tau_samples,
-                           indexing="ij")
-        ys, taus = mesh[0], mesh[1]
-        mats = coeff.evaluate(ys, taus)
-    else:
-        m = int(np.ceil(np.sqrt(samples)))
-        ax = np.arange(m) / m
-        ys1, ys2, taus = np.meshgrid(ax, ax, np.arange(tau_samples) / tau_samples,
-                                     indexing="ij")
-        ys = (ys1, ys2)
-        mats = coeff.evaluate(ys, taus)
-    eigmin = np.linalg.eigvalsh(mats)[..., 0]
-    flat_idx = int(np.argmin(eigmin))
-    measured = float(eigmin.reshape(-1)[flat_idx])
-    if measured < coeff.kappa - 1e-12:
-        idx = np.unravel_index(flat_idx, eigmin.shape)
-        if coeff.dimension == 1:
-            y_at = float(ys[idx])
-        else:
-            y_at = (float(ys[0][idx]), float(ys[1][idx]))
-        tau_at = float(taus[idx])
-        raise EllipticityViolation(
-            f"sampled ellipticity {measured:.6g} undercuts declared "
-            f"{coeff.kappa:.6g} at y={y_at}, tau={tau_at}",
-            y=y_at, tau=tau_at, value=measured)
-    return measured

@@ -32,7 +32,7 @@ from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import InternalError, ValidationError
-from .grid import GridSpec, ScalarField, stack_face_differences
+from .grid import GridSpec, stack_face_differences
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -43,84 +43,9 @@ __all__ = [
     "StudyConfig",
     "ConvergenceReport",
     "LadderResult",
-    "two_scale_pairing",
-    "corrector_residual",
     "run_ladder",
     "reduce_raw",
 ]
-
-
-# ---------------------------------------------------------------------------
-# pointwise diagnostics on stored trajectories
-
-
-def two_scale_pairing(trajectory, grid: GridSpec, dt: float, eps: float,
-                      weight=None, oscillation=None) -> float:
-    """Quadrature of the pairing  integral u(x,t) w(x,t) phi(x/eps, t/eps).
-
-    Space uses the midpoint rule on the interior nodes (weight h^N), time
-    the left-point rule over the steps (weight dt), so a trajectory with
-    T+1 stored states contributes its first T states.
-
-    Args:
-        trajectory: array (steps+1, dof...) or list of fields.
-        weight: callable w(*x, t) -> array; defaults to 1.
-        oscillation: callable phi(*y, tau) -> array of the fast variables;
-            defaults to sin(2 pi y_1).
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    states = _as_state_array(trajectory, grid)
-    mesh = grid.meshgrid()
-    if oscillation is None:
-        oscillation = lambda *args: np.sin(2.0 * np.pi * args[0])  # noqa: E731
-    hN = grid.h ** grid.dimension
-    total = 0.0
-    steps = states.shape[0] - 1
-    for n in range(steps):
-        t = n * dt
-        w = 1.0 if weight is None else weight(*mesh, t)
-        fast = oscillation(*[c / eps for c in mesh], t / eps)
-        total += dt * hN * float(np.sum(states[n] * w * fast))
-    return total
-
-
-def _as_state_array(trajectory, grid: GridSpec) -> np.ndarray:
-    if isinstance(trajectory, np.ndarray):
-        return trajectory.reshape(trajectory.shape[0], *grid.shape)
-    return np.stack([s.values if isinstance(s, ScalarField) else np.asarray(s)
-                     for s in trajectory])
-
-
-def corrector_residual(trajectory_eps, trajectory_hom, solution: CellSolution,
-                       grid: GridSpec, dt: float, eps: float,
-                       ) -> tuple[float, float]:
-    """Space-time L2 gradient residuals of an oscillating path.
-
-    plain     = || grad u_eps - grad u_hom ||_{L2(0,T;H)}
-    corrected = || grad u_eps - R(grad u_hom) ||_{L2(0,T;H)}
-
-    where R adds the corrector slope contribution evaluated at the fast
-    variables. Gradients are zero-ghost face differences and the corrector
-    slopes sit at the face midpoints, exactly as in the ladder's streaming
-    accumulators; the time rule is right-point over the steps (states
-    n = 1..T, slopes at t_n/eps). For averaging over a Monte Carlo batch,
-    call once per path and average the squared residuals outside.
-    """
-    ue = _as_state_array(trajectory_eps, grid)
-    uh = _as_state_array(trajectory_hom, grid)
-    if ue.shape != uh.shape:
-        raise ValueError("trajectories have different shapes")
-    plain2 = 0.0
-    corr2 = 0.0
-    for n in range(1, ue.shape[0]):
-        slopes = _face_corrector_slopes(solution, grid, eps, n * dt / eps)
-        p2, c2 = _gradient_residuals(
-            stack_face_differences(ue[n:n + 1], grid),
-            stack_face_differences(uh[n:n + 1], grid), slopes, grid)
-        plain2 += dt * float(p2[0])
-        corr2 += dt * float(c2[0])
-    return float(np.sqrt(plain2)), float(np.sqrt(corr2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ measure feeds the distribution-dependent drift, which
 Law-level comparisons use the 1-D quadratic Wasserstein distance between
 scalar observable samples (sorted-quantile coupling, the exact optimal
 coupling on the line), and the propagation-of-chaos gap compares a small
-ensemble against a large one through quantile-matched subsampling.
+ensemble against a large one through quantile-matched subsampling. The
+caller evaluates the observable on each member (an H norm, say);
+``ObservableSamples`` tags and freezes the values.
 """
 from __future__ import annotations
 
@@ -15,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CountMismatch
-from .grid import GridSpec, ScalarField, norm_H, norm_V
+from .grid import GridSpec, ScalarField
 from .noise import NoiseStream, QWienerSpec
 
 __all__ = [
     "Ensemble",
     "ObservableSamples",
-    "observable_samples",
     "wasserstein2_1d",
     "chaos_gap",
 ]
@@ -91,27 +92,6 @@ class ObservableSamples:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def observable_samples(members: list[ScalarField], kind: str = "H_norm",
-                       point: tuple[float, ...] | None = None) -> ObservableSamples:
-    """Evaluate one scalar observable on every member, in index order."""
-    if kind == "H_norm":
-        vals = [norm_H(m) for m in members]
-    elif kind == "V_norm":
-        vals = [norm_V(m) for m in members]
-    elif kind == "point_value":
-        if point is None:
-            raise ValueError("point_value needs a probe location")
-        grid = members[0].grid
-        idx = tuple(int(round(c / grid.h)) - 1 for c in point)
-        for i in idx:
-            if not 0 <= i < grid.cells - 1:
-                raise ValueError(f"probe {point} is not an interior node")
-        vals = [float(m.values[idx]) for m in members]
-    else:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    return ObservableSamples(kind=kind, values=np.array(vals), point=point)
 
 
 def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,7 +8,9 @@ quadrature weight h^N on nodal values, so the discrete sine modes
     e_k(x) = 2^(N/2) * prod_d sin(k_d pi x_d),   k_d = 1..n-1,
 
 are exactly orthonormal in the discrete H inner product. That exactness is
-what makes the spectral H^-1 proxy and the noise expansion cheap and stable.
+what makes the noise expansion and the spectral H^-1 proxy of the increment
+fit (``sine_coefficients`` damped by ``sine_weights_Hminus1``) cheap and
+stable.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.fft import dstn
 
-from .errors import CountMismatch, NonFinite, SolverDiverged, ValidationError
+from .errors import NonFinite, SolverDiverged, ValidationError
 
 __all__ = [
     "is_power_of_two",
@@ -31,17 +33,11 @@ __all__ = [
     "stack_face_differences",
     "gradient_energy",
     "face_energy",
-    "norm_L4",
-    "norm_Hminus1_proxy",
     "inner_H",
     "sine_coefficients",
-    "field_from_sine_coefficients",
-    "sine_mode",
     "sine_weights_Hminus1",
-    "first_eigenvalue",
     "preconditioned_cg",
     "field_to_csv",
-    "field_from_csv",
 ]
 
 
@@ -115,12 +111,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec,
-                      fn: Callable[..., np.ndarray]) -> "ScalarField":
-        """Sample ``fn(x)`` or ``fn(x, y)`` at the interior nodes."""
-        return cls(grid, fn(*grid.meshgrid()))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values)
@@ -255,50 +245,17 @@ def norm_V(f: ScalarField) -> float:
     return float(np.sqrt(gradient_energy(f.values, f.grid)))
 
 
-def norm_L4(f: ScalarField) -> float:
-    """Discrete L4 norm: (h^N * sum f^4)^(1/4)."""
-    g = f.grid
-    v2 = f.values ** 2
-    return float((g.h ** g.dimension * np.sum(v2 * v2)) ** 0.25)
+def sine_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients in the H-orthonormal Dirichlet sine basis.
 
-
-def sine_coefficients(f: ScalarField) -> np.ndarray:
-    """Coefficients of f in the H-orthonormal Dirichlet sine basis.
-
-    Returns an array indexed by (k_1-1, ..., k_N-1). The map is exactly
-    unitary on the grid: sum of squares equals norm_H(f)^2 to round-off.
+    ``values`` is a stack shaped (..., *grid.shape); the trailing grid axes
+    of the result are indexed by (k_1-1, ..., k_N-1). The map is exactly
+    unitary on the grid: the sum of squares over the grid axes equals the
+    squared H norm to round-off.
     """
-    g = f.grid
-    scale = (g.h / np.sqrt(2.0)) ** g.dimension
-    return scale * dstn(f.values, type=1)
-
-
-def field_from_sine_coefficients(grid: GridSpec, coeff: np.ndarray) -> ScalarField:
-    """Inverse of :func:`sine_coefficients`."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != grid.shape:
-        raise ValueError("coefficient array does not match grid shape")
-    # dstn type 1 is its own inverse up to the factor (2n)^N.
-    scale = (np.sqrt(2.0) / (2.0 * grid.cells * grid.h)) ** grid.dimension
-    return ScalarField(grid, scale * dstn(coeff, type=1))
-
-
-def sine_mode(grid: GridSpec, k: tuple[int, ...] | int) -> ScalarField:
-    """The H-orthonormal sine mode e_k, k_d in 1..n-1 per axis."""
-    if isinstance(k, int):
-        k = (k,)
-    if len(k) != grid.dimension:
-        raise ValueError("mode index has wrong length")
-    ax = grid.axis_nodes()
-    vals = np.ones(grid.shape)
-    for d, kd in enumerate(k):
-        if not 1 <= kd <= grid.cells - 1:
-            raise ValueError(f"mode index {kd} outside 1..{grid.cells - 1}")
-        line = np.sqrt(2.0) * np.sin(kd * np.pi * ax)
-        shape = [1] * grid.dimension
-        shape[d] = grid.cells - 1
-        vals = vals * line.reshape(shape)
-    return ScalarField(grid, vals)
+    scale = (grid.h / np.sqrt(2.0)) ** grid.dimension
+    return scale * dstn(values, type=1,
+                        axes=tuple(range(-grid.dimension, 0)))
 
 
 def sine_weights_Hminus1(grid: GridSpec) -> np.ndarray:
@@ -309,26 +266,6 @@ def sine_weights_Hminus1(grid: GridSpec) -> np.ndarray:
     else:
         ksq = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
     return 1.0 / (1.0 + np.pi ** 2 * ksq)
-
-
-def norm_Hminus1_proxy(f: ScalarField) -> float:
-    """Spectral H^-1 proxy: sine coefficients damped by 1/(1 + pi^2 |k|^2).
-
-    Always bounded by norm_H since every weight is < 1.
-    """
-    c = sine_coefficients(f)
-    w = sine_weights_Hminus1(f.grid)
-    return float(np.sqrt(np.sum(w * c ** 2)))
-
-
-def first_eigenvalue(grid: GridSpec) -> float:
-    """Smallest eigenvalue of the discrete Dirichlet Laplacian.
-
-    mu_1^h = (4/h^2) sin^2(pi h / 2) per axis, summed over axes.
-    """
-    h = grid.h
-    per_axis = (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
-    return float(grid.dimension * per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +361,3 @@ def field_to_csv(f: ScalarField, path) -> None:
         for v in flat:
             fh.write(f"{float(v)!r}\n")
 
-
-def field_from_csv(path) -> ScalarField:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise CountMismatch(f"{path}: missing grid header")
-        meta = dict(tok.split("=") for tok in header[1:].split() if "=" in tok)
-        grid = GridSpec(dimension=int(meta["N"]), cells=int(meta["n"]))
-        column = fh.readline()
-        if column.strip() != "value":
-            raise CountMismatch(f"{path}: unexpected column header {column!r}")
-        flat = np.array([float(line) for line in fh if line.strip()])
-    if flat.size != grid.dof:
-        raise CountMismatch(
-            f"{path}: expected {grid.dof} values, found {flat.size}")
-    return ScalarField(grid, flat.reshape(grid.shape))

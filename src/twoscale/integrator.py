@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn
 
 from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected, ValidationError
-from .grid import (GridSpec, ScalarField, face_energy, sine_weights_Hminus1,
-                   stack_face_differences)
+from .grid import (GridSpec, ScalarField, face_energy, sine_coefficients,
+                   sine_weights_Hminus1, stack_face_differences)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
 from .noise import QWienerSpec
 
@@ -93,13 +92,10 @@ class EnergyLedger:
     (the p = 2 moment, so equal to H2), ||u||_V^2, ||u||_L4^4, and the
     running dissipation sum 2 dt (A u^{m}, u^{m}) over completed steps.
     ``run_ensemble`` hands out views into one table shared by all members.
-    Columns read by name (``ledger.H2``) are views too. Signed drift and
-    noise work totals are kept for the energy balance diagnostics.
+    Columns read by name (``ledger.H2``) are views too.
     """
 
     table: np.ndarray
-    drift_work: float = 0.0
-    noise_work: float = 0.0
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name in LEDGER_COLUMNS:
@@ -232,9 +228,7 @@ class BatchedStepper:
         return drift, noise
 
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
-                step_index: int,
-                terms: tuple[np.ndarray, np.ndarray] | None = None,
-                first_row: int = 0) -> np.ndarray:
+                step_index: int, first_row: int = 0) -> np.ndarray:
         """One semi-implicit step of the whole stack.
 
         The right-hand side U + dt drift + noise is checked for finite
@@ -247,14 +241,12 @@ class BatchedStepper:
             xi: mode draws (paths, K) shared with any coupled levels.
             t: current time (coefficient frozen here).
             step_index: for diagnostics.
-            terms: ``explicit_terms(U, xi)`` when the caller has it
-                already; evaluated here otherwise.
             first_row: index of U's first row among all paths, added to
                 the paths a :class:`NonFinite` names.
         """
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
-        drift, noise = self.explicit_terms(U, xi) if terms is None else terms
+        drift, noise = self.explicit_terms(U, xi)
         rhs = self.dt * drift
         rhs += U
         rhs += noise
@@ -309,8 +301,6 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     table = np.empty((steps + 1, ensemble.size, len(LEDGER_COLUMNS)))
     table[:, :, 0] = np.arange(steps + 1)[:, None]
     diss = np.zeros(ensemble.size)
-    drift_work = np.zeros(ensemble.size)
-    noise_work = np.zeros(ensemble.size)
 
     def record(n: int, t: float, U: np.ndarray, diffs=None) -> None:
         rows = stepper.energy_rows(U, t, diffs)
@@ -322,12 +312,10 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
 
     t = ensemble.time
     record(0, t, U)
-    hN = g.h ** g.dimension
     for n in range(steps):
         xi = np.stack([s.draw() for s in ensemble.streams])
         t_frozen = t
-        drift, noise = stepper.explicit_terms(U, xi)
-        U_new = stepper.advance(U, xi, t_frozen, n, (drift, noise))
+        U_new = stepper.advance(U, xi, t_frozen, n)
         t = ensemble.time + (n + 1) * config.dt
         # dissipation pairs the new state with the faces of the implicit
         # solve (frozen at t_n), so the energy identity is exact; the V2
@@ -335,9 +323,6 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
         diffs = stack_face_differences(U_new, g)
         faces = stepper.factorization(t_frozen).faces
         diss += 2.0 * config.dt * face_energy(diffs, g, faces)
-        # signed work pairings against the pre-step state
-        drift_work += config.dt * hN * np.sum(drift * U, axis=-1)
-        noise_work += hN * np.sum(noise * U, axis=-1)
         record(n + 1, t, U_new, diffs)
         U = U_new
 
@@ -346,9 +331,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     final = Ensemble(members=members, noise=spec, time=t,
                      common_noise=ensemble.common_noise,
                      level=ensemble.level, streams=ensemble.streams)
-    ledgers = [EnergyLedger(table[:, i], float(drift_work[i]),
-                            float(noise_work[i]))
-               for i in range(ensemble.size)]
+    ledgers = [EnergyLedger(table[:, i]) for i in range(ensemble.size)]
     for led in ledgers:
         led.validate()
     return final, ledgers
@@ -399,11 +382,8 @@ def increment_scaling(trajectories: np.ndarray, grid: GridSpec,
 
     # H^-1 proxy of increments, batched through the sine transform
     w = sine_weights_Hminus1(grid).reshape(-1)
-    scale = (grid.h / np.sqrt(2.0)) ** grid.dimension
-    shaped = paths.reshape(paths.shape[0], paths.shape[1], *grid.shape)
-    axes = tuple(range(2, 2 + grid.dimension))
-    coeffs = scale * dstn(shaped, type=1, axes=axes)
-    coeffs = coeffs.reshape(paths.shape[0], paths.shape[1], -1)
+    coeffs = sine_coefficients(paths.reshape(paths.shape[:2] + grid.shape),
+                               grid).reshape(paths.shape)
 
     msd = np.empty(lags.size)
     for j, lag in enumerate(lags):

@@ -13,10 +13,11 @@ spectral modes. F and G are evaluated on whole (paths, dof) stacks by
 ``integrator.BatchedStepper.explicit_terms``, where mu is the empirical law
 of each replica's members; this module holds their constants.
 
-Every structural assumption the analysis rests on is available as an
-executable check: symmetry and coercivity of A_eps, exact skew-symmetry of
-B, the drift growth and monotonicity inequalities (sampled on the batched
-drift), and the noise Lipschitz constant.
+``check_B_local_monotonicity`` fits the constant of the advection
+local-monotonicity bound. The other structural assumptions of the analysis
+(symmetry and coercivity of A_eps, exact skew-symmetry of B, the drift
+growth and monotonicity inequalities, the noise Lipschitz constant) are
+checked by the tests against these operators and the batched drift.
 """
 from __future__ import annotations
 
@@ -27,24 +28,20 @@ from scipy.fft import dstn
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField
-from .errors import (ContractViolation, NonFinite, NotDivergenceFree,
-                     SolverDiverged, ValidationError)
+from .errors import (NonFinite, NotDivergenceFree, SolverDiverged,
+                     ValidationError)
 from .grid import (GridSpec, ScalarField, VectorField, face_differences,
-                   inner_H, norm_H, preconditioned_cg)
-from .noise import QWienerSpec
+                   inner_H, norm_H, preconditioned_cg, sine_coefficients)
 
 __all__ = [
     "ModelSpec",
     "face_coefficients",
     "apply_A_eps",
-    "apply_A_tensor",
     "ImplicitFactorization",
     "apply_B",
     "check_B_local_monotonicity",
     "leray_project",
     "spectral_divergence_norm",
-    "check_F_contracts",
-    "g_lipschitz_constant",
 ]
 
 VARIANTS = ("allen_cahn", "navier_stokes_2d")
@@ -93,10 +90,6 @@ class ModelSpec:
                 raise ValidationError(
                     f"{name}={value} is not supported: no drift term reads "
                     f"{name}, so only 0.0 is accepted", field=name)
-
-    @property
-    def has_advection(self) -> bool:
-        return self.variant == "navier_stokes_2d"
 
     def mode_sigmas(self, modes: int) -> np.ndarray:
         """Per-mode noise amplitudes sigma_k = sigma0 / k, k = 1..modes."""
@@ -164,21 +157,6 @@ def apply_A_eps(u: ScalarField, coeff: CoefficientField, eps: float,
     """The oscillating divergence-form operator applied to a field."""
     faces = face_coefficients(coeff, u.grid, eps, t)
     return ScalarField(u.grid, _apply_faces(u.values, faces, u.grid.h))
-
-
-def apply_A_tensor(u: ScalarField, tensor: np.ndarray) -> ScalarField:
-    """Constant-coefficient operator -sum_jk t_jk d_j d_k u.
-
-    Used for the effective (homogenized) reference dynamics. Diagonal
-    entries use the second difference (a difference of face differences);
-    the symmetric off-diagonal pair uses a central difference of a central
-    difference. Zero Dirichlet ghosts throughout.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    g = u.grid
-    if tensor.shape != (g.dimension, g.dimension):
-        raise ValueError("tensor shape does not match grid dimension")
-    return ScalarField(g, _apply_tensor(u.values, tensor, g.h))
 
 
 class ImplicitFactorization:
@@ -332,9 +310,8 @@ def spectral_divergence_norm(v: VectorField) -> float:
     """H norm of the spectral divergence k . v_hat paired with the sine basis."""
     g = v.grid
     k1, k2 = _wavenumbers(g)
-    scale = (g.h / np.sqrt(2.0)) ** 2
-    c1 = scale * _sine_transform(v[0].values)
-    c2 = scale * _sine_transform(v[1].values)
+    c1 = sine_coefficients(v[0].values, g)
+    c2 = sine_coefficients(v[1].values, g)
     d = k1 * c1 + k2 * c2
     return float(np.sqrt(np.sum(d ** 2)))
 
@@ -404,93 +381,3 @@ def check_B_local_monotonicity(grid: GridSpec, samples: int = 50,
         if denom > 1e-12:
             worst = max(worst, num / denom)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# mean-field drift
-
-
-#: Growth constant for the drag + cubic drift, fitted once over random
-#: fields and then frozen. Analytically (F(u), u) + ||u||_L4^4
-#: <= 2.5 (||u||^2 + mu(||.||^2)) with Young and Jensen, so 2.5 is sharp
-#: enough and never violated.
-F_GROWTH_CONSTANT = 2.5
-
-
-def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
-                      seed: int = 20260816, tol: float = 1e-10) -> dict:
-    """Sample the structural drift inequalities on the batched drift.
-
-    Each sample draws a random stack of three paths and evaluates
-    ``BatchedStepper.explicit_terms`` on it as one replica, so mu is the
-    empirical law of that stack. Checks, on every path u of the stack,
-      growth        (F(u, mu), u) <= C (||u||_H^2 + mu(||.||_H^2)) - ||u||_L4^4
-    and, on a random pair u1, u2 with the drag off,
-      monotonicity  (F2(u1) - F2(u2), u1 - u2) <= ||u1 - u2||_H^2 for the
-                    cubic reaction part.
-
-    Returns a report dict with worst margins; raises
-    :class:`ContractViolation` if any margin exceeds ``tol`` times the
-    sample scale.
-    """
-    from .integrator import BatchedStepper
-
-    members = 3
-    spec = QWienerSpec(grid=grid, modes=1)
-    growth = BatchedStepper(grid, model, spec, members=members, dt=1.0)
-    # one member per replica: the drag is exactly zero, the cubic remains
-    cubic = BatchedStepper(grid, model, spec, members=1, dt=1.0)
-    hN = grid.h ** grid.dimension
-    rng = np.random.default_rng(seed)
-    worst_growth = -np.inf
-    worst_mono = -np.inf
-    for _ in range(samples):
-        U = rng.standard_normal((members, grid.dof))
-        if model.mean_field == "stokes_drag":
-            drift, _ = growth.explicit_terms(U, np.zeros((members, 1)))
-            rows = growth.energy_rows(U, 0.0)
-            second = float(np.mean(rows["H2"]))
-            l4 = rows["L4"] if model.cubic else 0.0
-            gap = (hN * np.sum(drift * U, axis=-1)
-                   - F_GROWTH_CONSTANT * (rows["H2"] + second) + l4)
-            scale = np.maximum(1.0, np.maximum(rows["H2"], second))
-            worst_growth = max(worst_growth, float(np.max(gap / scale)))
-        if model.cubic:
-            pair = rng.standard_normal((2, grid.dof))
-            drift, _ = cubic.explicit_terms(pair, np.zeros((2, 1)))
-            d = pair[0] - pair[1]
-            d2 = hN * float(np.sum(d * d))
-            gap = hN * float(np.sum((drift[0] - drift[1]) * d)) - d2
-            worst_mono = max(worst_mono, gap / max(1.0, d2))
-    report = {
-        "samples": samples,
-        "growth_constant": F_GROWTH_CONSTANT,
-        "worst_growth_margin": worst_growth,
-        "worst_monotonicity_margin": worst_mono,
-    }
-    if worst_growth > tol:
-        raise ContractViolation(
-            f"drift growth bound violated by {worst_growth:.3e}",
-            inequality="growth", margin=worst_growth)
-    if worst_mono > tol:
-        raise ContractViolation(
-            f"cubic monotonicity violated by {worst_mono:.3e}",
-            inequality="monotonicity", margin=worst_mono)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# noise law
-
-
-def g_lipschitz_constant(model: ModelSpec, spec: QWienerSpec) -> float:
-    """Squared-Lipschitz constant of the noise law in the HS proxy norm.
-
-    Exact for the scalar law: sum_k lambda_k sigma_k^2. The modulated law
-    picks up the sup of the mode amplitudes, 2^(N/2).
-    """
-    sig = model.mode_sigmas(spec.modes)
-    base = float(np.sum(spec.eigenvalues * sig ** 2))
-    if model.noise_law == "scalar_multiplicative":
-        return base
-    return base * 2.0 ** spec.grid.dimension

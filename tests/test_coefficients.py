@@ -4,23 +4,65 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.coefficients import make_coefficient, verify_ellipticity
+from twoscale.coefficients import CoefficientField, make_coefficient
 from twoscale.errors import EllipticityViolation
 
 
+def verify_ellipticity(coeff: CoefficientField, samples: int = 4096,
+                       tau_samples: int = 8) -> float:
+    """Audit the declared ellipticity against dense torus sampling.
+
+    Samples at least ``samples`` points of the (y, tau) torus, takes the
+    minimum eigenvalue of a = s I at each (that is s), and returns the
+    sampled constant. Raises :class:`EllipticityViolation` carrying a
+    witness point when the sampled minimum undercuts the declared constant
+    beyond round-off.
+    """
+    samples = max(int(samples), 1000)
+    if coeff.dimension == 1:
+        m = samples
+        y_axes = (np.arange(m) / m,)
+        mesh = np.meshgrid(*y_axes, np.arange(tau_samples) / tau_samples,
+                           indexing="ij")
+        ys, taus = mesh[0], mesh[1]
+    else:
+        m = int(np.ceil(np.sqrt(samples)))
+        ax = np.arange(m) / m
+        ys1, ys2, taus = np.meshgrid(ax, ax, np.arange(tau_samples) / tau_samples,
+                                     indexing="ij")
+        ys = (ys1, ys2)
+    eigmin = np.asarray(coeff.scalar(ys, taus), dtype=float)
+    flat_idx = int(np.argmin(eigmin))
+    measured = float(eigmin.reshape(-1)[flat_idx])
+    if measured < coeff.kappa - 1e-12:
+        idx = np.unravel_index(flat_idx, eigmin.shape)
+        if coeff.dimension == 1:
+            y_at = float(ys[idx])
+        else:
+            y_at = (float(ys[0][idx]), float(ys[1][idx]))
+        tau_at = float(taus[idx])
+        raise EllipticityViolation(
+            f"sampled ellipticity {measured:.6g} undercuts declared "
+            f"{coeff.kappa:.6g} at y={y_at}, tau={tau_at}",
+            y=y_at, tau=tau_at, value=measured)
+    return measured
+
+
 def test_constant_family_evaluates_to_scaled_identity():
+    # a = s I with s = 2
     c = make_coefficient("constant", dimension=2, value=2.0)
-    m = c.evaluate(np.array([0.3, 0.7]), 0.1)
-    assert np.array_equal(m, 2.0 * np.eye(2))
+    assert c.scalar(np.array([0.3, 0.7]), 0.1) == 2.0
 
 
 def test_layered_family_closed_form_point():
     c = make_coefficient("layered", dimension=1, alpha=2.0, beta=1.0)
-    m = c.evaluate(np.array([0.25]), 0.0)
-    assert abs(m[0, 0] - 3.0) < 1e-12  # sin(pi/2) = 1
+    s = c.scalar(np.array([0.25]), 0.0)
+    assert abs(s[0] - 3.0) < 1e-12  # sin(pi/2) = 1
 
 
 def test_symmetry_exact_for_all_families():
+    # a = s I is exactly symmetric: every family gives one finite real
+    # value s per point, the constant family included
     rng = np.random.default_rng(21)
     fields = [
         make_coefficient("constant", dimension=2, value=1.5),
@@ -31,11 +73,11 @@ def test_symmetry_exact_for_all_families():
                          width=0.05),
     ]
     for c in fields:
-        for _ in range(25):
-            y = rng.random(2)
-            tau = float(rng.random())
-            m = c.evaluate(y, tau)
-            assert np.array_equal(m, m.T)
+        y = rng.random((2, 25))
+        tau = rng.random(25)
+        s = c.scalar(y, tau)
+        assert s.shape == (25,) and s.dtype == float
+        assert np.all(np.isfinite(s))
 
 
 def test_periodicity_under_integer_shifts():
@@ -47,23 +89,23 @@ def test_periodicity_under_integer_shifts():
     for _ in range(100):
         y = rng.random(1)
         tau = float(rng.random())
-        a0 = c.evaluate(y, tau)
-        a1 = c.evaluate(y + 1.0, tau + 1.0)
+        a0 = c.scalar(y, tau)
+        a1 = c.scalar(y + 1.0, tau + 1.0)
         assert np.max(np.abs(a0 - a1)) < 1e-12
         y2 = rng.random(2)
-        b0 = cb.evaluate(y2, tau)
-        b1 = cb.evaluate(y2 + np.array([1.0, 2.0]), tau - 3.0)
+        b0 = cb.scalar(y2, tau)
+        b1 = cb.scalar(y2 + np.array([1.0, 2.0]), tau - 3.0)
         assert np.max(np.abs(b0 - b1)) < 1e-12
 
 
 def test_scaled_evaluation_matches_wrapped_cell_point():
     c = make_coefficient("layered", dimension=1, alpha=2.0, beta=1.0)
     # x = 1/32 at eps = 1/8 lands on y = 1/4
-    m = c.evaluate_scaled(np.array([1.0 / 32.0]), 0.0, 1.0 / 8.0)
-    assert abs(m[0, 0] - 3.0) < 1e-12
+    s = c.scalar_scaled(np.array([1.0 / 32.0]), 0.0, 1.0 / 8.0)
+    assert abs(s[0] - 3.0) < 1e-12
     # eps = 1: scaled is plain evaluation
     y = np.array([0.37])
-    assert np.array_equal(c.evaluate_scaled(y, 0.2, 1.0), c.evaluate(y, 0.2))
+    assert np.array_equal(c.scalar_scaled(y, 0.2, 1.0), c.scalar(y, 0.2))
 
 
 def test_scaled_field_has_eps_periods_across_the_box():
@@ -79,9 +121,9 @@ def test_scaled_field_has_eps_periods_across_the_box():
 def test_scaled_rejects_nonpositive_eps():
     c = make_coefficient("layered", dimension=1, alpha=2.0, beta=1.0)
     with pytest.raises(ValueError):
-        c.evaluate_scaled(np.array([0.5]), 0.0, 0.0)
+        c.scalar_scaled(np.array([0.5]), 0.0, 0.0)
     with pytest.raises(ValueError):
-        c.evaluate_scaled(np.array([0.5]), 0.0, -0.25)
+        c.scalar_scaled(np.array([0.5]), 0.0, -0.25)
 
 
 def test_nested_eps_evaluations_agree_on_shared_phases():

@@ -470,6 +470,49 @@ def test_report_on_truncated_archive_names_the_digest(tmp_path, capsys):
     assert expected in payload["message"]
 
 
+def _edit_arrays(path, edit):
+    with np.load(path) as archive:
+        raw = {k: archive[k] for k in archive.files}
+    edit(raw)
+    np.savez(path, **raw)
+
+
+# case -> (rewrite of raw.npz, text the error message must contain)
+MALFORMED_ARCHIVES = {
+    "missing-dt": (lambda path: _edit_arrays(
+        path, lambda raw: raw.pop("dt")), "'dt'"),
+    "shape-mismatch": (lambda path: _edit_arrays(
+        path, lambda raw: raw.update(shape=raw["shape"] + [1, 0, 0])),
+        "'err2'"),
+    "reversed-epsilons": (lambda path: _edit_arrays(
+        path, lambda raw: raw.update(epsilons=raw["epsilons"][::-1])),
+        "'epsilons'"),
+    "not-an-archive": (lambda path: path.write_bytes(b"not an archive"),
+                       "not a readable npz archive"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ARCHIVES))
+def test_report_on_malformed_archive_exits_4(tmp_path, capsys, case):
+    # the manifest digest is rewritten to match, so the digest check passes
+    # and only the checks on the archive's contents can catch the edit
+    rewrite, expected = MALFORMED_ARCHIVES[case]
+    cfg = write_ladder_ini(tmp_path)
+    out = tmp_path / "out"
+    run_cli(["ladder", "-c", str(cfg), "-o", str(out)], capsys)
+    rewrite(out / "raw.npz")
+    manifest = read_manifest(out)
+    manifest["files"]["raw.npz"] = file_digest(out / "raw.npz")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    code, _, stderr = run_cli(["report", "-d", str(out)], capsys)
+    assert code == 4
+    payload = json.loads(stderr)
+    assert payload["error"] == "IntegrityError"
+    assert expected in payload["message"]
+    assert payload["path"] == str(out / "raw.npz")
+
+
 def test_config_rejection_exits_2_with_error_json(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[study]\nepsilons = 0.1, 0.2\n", encoding="utf-8")

@@ -7,8 +7,7 @@ import pytest
 
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import (Ensemble, ObservableSamples, chaos_gap,
-                               observable_samples, quantile_subsample,
-                               wasserstein2_1d)
+                               quantile_subsample, wasserstein2_1d)
 from twoscale.errors import CountMismatch
 from twoscale.grid import GridSpec, ScalarField, norm_H
 from twoscale.integrator import BatchedStepper
@@ -193,35 +192,6 @@ def test_chaos_gap_orders_sizes():
 
 # ---------------------------------------------------------------------------
 # observables
-
-
-def test_observable_h_norm_values():
-    grid = GridSpec(1, 8)
-    members = [constant_field(grid, 1.0), constant_field(grid, 2.0)]
-    obs = observable_samples(members, kind="H_norm")
-    expected = np.sqrt(7.0 / 8.0)
-    assert obs.values == pytest.approx([expected, 2.0 * expected], rel=1e-12)
-    assert obs.kind == "H_norm"
-
-
-def test_observable_point_value():
-    grid = GridSpec(1, 8)
-    x = grid.axis_nodes()
-    u = ScalarField(grid, x ** 2)
-    obs = observable_samples([u], kind="point_value", point=(0.5,))
-    assert obs.values == pytest.approx([0.25], rel=1e-12)
-    assert obs.point == (0.5,)
-    with pytest.raises(ValueError):
-        observable_samples([u], kind="point_value", point=(0.0,))
-    with pytest.raises(ValueError):
-        observable_samples([u], kind="point_value")
-
-
-def test_observable_v_norm_runs():
-    grid = grid1d()
-    obs = observable_samples(random_members(grid, 3, seed=5), kind="V_norm")
-    assert obs.values.shape == (3,)
-    assert np.all(np.isfinite(obs.values))
 
 
 def test_observable_validation():

@@ -7,16 +7,16 @@ from twoscale.coefficients import make_coefficient
 from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
                              SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
-                           first_eigenvalue, norm_H, norm_V, sine_mode)
+                           norm_H, norm_V)
 from twoscale.integrator import BatchedStepper
-from twoscale.models import (ImplicitFactorization, ModelSpec, apply_A_eps,
-                             apply_A_tensor, apply_B,
-                             check_B_local_monotonicity, check_F_contracts,
-                             face_coefficients, g_lipschitz_constant,
+from twoscale.models import (ImplicitFactorization, ModelSpec, _apply_tensor,
+                             apply_A_eps, apply_B,
+                             check_B_local_monotonicity, face_coefficients,
                              leray_project, spectral_divergence_norm)
 from twoscale.noise import QWienerSpec
 
 from empirical import EmpiricalMeasure
+from modes import first_eigenvalue, sine_mode
 
 
 def layered():
@@ -107,22 +107,15 @@ def test_tensor_operator_matches_constant_scalar():
     rng = np.random.default_rng(2)
     grid = GridSpec(1, 64)
     u = random_field(grid, rng)
-    via_tensor = apply_A_tensor(u, np.array([[2.5]]))
+    via_tensor = _apply_tensor(u.values, np.array([[2.5]]), grid.h)
     via_scalar = apply_A_eps(u, constant(2.5), 1.0, 0.0)
-    assert np.max(np.abs(via_tensor.values - via_scalar.values)) < 1e-10
+    assert np.max(np.abs(via_tensor - via_scalar.values)) < 1e-10
 
     grid2 = GridSpec(2, 32)
     u2 = random_field(grid2, rng)
-    via_tensor = apply_A_tensor(u2, np.diag([3.0, 3.0]))
+    via_tensor = _apply_tensor(u2.values, np.diag([3.0, 3.0]), grid2.h)
     via_scalar = apply_A_eps(u2, constant(3.0, dimension=2), 1.0, 0.0)
-    assert np.max(np.abs(via_tensor.values - via_scalar.values)) < 1e-8
-
-
-def test_tensor_operator_rejects_bad_shape():
-    grid = GridSpec(1, 32)
-    u = ScalarField.zeros(grid)
-    with pytest.raises(ValueError):
-        apply_A_tensor(u, np.eye(2))
+    assert np.max(np.abs(via_tensor - via_scalar.values)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +196,12 @@ def _dense(grid, dt, operator):
     return eye + dt * np.array(cols).T
 
 
+def _dense_tensor(grid, dt, tensor):
+    """I + dt * (-sum_jk t_jk d_j d_k) as the effective level applies it."""
+    return _dense(grid, dt, lambda u: ScalarField(
+        grid, _apply_tensor(u.values, tensor, grid.h)))
+
+
 def test_tridiagonal_solve_matches_dense():
     # The LDL^T factor must reproduce a dense solve of I + dt A_eps, on a
     # signed (paths, dof) stack and on a single right-hand side.
@@ -281,7 +280,7 @@ def test_preconditioned_2d_solve_matches_dense(tensor):
         dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
     else:
         fac = ImplicitFactorization(grid, None, dt, tensor=tensor)
-        dense = _dense(grid, dt, lambda u: apply_A_tensor(u, tensor))
+        dense = _dense_tensor(grid, dt, tensor)
     stack = np.random.default_rng(12).standard_normal((3, grid.dof))
     out = fac.solve_batch(stack, tol=tol)
     expected = np.linalg.solve(dense, stack.T).T
@@ -299,7 +298,7 @@ def test_diagonal_tensor_solve_takes_one_iteration():
     stack = np.random.default_rng(13).standard_normal((4, grid.dof))
     out = fac.solve_batch(stack, tol=1e-12)
     assert np.array_equal(fac.iterations, np.ones(4, dtype=int))
-    dense = _dense(grid, 0.01, lambda u: apply_A_tensor(u, tensor))
+    dense = _dense_tensor(grid, 0.01, tensor)
     np.testing.assert_allclose(out, np.linalg.solve(dense, stack.T).T,
                                rtol=0.0, atol=1e-12)
 
@@ -529,6 +528,73 @@ def test_drift_zero_point_mass():
     assert np.all(drift == 0.0)
 
 
+#: Growth constant for the drag + cubic drift, fitted once over random
+#: fields and then frozen. Analytically (F(u), u) + ||u||_L4^4
+#: <= 2.5 (||u||^2 + mu(||.||^2)) with Young and Jensen, so 2.5 is sharp
+#: enough and never violated.
+F_GROWTH_CONSTANT = 2.5
+
+
+def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
+                      seed: int = 20260816, tol: float = 1e-10) -> dict:
+    """Sample the structural drift inequalities on the batched drift.
+
+    Each sample draws a random stack of three paths and evaluates
+    ``BatchedStepper.explicit_terms`` on it as one replica, so mu is the
+    empirical law of that stack. Checks, on every path u of the stack,
+      growth        (F(u, mu), u) <= C (||u||_H^2 + mu(||.||_H^2)) - ||u||_L4^4
+    and, on a random pair u1, u2 with the drag off,
+      monotonicity  (F2(u1) - F2(u2), u1 - u2) <= ||u1 - u2||_H^2 for the
+                    cubic reaction part.
+
+    Returns a report dict with worst margins; raises
+    :class:`ContractViolation` if any margin exceeds ``tol`` times the
+    sample scale.
+    """
+    members = 3
+    spec = QWienerSpec(grid=grid, modes=1)
+    growth = BatchedStepper(grid, model, spec, members=members, dt=1.0)
+    # one member per replica: the drag is exactly zero, the cubic remains
+    cubic = BatchedStepper(grid, model, spec, members=1, dt=1.0)
+    hN = grid.h ** grid.dimension
+    rng = np.random.default_rng(seed)
+    worst_growth = -np.inf
+    worst_mono = -np.inf
+    for _ in range(samples):
+        U = rng.standard_normal((members, grid.dof))
+        if model.mean_field == "stokes_drag":
+            drift, _ = growth.explicit_terms(U, np.zeros((members, 1)))
+            rows = growth.energy_rows(U, 0.0)
+            second = float(np.mean(rows["H2"]))
+            l4 = rows["L4"] if model.cubic else 0.0
+            gap = (hN * np.sum(drift * U, axis=-1)
+                   - F_GROWTH_CONSTANT * (rows["H2"] + second) + l4)
+            scale = np.maximum(1.0, np.maximum(rows["H2"], second))
+            worst_growth = max(worst_growth, float(np.max(gap / scale)))
+        if model.cubic:
+            pair = rng.standard_normal((2, grid.dof))
+            drift, _ = cubic.explicit_terms(pair, np.zeros((2, 1)))
+            d = pair[0] - pair[1]
+            d2 = hN * float(np.sum(d * d))
+            gap = hN * float(np.sum((drift[0] - drift[1]) * d)) - d2
+            worst_mono = max(worst_mono, gap / max(1.0, d2))
+    report = {
+        "samples": samples,
+        "growth_constant": F_GROWTH_CONSTANT,
+        "worst_growth_margin": worst_growth,
+        "worst_monotonicity_margin": worst_mono,
+    }
+    if worst_growth > tol:
+        raise ContractViolation(
+            f"drift growth bound violated by {worst_growth:.3e}",
+            inequality="growth", margin=worst_growth)
+    if worst_mono > tol:
+        raise ContractViolation(
+            f"cubic monotonicity violated by {worst_mono:.3e}",
+            inequality="monotonicity", margin=worst_mono)
+    return report
+
+
 def test_drift_contract_report():
     grid = GridSpec(1, 64)
     report = check_F_contracts(drag_and_cubic(), grid, samples=100)
@@ -552,6 +618,19 @@ def test_cubic_monotonicity_direct():
 
 # ---------------------------------------------------------------------------
 # noise law, through the batched engine
+
+
+def g_lipschitz_constant(model: ModelSpec, spec: QWienerSpec) -> float:
+    """Squared-Lipschitz constant of the noise law in the HS proxy norm.
+
+    Exact for the scalar law: sum_k lambda_k sigma_k^2. The modulated law
+    picks up the sup of the mode amplitudes, 2^(N/2).
+    """
+    sig = model.mode_sigmas(spec.modes)
+    base = float(np.sum(spec.eigenvalues * sig ** 2))
+    if model.noise_law == "scalar_multiplicative":
+        return base
+    return base * 2.0 ** spec.grid.dimension
 
 
 def noise_setup(law="scalar_multiplicative", modes=16, cells=64):
@@ -670,12 +749,3 @@ def test_model_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         ModelSpec(variant="navier_stokes_2d", coefficient=layered(),
                   epsilon=0.125)
-
-
-def test_model_advection_flag():
-    coeff2 = make_coefficient("checkerboard", 2, low=1.0, high=3.0,
-                              width=0.05)
-    ns = ModelSpec(variant="navier_stokes_2d", coefficient=coeff2,
-                   epsilon=0.25)
-    assert ns.has_advection
-    assert not cubic_only().has_advection
