@@ -10,13 +10,13 @@ Subcommands map one-to-one onto module operations:
 
 Every run directory receives a deterministic manifest.json (config
 digest, seed, per-file sha256) and a volatile run_info.json (wall clock,
-environment, and for ladder and corrector the number of processes that
-stepped the paths). Reruns with identical config and seed rewrite the data
-files and the manifest byte for byte.
+environment, and for simulate, ladder and corrector the number of
+processes that stepped the paths). Reruns with identical config and seed
+rewrite the data files and the manifest byte for byte.
 
 Exit codes: 0 success, 2 configuration rejected, 3 solver failure,
 4 archive integrity failure, 5 internal error (a bug: a ValueError that
-no toolkit error class describes, or a ladder process that died without
+no toolkit error class describes, or a forked process that died without
 a report). Failures print one JSON object on stderr.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .diagnostics import reduce_raw, run_ladder, sine_initial_state
 from .ensemble import Ensemble
 from .errors import ConfigError, IntegrityError, InternalError, ToolkitError
 from .grid import ScalarField, field_to_csv
-from .integrator import run_ensemble
+from .integrator import ensemble_shards, run_ensemble
 from .manifest import (
     verify_archive,
     write_manifest,
@@ -252,7 +252,8 @@ def _cmd_simulate(args) -> int:
                                         axis=-1)) * grid.h ** grid.dimension),
     }
     files.append(_dump_json(out, "simulate.json", summary))
-    return _finish(out, cfg, text, "simulate", files, t0)
+    return _finish(out, cfg, text, "simulate", files, t0,
+                   {"shards": len(ensemble_shards(members, grid.dof))})
 
 
 def _run_study(args, command: str, render) -> int:

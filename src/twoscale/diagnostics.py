@@ -18,20 +18,16 @@ on 1024 cells (the acceptance reference ladder) took 64-65 s on a shared
 """
 from __future__ import annotations
 
-import contextlib
 import json
-import mmap
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .grid import GridSpec, stack_face_differences
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
@@ -192,11 +188,6 @@ class ConvergenceReport:
         payload = {k: getattr(self, k) for k in self.__dataclass_fields__}
         return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ConvergenceReport":
-        data = json.loads(text)
-        return cls(**data)
-
     def to_csv(self) -> str:
         lines = ["epsilon,error,error_stderr,plain_gradient,plain_stderr,"
                  "corrected_gradient,corrected_stderr,pairing,pairing_stderr,"
@@ -232,14 +223,9 @@ def _replica_stats(per_path: np.ndarray, replicas: int,
     return mean, se
 
 
-#: Size of one level stack of a replica block, in float64 values. 16,384
-#: values (128 kB) keep a block's stacks and temporaries in a 2 MiB L2
-#: cache; the 1D reference ladder (8 members, 1023 dof) gets 2 replicas.
-BLOCK_VALUES = 16_384
-
-
 def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
-    """Path slices of blocks of whole replicas, about BLOCK_VALUES each.
+    """Path slices of blocks of whole replicas, about
+    ``parallel.BLOCK_VALUES`` values each.
 
     Every block but the last holds a multiple of four paths. OpenBLAS
     matrix-vector kernels take rows in groups of four, and a row's bits
@@ -248,38 +234,10 @@ def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
     its bits.
     """
     group = 4 // int(np.gcd(members, 4))  # replicas per four-path group
-    per_block = max(1, BLOCK_VALUES // (members * dof))
+    per_block = max(1, parallel.BLOCK_VALUES // (members * dof))
     per_block = -(-per_block // group) * group
     return [slice(r * members, min(r + per_block, replicas) * members)
             for r in range(0, replicas, per_block)]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where ``os.fork`` does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _shards(items: list, count: int) -> list[list]:
-    """``count`` contiguous runs of ``items``, as even as they split."""
-    return [[items[i] for i in part]
-            for part in np.array_split(np.arange(len(items)), count)]
-
-
-def _shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Zeroed float64 arrays in one anonymous shared mapping.
-
-    A forked child's writes to these arrays are seen by the parent, so a
-    shard hands back its results without pipes or pickles.
-    """
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-    ends = np.cumsum(sizes)
-    return [flat[end - size:end].reshape(shape)
-            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
@@ -291,11 +249,11 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     within each replica only.
 
     Within each step, the paths go in blocks of whole replicas
-    (``BLOCK_VALUES``): a block draws its noise, advances every level and
-    updates every accumulator before the next block starts. Draws are per
-    path and the drag stays inside a replica, so the block size changes no
-    result; a time-dependent coefficient is still factored once per level
-    and step.
+    (``parallel.BLOCK_VALUES``): a block draws its noise, advances every
+    level and updates every accumulator before the next block starts.
+    Draws are per path and the drag stays inside a replica, so the block
+    size changes no result; a time-dependent coefficient is still factored
+    once per level and step.
 
     The work is split into shards, one per usable CPU. With at least as
     many blocks as the smaller of the CPU and eps level counts, each shard
@@ -340,21 +298,23 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
     blocks = _replica_blocks(cfg.replicas, cfg.members, grid.dof)
-    cpus = _usable_cpus()
+    cpus = parallel.usable_cpus()
     # shards are (eps levels, blocks); ties go to blocks, which repeat no work
     if len(blocks) >= min(cpus, n_eps):
         shards = [(range(n_eps), part)
-                  for part in _shards(blocks, min(cpus, len(blocks)))]
+                  for part in parallel.split(blocks,
+                                             min(cpus, len(blocks)))]
     else:
         shards = [(part, blocks)
-                  for part in _shards(range(n_eps), min(cpus, n_eps))]
+                  for part in parallel.split(range(n_eps),
+                                             min(cpus, n_eps))]
     u0 = cfg.initial_values()
 
     # streaming accumulators, all shaped (levels, paths), and the final
     # states, shared with the forked shards
     (err2, plain2, corr2, pairing, sup_h2, int_v2, int_l4,
-     final_states) = _shared_zeros([(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3
-                                   + [(n_eps + 1, P, grid.dof)])
+     final_states) = parallel.shared_zeros(
+        [(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3 + [(n_eps + 1, P, grid.dof)])
 
     mesh = grid.meshgrid()
     osc = [np.sin(2.0 * np.pi * mesh[0] / e).reshape(-1) for e in eps_list]
@@ -422,7 +382,10 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             for li in owned:
                 final_states[li, rows] = S[li]
 
-    _run_shards(run_shard, shards, progress)
+    # level shards share their blocks, block shards their levels
+    by_levels = len(shards) > 1 and shards[0][1] == shards[1][1]
+    parallel.run_shards(run_shard, shards,
+                        lambda shard: _shard_name(shard, by_levels), progress)
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
@@ -438,119 +401,11 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                         report=report, shards=len(shards))
 
 
-def _run_shards(run_shard, shards: list[tuple], progress) -> None:
-    """Run ``run_shard`` on every shard, shards 1 and up in forked children.
-
-    A shard is a pair (eps levels, blocks). ``run_shard(shard, progress)``
-    is a generator that yields the (step, block, level) rank of each piece
-    of work before it does it, and writes its results into shared memory.
-    Shard 0 runs here and alone gets ``progress``. Every child is waited
-    for, also when shard 0 fails. Of all failures, the one of the lowest
-    rank is raised: the one a one-shard run meets first (the lowest shard
-    on ties, whose work is the same). A failure before the first yield
-    ranks as step 0, and a child that ended without a report raises
-    :class:`InternalError` before any of them. Python 3.12 and later warn
-    that ``fork`` is called with threads running once OpenBLAS has started
-    its thread pool, which OpenBLAS shuts down before a fork; the warning
-    is left as it is.
-    """
-    # level shards share their blocks, block shards their levels
-    by_levels = len(shards) > 1 and shards[0][1] == shards[1][1]
-    children = {}  # shard index -> (pid, read end of its report pipe)
-    try:
-        for index in range(1, len(shards)):
-            children[index] = _fork_shard(run_shard, shards[index],
-                                          [fd for _, fd in children.values()])
-        failures = []
-        failure = _drive(run_shard(shards[0], progress))
-        if failure is not None:
-            if not isinstance(failure[1], Exception):
-                raise failure[1]  # an interrupt: stop the children
-            failures.append((failure[0], 0, failure[1]))
-        for index in list(children):
-            failure = _reap(*children[index],
-                            _shard_name(shards[index], by_levels))
-            del children[index]
-            if failure is not None:
-                failures.append((failure[0], index, failure[1]))
-    finally:
-        for pid, fd in children.values():
-            with contextlib.suppress(OSError):
-                os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
-
-
 def _shard_name(shard: tuple, by_levels: bool) -> str:
     levels, blocks = shard
     if by_levels:
-        return f"eps levels {levels[0]}..{levels[-1]}"
-    return f"paths {blocks[0].start}..{blocks[-1].stop - 1}"
-
-
-def _drive(shard):
-    """Exhaust a shard's generator: None, or (rank, exception) on failure,
-    the rank being the last one the generator yielded."""
-    rank = (0,)
-    try:
-        for rank in shard:
-            pass
-    except BaseException as exc:  # noqa: B036 - reported, not swallowed
-        return rank, exc
-    return None
-
-
-def _fork_shard(run_shard, shard: tuple,
-                inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that runs one shard: its pid and its report pipe.
-
-    The child writes nothing to the pipe on success and a pickled
-    (rank, exception) on failure, then leaves through ``os._exit``, so
-    no cleanup of the parent's runs twice.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        for fd in [read_fd, *inherited]:
-            os.close(fd)
-        failure = _drive(run_shard(shard, None))
-        with os.fdopen(write_fd, "wb") as pipe:
-            if failure is not None:
-                pipe.write(_pickled_failure(*failure))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _pickled_failure(rank: tuple, exc: BaseException) -> bytes:
-    """(rank, exc) pickled; an exception that does not survive the round
-    trip travels as an InternalError with its class name and message."""
-    try:
-        blob = pickle.dumps((rank, exc))
-        pickle.loads(blob)
-        return blob
-    except Exception:
-        return pickle.dumps((rank, InternalError(
-            f"{type(exc).__name__}: {exc}")))
-
-
-def _reap(pid: int, fd: int, name: str):
-    """Wait for one shard's child: None, or (rank, exception) of its
-    failure. A child that ended without a report ranks before any step."""
-    with os.fdopen(fd, "rb") as pipe:
-        report = pipe.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        return pickle.loads(report) if report else None
-    how = f"signal {-status}" if status < 0 else f"exit status {status}"
-    return (-1,), InternalError(
-        f"ladder shard of {name} ended with {how} and no report")
+        return f"ladder shard of eps levels {levels[0]}..{levels[-1]}"
+    return f"ladder shard of paths {blocks[0].start}..{blocks[-1].stop - 1}"
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:

@@ -112,9 +112,6 @@ class ScalarField:
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values)
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_grid(other)
         return ScalarField(self.grid, self.values + other.values)

@@ -22,7 +22,11 @@ studies, whole replica blocks) advance as one (paths, dof) array per level,
 so the per-step cost is a few vectorized array passes plus, in 1D, one
 LAPACK ``pttrs`` solve of the whole stack against the LDL^T factor from
 ``pttrf``. ``run_ensemble`` records every member's energy ledger into one
-(steps+1, members, columns) array.
+(steps+1, members, columns) array. An ensemble of at least
+``parallel.BLOCK_VALUES`` values per usable CPU (64 members on 1024 cells
+on two CPUs) is split by members into one forked shard per CPU; the
+shards step in lockstep, one barrier per step, and every output keeps the
+bits of a one-process run. Smaller ensembles run in this process.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected, ValidationError
 from .grid import (GridSpec, ScalarField, face_energy, sine_coefficients,
@@ -42,6 +47,7 @@ __all__ = [
     "EnergyLedger",
     "BatchedStepper",
     "run_ensemble",
+    "ensemble_shards",
     "increment_scaling",
     "IncrementFit",
 ]
@@ -194,9 +200,10 @@ class BatchedStepper:
 
     # -- one step over the whole stack ---------------------------------------
 
-    def explicit_terms(self, U: np.ndarray,
-                       xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Drift F(U, mu) and noise increment G(U) dW for every path.
+    def explicit_terms(self, U: np.ndarray, xi: np.ndarray,
+                       rows: slice = slice(None),
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Drift F(U, mu) and noise increment G(U) dW for ``rows`` of U.
 
         mu is the empirical law of each replica's ``members`` paths. The
         drag adds U - mean: it pushes each member away from its replica
@@ -204,37 +211,49 @@ class BatchedStepper:
         it. The optional cubic adds U - U^3. The noise is
         (sum_k sqrt(lambda_k dt) sigma_k xi_k) U for the scalar law and
         U * sum_k sqrt(lambda_k dt) sigma_k xi_k e_k for the mode-modulated
-        one.
+        one. The replica means and the noise factor read the whole stack
+        whatever ``rows`` is: BLAS changes kernel with the row count, so a
+        row keeps the bits of a whole-stack call only this way.
 
         Args:
             U: state stack (paths, dof).
             xi: mode draws (paths, K).
+            rows: the paths to return terms for, all by default.
         """
         model = self.model
-        drift = np.zeros_like(U)
+        part = U[rows]
+        drift = np.zeros_like(part)
         if model.mean_field == "stokes_drag":
             groups = U.reshape(-1, self.members, U.shape[-1])
-            np.subtract(groups, groups.mean(axis=1, keepdims=True),
-                        out=drift.reshape(groups.shape))
+            mean = groups.mean(axis=1, keepdims=True)
+            if part.shape == U.shape:
+                np.subtract(groups, mean, out=drift.reshape(groups.shape))
+            else:  # each row less the mean of its own replica
+                replica = np.arange(len(U))[rows] // self.members
+                np.subtract(part, mean[replica, 0], out=drift)
         if model.cubic:
-            cubic = U * U
-            cubic *= U
-            drift += np.subtract(U, cubic, out=cubic)
+            cubic = part * part
+            cubic *= part
+            drift += np.subtract(part, cubic, out=cubic)
         if model.noise_law == "scalar_multiplicative":
-            noise = (xi @ self._g_weights)[:, None] * U
+            noise = (xi @ self._g_weights)[rows, None] * part
         else:
-            noise = (xi * self._g_weights) @ self._g_basis
-            noise *= U
+            noise = ((xi * self._g_weights) @ self._g_basis)[rows]
+            noise *= part
         return drift, noise
 
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
-                step_index: int, first_row: int = 0) -> np.ndarray:
-        """One semi-implicit step of the whole stack.
+                step_index: int, first_row: int = 0,
+                rows: slice = slice(None)) -> np.ndarray:
+        """One semi-implicit step of ``rows`` of the stack, all by default.
 
-        The right-hand side U + dt drift + noise is checked for finite
-        values once, by the solve; a finite right-hand side and a finite
-        positive definite operator give a finite state, and the guard of
-        the next step checks it again.
+        The guard reads max|U| of the whole stack, and the drift and noise
+        read it as :meth:`explicit_terms` says, so a row's new state does
+        not depend on which rows are stepped with it. The right-hand side
+        U + dt drift + noise is checked for finite values once, by the
+        solve; a finite right-hand side and a finite positive definite
+        operator give a finite state, and the guard of the next step checks
+        it again.
 
         Args:
             U: state stack (paths, dof).
@@ -243,19 +262,20 @@ class BatchedStepper:
             step_index: for diagnostics.
             first_row: index of U's first row among all paths, added to
                 the paths a :class:`NonFinite` names.
+            rows: the paths to step; the result holds only these.
         """
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
-        drift, noise = self.explicit_terms(U, xi)
+        drift, noise = self.explicit_terms(U, xi, rows)
         rhs = self.dt * drift
-        rhs += U
+        rhs += U[rows]
         rhs += noise
         fac = self.factorization(t)
         try:
             return fac.solve_batch(rhs, tol=self.tol)
         except NonFinite:
             bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0] \
-                + first_row
+                + first_row + (rows.start or 0)
             raise NonFinite(
                 f"non-finite explicit update at step {step_index} "
                 f"(t={t:.6g}) in path(s) {bad[:4].tolist()}",
@@ -283,6 +303,16 @@ class BatchedStepper:
         return {"t": t_next, "H2": h2, "V2": v2, "L4": l4}
 
 
+def ensemble_shards(members: int, dof: int) -> list[slice]:
+    """Member runs of ``run_ensemble``: one per usable CPU, as many as get
+    at least ``parallel.BLOCK_VALUES`` values each, and at least one."""
+    count = parallel.usable_cpus()
+    while count > 1 and members // count * dof < parallel.BLOCK_VALUES:
+        count -= 1
+    return [slice(part[0], part[-1] + 1)
+            for part in parallel.split(range(members), count)]
+
+
 def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
                  ) -> tuple[Ensemble, list[EnergyLedger]]:
     """Advance every member to the horizon with per-step measure refresh.
@@ -291,47 +321,81 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     view into one (steps+1, members, columns) table. The empirical measure
     entering the drag is recomputed from the current members at the top of
     every step.
+
+    The members are split into contiguous runs, one per usable CPU, when
+    each run gets at least ``parallel.BLOCK_VALUES`` values (a 1D ensemble
+    of 64 members on 1024 cells splits in two; the small ones stay in this
+    process). This process steps the first run and a forked child each
+    other one, in lockstep: the states, the draws and the ledger table are
+    shared, and a barrier ends every step. Each shard draws its own
+    members' noise and writes only its own rows, but reads the whole stack
+    for the drag mean, the guard and the noise factor, so every row keeps
+    the bits of a one-process run. A failure is raised as a one-process run
+    raises it, and a child that ends without a report raises
+    :class:`InternalError`.
     """
     g = ensemble.grid
     spec = ensemble.noise
-    stepper = BatchedStepper(g, model, spec, members=ensemble.size,
+    size = ensemble.size
+    stepper = BatchedStepper(g, model, spec, members=size,
                              dt=config.dt, tol=config.tol)
-    U = np.stack([m.values.reshape(-1) for m in ensemble.members])
     steps = config.steps
-    table = np.empty((steps + 1, ensemble.size, len(LEDGER_COLUMNS)))
+    streams = ensemble.streams
+    t0 = ensemble.time
+    shards = ensemble_shards(size, g.dof)
+    # step n reads buffer n % 2 of the states and the draws and writes the
+    # next states into the other buffer; a shard's draws for step n go in
+    # before the barrier that starts it
+    states, draws, table = parallel.shared_zeros([
+        (2, size, g.dof), (2, size, spec.modes),
+        (steps + 1, size, len(LEDGER_COLUMNS))])
+    states[0] = [m.values.reshape(-1) for m in ensemble.members]
     table[:, :, 0] = np.arange(steps + 1)[:, None]
-    diss = np.zeros(ensemble.size)
 
-    def record(n: int, t: float, U: np.ndarray, diffs=None) -> None:
-        rows = stepper.energy_rows(U, t, diffs)
-        table[n, :, 1] = t
-        table[n, :, 2] = table[n, :, 3] = rows["H2"]
-        table[n, :, 4] = rows["V2"]
-        table[n, :, 5] = rows["L4"]
-        table[n, :, 6] = diss
+    def run_shard(rows, progress):
+        """Step the members ``rows``; yield (n,) at the barrier before
+        step n, once the shard's draws for it are in."""
+        ledger = table[:, rows]
+        diss = np.zeros(rows.stop - rows.start)
 
-    t = ensemble.time
-    record(0, t, U)
-    for n in range(steps):
-        xi = np.stack([s.draw() for s in ensemble.streams])
-        t_frozen = t
-        U_new = stepper.advance(U, xi, t_frozen, n)
-        t = ensemble.time + (n + 1) * config.dt
-        # dissipation pairs the new state with the faces of the implicit
-        # solve (frozen at t_n), so the energy identity is exact; the V2
-        # energy reuses the same face differences
-        diffs = stack_face_differences(U_new, g)
-        faces = stepper.factorization(t_frozen).faces
-        diss += 2.0 * config.dt * face_energy(diffs, g, faces)
-        record(n + 1, t, U_new, diffs)
-        U = U_new
+        def record(n: int, t: float, U: np.ndarray, diffs=None) -> None:
+            energy = stepper.energy_rows(U, t, diffs)
+            ledger[n, :, 1] = t
+            ledger[n, :, 2] = ledger[n, :, 3] = energy["H2"]
+            ledger[n, :, 4] = energy["V2"]
+            ledger[n, :, 5] = energy["L4"]
+            ledger[n, :, 6] = diss
 
-    members = [ScalarField(g, U[i].reshape(g.shape))
-               for i in range(ensemble.size)]
-    final = Ensemble(members=members, noise=spec, time=t,
+        record(0, t0, states[0, rows])
+        for n in range(steps):
+            draws[n % 2, rows] = [s.draw() for s in streams[rows]]
+            yield (n,)
+            t_frozen = t0 + n * config.dt
+            U_new = stepper.advance(states[n % 2], draws[n % 2], t_frozen, n,
+                                    rows=rows)
+            states[(n + 1) % 2, rows] = U_new
+            # dissipation pairs the new state with the faces of the implicit
+            # solve (frozen at t_n), so the energy identity is exact; the V2
+            # energy reuses the same face differences
+            diffs = stack_face_differences(U_new, g)
+            faces = stepper.factorization(t_frozen).faces
+            diss += 2.0 * config.dt * face_energy(diffs, g, faces)
+            record(n + 1, t0 + (n + 1) * config.dt, U_new, diffs)
+
+    parallel.run_shards(
+        run_shard, shards,
+        lambda rows: f"simulate shard of members {rows.start}..{rows.stop - 1}",
+        lockstep=True)
+    for s in streams[shards[0].stop:]:  # each child drew once per step
+        s.counter += steps * spec.modes
+
+    U = states[steps % 2]
+    members = [ScalarField(g, U[i].reshape(g.shape)) for i in range(size)]
+    final = Ensemble(members=members, noise=spec,
+                     time=t0 + steps * config.dt,
                      common_noise=ensemble.common_noise,
-                     level=ensemble.level, streams=ensemble.streams)
-    ledgers = [EnergyLedger(table[:, i]) for i in range(ensemble.size)]
+                     level=ensemble.level, streams=streams)
+    ledgers = [EnergyLedger(table[:, i]) for i in range(size)]
     for led in ledgers:
         led.validate()
     return final, ledgers

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 import twoscale
-from twoscale import diagnostics
+from twoscale import parallel
 from twoscale.cli import OUTPUT_ROOT_ENV, main
 from twoscale.config import _SCHEMA, config_digest, parse_config
 from twoscale.errors import ConfigError, IntegrityError, ValidationError
+from twoscale.integrator import ensemble_shards
 from twoscale.manifest import (file_digest, read_manifest, verify_archive,
                                write_manifest)
 from twoscale.noise import NoiseStream
+
+from forks import assert_no_child_left, deadline
 
 
 def ini(text):
@@ -621,8 +625,8 @@ def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
 
 def sharded_ladder_ini(tmp_path, monkeypatch, shards):
     """A ladder of two one-replica blocks, stepped by ``shards`` processes."""
-    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: shards)
     return write_ladder_ini(tmp_path, LADDER_INI.replace(
         "members = 1", "members = 4"))
 
@@ -650,7 +654,7 @@ def test_level_split_ladder_archive_matches_one_shard(tmp_path, monkeypatch,
     cfg = write_ladder_ini(tmp_path)
     outs = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"cpus{cpus}"
         assert run_cli(["ladder", "-c", str(cfg), "-o", str(outs[cpus])],
                        capsys)[0] == 0
@@ -679,24 +683,149 @@ ONE_PATH_2D_INI = ini("""
     """)
 
 
+SPLIT_SIMULATE_INI = ini("""
+    [grid]
+    cells = 1024
+    [coefficient]
+    family = separable_trig
+    [model]
+    noise_law = mode_modulated
+    sigma0 = 0.5
+    [stepper]
+    dt = 0.0001
+    horizon = 0.0005
+    [ensemble]
+    members = 34
+    [run]
+    seed = 7
+    """)
+
+
+def cli_in_subprocess(argv, threads):
+    """Run the CLI in a fresh interpreter with ``threads`` OpenBLAS
+    threads, which only a new process can set."""
+    package_root = str(Path(twoscale.__file__).resolve().parents[1])
+    script = "import sys; from twoscale.cli import main; sys.exit(main())"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ladder_bits_do_not_depend_on_blas_threads(tmp_path):
     # The pairing of a one-path 2D ladder was a BLAS product whose bits
     # changed with the OpenBLAS thread count; it is a fixed-order sum now.
-    cfg = write_ladder_ini(tmp_path, ONE_PATH_2D_INI)
-    package_root = str(Path(twoscale.__file__).resolve().parents[1])
-    script = "import sys; from twoscale.cli import main; sys.exit(main())"
-    raw = []
+    # The simulate run has 17 members of 1023 values per CPU on two CPUs,
+    # enough to split; each shard forms the whole-stack noise product.
+    ladder = write_ladder_ini(tmp_path, ONE_PATH_2D_INI)
+    simulate = tmp_path / "simulate.ini"
+    simulate.write_text(SPLIT_SIMULATE_INI, encoding="utf-8")
+    raw, manifests = [], []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [
-                       package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, "ladder", "-c",
-                               str(cfg), "-o", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        cli_in_subprocess(["ladder", "-c", str(ladder), "-o", str(out)],
+                          threads)
         raw.append((out / "raw.npz").read_bytes())
+        sim = tmp_path / f"simulate{threads}"
+        cli_in_subprocess(["simulate", "-c", str(simulate), "-o", str(sim)],
+                          threads)
+        manifests.append((sim / "manifest.json").read_bytes())
+        info = json.loads((sim / "run_info.json").read_text())
+        assert info["shards"] == len(ensemble_shards(34, 1023))
     assert raw[0] == raw[1]
+    assert manifests[0] == manifests[1]
+
+
+SIMULATE_INIS = {
+    "1d": ini("""
+        [grid]
+        cells = 64
+        [coefficient]
+        family = separable_trig
+        [model]
+        noise_law = mode_modulated
+        sigma0 = 0.5
+        [stepper]
+        dt = 0.001
+        horizon = 0.005
+        [ensemble]
+        members = 6
+        [run]
+        seed = 7
+        """),
+    "2d": ini("""
+        [grid]
+        dimension = 2
+        cells = 16
+        [coefficient]
+        family = checkerboard
+        [model]
+        noise_law = mode_modulated
+        [stepper]
+        dt = 0.001
+        horizon = 0.004
+        [ensemble]
+        members = 3
+        [run]
+        seed = 7
+        """),
+}
+
+
+def sharded_simulate_ini(tmp_path, monkeypatch, shards, case="1d"):
+    """A simulate config whose members ``shards`` processes step."""
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: shards)
+    path = tmp_path / "simulate.ini"
+    path.write_text(SIMULATE_INIS[case], encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_INIS))
+def test_simulate_archive_does_not_depend_on_the_shard_count(tmp_path,
+                                                             monkeypatch,
+                                                             capsys, case):
+    outs = {}
+    for shards in (1, 2):
+        cfg = sharded_simulate_ini(tmp_path, monkeypatch, shards, case)
+        outs[shards] = tmp_path / f"shards{shards}"
+        with deadline(60):
+            assert run_cli(["simulate", "-c", str(cfg), "-o",
+                            str(outs[shards])], capsys)[0] == 0
+        assert_no_child_left()
+        info = json.loads((outs[shards] / "run_info.json").read_text())
+        assert info["shards"] == shards
+    listed = read_manifest(outs[1])["files"]
+    assert listed == read_manifest(outs[2])["files"]
+    for name in ["manifest.json", *listed]:
+        assert (outs[1] / name).read_bytes() == \
+            (outs[2] / name).read_bytes(), name
+    assert "shards" not in (outs[1] / "manifest.json").read_text()
+
+
+def test_simulate_child_that_dies_exits_5(tmp_path, monkeypatch, capsys):
+    cfg = sharded_simulate_ini(tmp_path, monkeypatch, 2)
+    parent = os.getpid()
+    draw = NoiseStream.draw
+
+    def dying_draw(self, count=None):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(self, count)
+
+    monkeypatch.setattr(NoiseStream, "draw", dying_draw)
+    with deadline(60):
+        code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o",
+                                   str(tmp_path / "o")], capsys)
+    assert_no_child_left()
+    assert code == 5
+    payload = json.loads(stderr)
+    assert payload["error"] == "InternalError"
+    assert payload["message"] == (
+        f"simulate shard of members 3..5 ended with signal "
+        f"{int(signal.SIGKILL)} and no report")
 
 
 def test_ladder_child_that_dies_exits_5(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,14 @@
 """Tests for two-scale pairings, corrector residuals, and the ladder study."""
 
 import io
+import json
 import os
 import signal
 
 import numpy as np
 import pytest
 
-from twoscale import diagnostics
+from twoscale import diagnostics, parallel
 from twoscale.cell import CellGrid, CellSolution, solve_cell_problem
 from twoscale.coefficients import make_coefficient
 from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
@@ -18,6 +19,8 @@ from twoscale.grid import GridSpec, ScalarField, stack_face_differences
 from twoscale.integrator import BatchedStepper, StepperConfig
 from twoscale.models import ImplicitFactorization, face_coefficients
 from twoscale.noise import NoiseStream
+
+from forks import assert_no_child_left
 
 
 def small_study(coefficient=None, replicas=3, members=2, seed=0):
@@ -362,11 +365,11 @@ def test_ladder_blocks_give_bitwise_equal_raw_arrays(monkeypatch, members,
                       noise_law=noise_law)
     dof = cfg.grid.dof
     assert len(diagnostics._replica_blocks(replicas, members, dof)) == 1
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     whole = run_ladder(cfg)
     assert whole.shards == 1
-    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: shards)
     assert len(diagnostics._replica_blocks(replicas, members, dof)) >= 8
     blocked = run_ladder(cfg)
     assert blocked.shards == shards
@@ -379,7 +382,7 @@ def test_shards_are_contiguous_runs_of_whole_blocks():
     blocks = diagnostics._replica_blocks(34, 3, 1023)
     assert len(blocks) == 5
     for count in (1, 2, 3, 5):
-        shards = diagnostics._shards(blocks, count)
+        shards = parallel.split(blocks, count)
         assert len(shards) == count
         assert [b for shard in shards for b in shard] == blocks
         assert max(map(len, shards)) - min(map(len, shards)) <= 1
@@ -401,7 +404,7 @@ def test_time_dependent_ladder_factors_once_per_level_and_step(monkeypatch):
     # effective level's tensor is constant and is factored once. One CPU
     # keeps every level in this process, where the builds are counted.
     cfg = block_study(family="separable_trig")
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     builds = []
     original = ImplicitFactorization.__init__
 
@@ -414,7 +417,7 @@ def test_time_dependent_ladder_factors_once_per_level_and_step(monkeypatch):
     whole = run_ladder(cfg).raw
     assert len(builds) == expected
     builds.clear()
-    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
     blocked = run_ladder(cfg).raw
     assert len(builds) == expected
     for key in whole:
@@ -423,7 +426,7 @@ def test_time_dependent_ladder_factors_once_per_level_and_step(monkeypatch):
 
 def test_ladder_progress_reports_whole_steps(monkeypatch):
     # one call per finished step (5 steps), not one per block (8 blocks)
-    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
     calls = []
     run_ladder(block_study(), progress=lambda n, steps: calls.append(
         (n, steps)))
@@ -436,8 +439,8 @@ def failing_study(monkeypatch, shards, poisoned):
     ``poisoned`` maps a path to the step from which its draws are NaN.
     """
     cfg = block_study(members=8, replicas=2)
-    monkeypatch.setattr(diagnostics, "BLOCK_VALUES", 8 * cfg.grid.dof)
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: shards)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 8 * cfg.grid.dof)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: shards)
     spec = cfg.noise_spec()
     first_bad = {NoiseStream.derive(spec, p % 8, p // 8).stream_id: step
                  for p, step in poisoned.items()}
@@ -459,11 +462,6 @@ def ladder_failure(monkeypatch, shards, poisoned):
         run_ladder(cfg)
     exc = info.value
     return type(exc), str(exc), exc.step, exc.time, exc.member
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_ladder_nonfinite_names_the_global_path(monkeypatch):
@@ -553,7 +551,7 @@ def test_level_shards_give_bitwise_equal_raw_arrays(monkeypatch, make,
         cfg.replicas, cfg.members, cfg.grid.dof)) == 1
     results = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         results[cpus] = run_ladder(cfg)
         assert results[cpus].shards == shards[cpus]
         assert_no_child_left()
@@ -567,7 +565,7 @@ def test_level_shards_give_bitwise_equal_raw_arrays(monkeypatch, make,
 def test_level_split_keeps_progress_calls(monkeypatch):
     calls = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         calls[cpus] = []
         run_ladder(three_level_study(), progress=lambda n, steps, c=cpus:
                    calls[c].append((n, steps)))
@@ -581,7 +579,7 @@ def level_failure(monkeypatch, cpus, plan):
     the step at which its advance raises.
     """
     cfg = three_level_study()
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     advance = BatchedStepper.advance
 
     def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
@@ -619,7 +617,7 @@ def test_level_shard_failures_rank_as_one_shard(monkeypatch, plan):
 
 def test_level_shard_that_dies_raises_internal_error(monkeypatch):
     cfg = three_level_study()
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     parent = os.getpid()
     draw = NoiseStream.draw
 
@@ -692,7 +690,7 @@ def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
     # were recomputed at each step's (t + dt)/eps. One CPU keeps every
     # level in this process, where the calls are counted.
     cfg = small_study(coefficient=make_coefficient("separable_trig", 1))
-    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     calls = []
     original = diagnostics.corrector_slopes
 
@@ -725,9 +723,14 @@ def test_ladder_seed_changes_output():
     assert base.errors != other.errors
 
 
+def report_from_json(text: str) -> ConvergenceReport:
+    """Rebuild a report from ``ConvergenceReport.to_json`` output."""
+    return ConvergenceReport(**json.loads(text))
+
+
 def test_report_serialization_roundtrip():
     rep = run_ladder(small_study()).report
-    clone = ConvergenceReport.from_json(rep.to_json())
+    clone = report_from_json(rep.to_json())
     assert clone.to_json() == rep.to_json()
     csv = rep.to_csv()
     lines = csv.strip().split("\n")

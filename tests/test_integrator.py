@@ -1,21 +1,27 @@
 """Tests for the semi-implicit time stepper and its ledgers."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from twoscale import grid as grid_module
+from twoscale import parallel
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import Ensemble
-from twoscale.errors import NonFinite, StepRejected
+from twoscale.errors import InternalError, NonFinite, StepRejected
 from twoscale.grid import GridSpec, ScalarField, VectorField, inner_H, norm_H
 from twoscale.integrator import (LEDGER_COLUMNS, BatchedStepper, EnergyLedger,
                                  IncrementFit, StepperConfig, check_guard,
-                                 increment_scaling, run_ensemble)
+                                 ensemble_shards, increment_scaling,
+                                 run_ensemble)
 from twoscale.models import (ImplicitFactorization, ModelSpec, apply_A_eps,
                              apply_B, face_coefficients, leray_project)
 from twoscale.noise import NoiseStream, QWienerSpec
 
 from empirical import EmpiricalMeasure, empirical_measure
+from forks import assert_no_child_left, deadline
 from modes import first_eigenvalue, sine_mode
 
 
@@ -349,9 +355,9 @@ def test_run_ensemble_evaluates_explicit_terms_once_per_step(monkeypatch):
     calls = []
     original = BatchedStepper.explicit_terms
 
-    def counting(self, U, xi):
+    def counting(self, U, xi, *args):
         calls.append(1)
-        return original(self, U, xi)
+        return original(self, U, xi, *args)
 
     monkeypatch.setattr(BatchedStepper, "explicit_terms", counting)
     grid = GridSpec(1, 32)
@@ -546,3 +552,155 @@ def test_velocity_step_runs_and_stays_finite():
         assert out[m].values.shape == grid.shape
         assert np.all(np.isfinite(out[m].values))
     assert not np.array_equal(out[0].values, u[0].values)
+
+
+# ---------------------------------------------------------------------------
+# member shards: forked processes stepping in lockstep
+
+
+def sharded_run(monkeypatch, shards, dimension=1,
+                noise_law="mode_modulated", members=8, steps=6, draw=None):
+    """``run_ensemble`` of a drag-coupled ensemble by ``shards`` processes.
+
+    With one value per shard enough to split, ``shards`` usable CPUs give
+    ``shards`` runs of members; ``draw`` replaces ``NoiseStream.draw``.
+    """
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: shards)
+    if draw is not None:
+        monkeypatch.setattr(NoiseStream, "draw", draw)
+    grid = GridSpec(dimension, 32 if dimension == 1 else 16)
+    assert len(ensemble_shards(members, grid.dof)) == shards
+    model = ModelSpec(variant="allen_cahn",
+                      coefficient=make_coefficient("separable_trig",
+                                                   dimension),
+                      epsilon=0.25, mean_field="stokes_drag", cubic=True,
+                      noise_law=noise_law, sigma0=0.3)
+    values = 0.5 * np.prod([np.sin(np.pi * c) for c in grid.meshgrid()],
+                           axis=0)
+    ens = Ensemble(members=[ScalarField(grid, values)] * members,
+                   noise=noise_spec(grid))
+    return run_ensemble(ens, model, StepperConfig(dt=1e-3,
+                                                  horizon=steps * 1e-3))
+
+
+@pytest.mark.parametrize("dimension, noise_law", [
+    (1, "mode_modulated"), (1, "scalar_multiplicative"),
+    (2, "mode_modulated"),
+])
+def test_member_shards_keep_every_bit(monkeypatch, dimension, noise_law):
+    # Each shard reads the whole stack for the drag mean, the guard and the
+    # noise factor, so every state, ledger row and stream counter is that
+    # of the one-process run, whichever shard stepped the member.
+    # five shards outnumber the CPUs of a small machine, which runs them
+    # unpinned
+    runs = {}
+    for shards in (1, 2, 3, 5):
+        with deadline(60):
+            runs[shards] = sharded_run(monkeypatch, shards, dimension,
+                                       noise_law)
+        assert_no_child_left()
+    final, ledgers = runs[1]
+    for shards in (2, 3, 5):
+        other, other_ledgers = runs[shards]
+        assert other.time == final.time
+        for a, b in zip(final.members, other.members):
+            assert np.array_equal(a.values, b.values), shards
+        for a, b in zip(ledgers, other_ledgers):
+            assert np.array_equal(a.table, b.table), shards
+        assert [s.counter for s in other.streams] == \
+            [s.counter for s in final.streams]
+
+
+def test_streams_continue_after_a_sharded_run(monkeypatch):
+    # Members 4..7 are drawn for in the child; the parent's copies of their
+    # streams must still continue where the child left them.
+    one, _ = sharded_run(monkeypatch, 1)
+    two, _ = sharded_run(monkeypatch, 2)
+    assert all(s.counter == 6 * s.spec.modes for s in two.streams)
+    for a, b in zip(one.streams, two.streams):
+        assert a.counter == b.counter
+        assert np.array_equal(a.draw(), b.draw())
+
+
+UNPATCHED_DRAW = NoiseStream.draw
+
+
+def poisoned_draw(member, step, factor):
+    """``NoiseStream.draw`` scaled by ``factor`` for ``member``'s stream
+    from its draw for ``step`` on."""
+    spec = noise_spec(GridSpec(1, 32))
+    target = NoiseStream.derive(spec, member, 0).stream_id
+
+    def scaled(self, count=None):
+        xi = UNPATCHED_DRAW(self, count)
+        late = self.counter > step * self.spec.modes
+        return xi * factor if self.stream_id == target and late else xi
+
+    return scaled
+
+
+def sharded_failure(monkeypatch, shards, kind, member, step):
+    factor = np.nan if kind is NonFinite else 1e6
+    with deadline(60), pytest.raises(kind) as info:
+        sharded_run(monkeypatch, shards, noise_law="scalar_multiplicative",
+                    draw=poisoned_draw(member, step, factor))
+    assert_no_child_left()
+    exc = info.value
+    return type(exc), str(exc), exc.step
+
+
+@pytest.mark.parametrize("kind, member", [
+    (NonFinite, 6), (NonFinite, 1), (StepRejected, 6)])
+def test_member_shard_failure_raises_as_one_process(monkeypatch, kind,
+                                                    member):
+    # member 6 is a child's (members 4..7 with two shards); a NaN draw
+    # fails that shard's solve alone, an outsized one makes every shard's
+    # guard reject the next step
+    one = sharded_failure(monkeypatch, 1, kind, member, 2)
+    assert one[2] == (2 if kind is NonFinite else 3)
+    if kind is NonFinite:
+        assert f"path(s) [{member}]" in one[1]
+    for shards in (2, 3):
+        assert sharded_failure(monkeypatch, shards, kind, member, 2) == one
+
+
+def test_killed_member_shard_raises_internal_error(monkeypatch):
+    parent = os.getpid()
+
+    def dying_draw(self, count=None):
+        if os.getpid() != parent and self.counter >= 3 * self.spec.modes:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return UNPATCHED_DRAW(self, count)
+
+    with deadline(60), pytest.raises(InternalError) as info:
+        sharded_run(monkeypatch, 2, draw=dying_draw)
+    assert str(info.value) == ("simulate shard of members 4..7 ended with "
+                               f"signal {int(signal.SIGKILL)} and no report")
+    assert_no_child_left()
+
+
+def test_sharded_ensemble_leaves_no_child(monkeypatch):
+    # two shards may be pinned to a CPU each; this process gets its CPU
+    # set back
+    affinity = os.sched_getaffinity(0)
+    with deadline(60):
+        sharded_run(monkeypatch, 2)
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == affinity
+
+
+def test_parent_failure_releases_waiting_children(monkeypatch):
+    # the parent fails at step 2 while the children wait at its barrier
+    parent = os.getpid()
+    advance = BatchedStepper.advance
+
+    def failing(self, U, xi, t, step_index, *args, **kwargs):
+        if os.getpid() == parent and step_index == 2:
+            raise StepRejected("parent fails", step=2)
+        return advance(self, U, xi, t, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedStepper, "advance", failing)
+    with deadline(60), pytest.raises(StepRejected, match="parent fails"):
+        sharded_run(monkeypatch, 3)
+    assert_no_child_left()
