@@ -27,12 +27,14 @@ is recentred to zero mean.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
 
-from .coefficients import CoefficientField
+from .coefficients import CoefficientField, fast_axes
 from .errors import ValidationError
 from .grid import is_power_of_two, preconditioned_cg
 
@@ -215,11 +217,8 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
         return v - v.mean(axis=axes, keepdims=True)
 
     for s, tau in enumerate(grid.tau_values()):
-        if dim == 1:
-            s_cells = np.asarray(coeff.scalar(centers[0], tau), dtype=float)
-        else:
-            s_cells = np.asarray(coeff.scalar(centers, tau), dtype=float)
-        s_cells = np.broadcast_to(s_cells, grid.shape).astype(float)
+        s_cells = np.broadcast_to(coeff.scalar(centers, tau),
+                                  grid.shape).astype(float)
         faces = [_face_coefficients(s_cells, axis) for axis in range(dim)]
         inverse = _periodic_inverse(faces, grid.h)
         b = np.stack([(faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
@@ -241,45 +240,34 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
 def _interp_periodic(values: np.ndarray, coords: tuple[np.ndarray, ...],
                      m: int) -> np.ndarray:
     """Multilinear periodic interpolation from cell centers (i+1/2)/m."""
-    idx_lo = []
-    weights = []
+    axes = []  # per axis: (index, weight) of the lower and the upper center
     for q in coords:
-        u = np.asarray(q, dtype=float) % 1.0
-        u = u * m - 0.5
+        u = np.asarray(q, dtype=float) % 1.0 * m - 0.5
         i0 = np.floor(u).astype(int)
-        weights.append(u - i0)
-        idx_lo.append(i0 % m)
-    if len(coords) == 1:
-        i0 = idx_lo[0]
-        w = weights[0]
-        return (1.0 - w) * values[i0] + w * values[(i0 + 1) % m]
-    i0, j0 = idx_lo
-    wi, wj = weights
-    i1 = (i0 + 1) % m
-    j1 = (j0 + 1) % m
-    return ((1.0 - wi) * (1.0 - wj) * values[i0, j0]
-            + wi * (1.0 - wj) * values[i1, j0]
-            + (1.0 - wi) * wj * values[i0, j1]
-            + wi * wj * values[i1, j1])
+        axes.append(((i0 % m, 1.0 - (u - i0)), ((i0 + 1) % m, u - i0)))
+    terms = []
+    for corner in itertools.product(*axes[::-1]):  # the first axis fastest
+        index, weights = zip(*corner[::-1])
+        terms.append(math.prod(weights) * values[index])
+    return sum(terms[1:], terms[0])
 
 
 def corrector_slopes(solution: CellSolution, y, tau: float = 0.0) -> np.ndarray:
     """Interpolated corrector gradients d(eta_i)/d(y_j) at fast points.
 
-    ``y`` is a coordinate array (1D) or a length-2 sequence of broadcastable
-    coordinate arrays (2D); both are reduced to the torus. Returns an array
+    ``y`` holds one coordinate array per axis, or a bare array in 1D (see
+    ``coefficients.fast_axes``), reduced to the torus. Returns an array
     with two trailing axes (i, j). Interpolation is multilinear in y and,
     when several tau slices exist, periodic-linear in tau.
     """
     g = solution.grid
-    coords = (np.asarray(y, dtype=float),) if g.dimension == 1 \
-        else tuple(np.asarray(c, dtype=float) for c in y)
+    coords = fast_axes(y, g.dimension)
     grads = solution.corrector_gradients()
     S = g.tau_slices
 
     def at_slice(s: int) -> np.ndarray:
-        base = np.broadcast_arrays(*coords)[0]
-        out = np.empty(base.shape + (g.dimension, g.dimension))
+        out = np.empty(np.broadcast_shapes(*map(np.shape, coords))
+                       + (g.dimension, g.dimension))
         for i in range(g.dimension):
             for j in range(g.dimension):
                 out[..., i, j] = _interp_periodic(grads[s, i, j], coords,

@@ -32,7 +32,7 @@ FAMILIES = {
     "constant": {"value": 1.0},
     "layered": {"alpha": 2.0, "beta": 1.0},
     "separable_trig": {"alpha": 2.0, "beta": 1.0, "gamma": 2.0, "delta": 1.0},
-    "checkerboard": {"low": 1.0, "high": 4.0, "width": 1.0 / 16.0},
+    "checkerboard": {"low": 1.0, "high": 3.0, "width": 0.05},
 }
 
 
@@ -86,46 +86,50 @@ class CoefficientField:
     def scalar(self, y, tau=0.0) -> np.ndarray:
         """Evaluate s at torus-reduced fast variables.
 
-        ``y`` is a single coordinate array in 1D or a length-N sequence of
-        broadcastable coordinate arrays in 2D. Returns an array shaped by
+        ``y`` holds N broadcastable coordinate arrays, one per axis, as
+        :func:`fast_axes` reads them. Returns an array shaped by
         broadcasting.
         """
-        if self.dimension == 1:
-            y1 = _frac(y)
-            y2 = None
-        else:
-            y1 = _frac(y[0])
-            y2 = _frac(y[1])
+        y = fast_axes(y, self.dimension)
         tau = _frac(tau)
         p = self.params
         if self.family == "constant":
-            base = np.broadcast_to(p["value"], np.shape(y1)).astype(float)
+            shape = np.broadcast_shapes(*(np.shape(c) for c in y))
+            base = np.broadcast_to(p["value"], shape).astype(float)
             return base.copy() if base.shape else float(p["value"])
+        y1 = _frac(y[0])
         if self.family == "layered":
             return p["alpha"] + p["beta"] * np.sin(2.0 * np.pi * y1)
         if self.family == "separable_trig":
             space = p["alpha"] + p["beta"] * np.sin(2.0 * np.pi * y1)
             time = p["gamma"] + p["delta"] * np.cos(2.0 * np.pi * tau)
             return space * time
-        # checkerboard
+        # checkerboard: high where the blocks of all axes agree in parity
         lo, hi, w = p["low"], p["high"], p["width"]
-        b1 = _mollified_square(y1, w)
-        if y2 is None:
-            same = b1
-        else:
-            b2 = _mollified_square(y2, w)
-            same = b1 * b2 + (1.0 - b1) * (1.0 - b2)
+        same = _mollified_square(y1, w)
+        for c in y[1:]:
+            b = _mollified_square(_frac(c), w)
+            same = same * b + (1.0 - same) * (1.0 - b)
         return lo + (hi - lo) * same
 
     def scalar_scaled(self, x, t: float, eps: float) -> np.ndarray:
-        """Scalar factor s(x/eps, t/eps), fast arguments on the torus."""
+        """Scalar factor s(x/eps, t/eps), fast arguments on the torus;
+        ``x`` is laid out as :meth:`scalar` takes ``y``."""
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if self.dimension == 1:
-            y = np.asarray(x, dtype=float) / eps
-        else:
-            y = tuple(np.asarray(c, dtype=float) / eps for c in x)
+        y = tuple(np.asarray(c, dtype=float) / eps
+                  for c in fast_axes(x, self.dimension))
         return np.asarray(self.scalar(y, float(t) / eps), dtype=float)
+
+
+def fast_axes(y, dimension: int) -> tuple:
+    """Coordinates as a tuple of one array per axis. A tuple or a list (as
+    ``np.meshgrid`` returns) holds one already, and in 1D a bare array is
+    the only axis; in 2D an array is split along its leading axis."""
+    axes = tuple(y) if isinstance(y, (tuple, list)) or dimension > 1 else (y,)
+    if len(axes) != dimension:
+        raise ValueError(f"{len(axes)} coordinate arrays for {dimension}D")
+    return axes
 
 
 def _default_kappa(family: str, params: Mapping[str, float]) -> float:

@@ -25,7 +25,7 @@ from .coefficients import FAMILIES, CoefficientField, make_coefficient
 from .diagnostics import StudyConfig, check_ladder
 from .errors import ConfigError, ValidationError
 from .grid import GridSpec
-from .integrator import StepperConfig
+from .integrator import STEPPED_VARIANTS, StepperConfig
 from .models import ModelSpec
 from .noise import QWienerSpec
 
@@ -41,16 +41,11 @@ _SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
         "dimension": (int, 1),
         "cells": (int, 256),
     },
+    # every family's parameters with make_coefficient's defaults
     "coefficient": {
         "family": (str, "layered"),
-        "alpha": (float, 2.0),
-        "beta": (float, 1.0),
-        "gamma": (float, 2.0),
-        "delta": (float, 1.0),
-        "value": (float, 1.0),
-        "low": (float, 1.0),
-        "high": (float, 3.0),
-        "width": (float, 0.05),
+        **{k: (float, v) for params in FAMILIES.values()
+           for k, v in params.items()},
         "kappa": (_OPT_FLOAT, None),
     },
     "model": {
@@ -170,10 +165,10 @@ class RunConfig:
 
     def study(self) -> StudyConfig:
         model = dict(self.values["model"])
-        if model.pop("variant") != "allen_cahn":
+        if model.pop("variant") not in STEPPED_VARIANTS:
             raise self.error(
-                "model.variant",
-                "ladder and corrector studies run the scalar variant only")
+                "model.variant", "ladder and corrector studies run the "
+                f"{', '.join(STEPPED_VARIANTS)} variant only")
         del model["eta"], model["ell"]  # checked 0.0; no study term reads them
         return self._build(
             "study", StudyConfig, coefficient=self.coefficient(),

@@ -28,7 +28,8 @@ from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import ValidationError
-from .grid import GridSpec, stack_face_differences
+from .grid import (GridSpec, adjacent_pairs, face_sums,
+                   stack_face_differences)
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -341,7 +342,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             for li in levels:
                 pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
             for li in owned:
-                sup_h2[li, rows] = steppers[li].energy_rows(S[li], 0.0)["H2"]
+                sup_h2[li, rows] = steppers[li].energy_rows(S[li])["H2"]
         for n in range(steps):
             t = n * dt
             if slopes_move:
@@ -370,8 +371,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                     if n < steps - 1:  # left-point pairing: t_{n+1} counts
                         pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
                 for li in owned:
-                    energy = steppers[li].energy_rows(S[li], t + dt,
-                                                      grads[li])
+                    energy = steppers[li].energy_rows(S[li], grads[li])
                     sup = sup_h2[li, rows]
                     np.maximum(sup, energy["H2"], out=sup)
                     int_v2[li, rows] += dt * energy["V2"]
@@ -479,20 +479,13 @@ def _pair(U: np.ndarray, osc: np.ndarray) -> np.ndarray:
 def _face_corrector_slopes(sol: CellSolution, grid: GridSpec, eps: float,
                            tau: float) -> list[np.ndarray]:
     """Corrector slope matrices at the face midpoints of each axis."""
-    n = grid.cells
-    mids = grid.h * (np.arange(n) + 0.5)
+    mids = grid.h * (np.arange(grid.cells) + 0.5)
     nodes = grid.axis_nodes()
     out = []
     for axis in range(grid.dimension):
-        if grid.dimension == 1:
-            coords = mids / eps
-        else:
-            ax = [None, None]
-            ax[axis] = mids
-            ax[1 - axis] = nodes
-            mesh = np.meshgrid(ax[0], ax[1], indexing="ij")
-            coords = tuple(c / eps for c in mesh)
-        out.append(corrector_slopes(sol, coords, tau))
+        mesh = np.meshgrid(*[mids if d == axis else nodes
+                             for d in range(grid.dimension)], indexing="ij")
+        out.append(corrector_slopes(sol, tuple(c / eps for c in mesh), tau))
     return out
 
 
@@ -506,21 +499,26 @@ def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
     2D the cross contribution uses the same-axis face differences of the
     transverse component, which share the face layout to O(h).
     """
-    hN = grid.h ** grid.dimension
+    dim = grid.dimension
+    hN = grid.h ** dim
     P = eps_grad[0].shape[0]
     plain2 = np.zeros(P)
     corr2 = np.zeros(P)
     inv_h2 = 1.0 / grid.h ** 2
-    for j in range(grid.dimension):
+    for j in range(dim):
         de = eps_grad[j]
         dh = hom_grad[j]
         diff = de - dh
         diff *= diff
         plain2 += hN * inv_h2 * np.sum(diff.reshape(P, -1), axis=-1)
-        # transverse components are interpolated onto axis-j faces
-        terms = [(hom_grad[i] if i == j else _to_faces(hom_grad[i], i, j, grid))
-                 * face_slopes[j][..., i, j][None]
-                 for i in range(grid.dimension)]
+        # a transverse component is averaged from its axis-i faces onto
+        # the nodes, then from the nodes onto the axis-j faces
+        terms = []
+        for i, d in enumerate(hom_grad):
+            if i != j:
+                d = 0.5 * face_sums(0.5 * np.add(*adjacent_pairs(d, i, dim)),
+                                    j, dim)
+            terms.append(d * face_slopes[j][..., i, j][None])
         rec = terms[0]
         rec += dh  # dh + each slope term, in axis order
         for term in terms[1:]:
@@ -529,19 +527,3 @@ def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
         rec *= rec
         corr2 += hN * inv_h2 * np.sum(rec.reshape(P, -1), axis=-1)
     return plain2, corr2
-
-
-def _to_faces(diffs: np.ndarray, from_axis: int, to_axis: int,
-              grid: GridSpec) -> np.ndarray:
-    """Re-locate axis-i face differences onto axis-j faces by averaging."""
-    # average pairs along from_axis (faces -> nodes), then along to_axis
-    # (nodes -> faces) with zero ghosts
-    a = from_axis + 1
-    b = to_axis + 1
-    nodes = 0.5 * (np.take(diffs, range(0, diffs.shape[a] - 1), axis=a)
-                   + np.take(diffs, range(1, diffs.shape[a]), axis=a))
-    pad = [(0, 0)] * diffs.ndim
-    pad[b] = (1, 1)
-    padded = np.pad(nodes, pad)
-    return 0.5 * (np.take(padded, range(0, padded.shape[b] - 1), axis=b)
-                  + np.take(padded, range(1, padded.shape[b]), axis=b))

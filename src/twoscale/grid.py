@@ -11,6 +11,11 @@ are exactly orthonormal in the discrete H inner product. That exactness is
 what makes the noise expansion and the spectral H^-1 proxy of the increment
 fit (``sine_coefficients`` damped by ``sine_weights_Hminus1``) cheap and
 stable.
+
+Every zero-ghost face stencil of the toolkit, in 1D and 2D alike, is built
+from three maps of (..., *grid.shape) stacks here: ``face_differences`` and
+``face_sums`` take nodes to the n faces of an axis with n-1 interior nodes,
+and ``adjacent_pairs`` gives the two faces around each node.
 """
 from __future__ import annotations
 
@@ -30,8 +35,9 @@ __all__ = [
     "norm_H",
     "norm_V",
     "face_differences",
+    "face_sums",
+    "adjacent_pairs",
     "stack_face_differences",
-    "gradient_energy",
     "face_energy",
     "inner_H",
     "sine_coefficients",
@@ -146,11 +152,6 @@ class VectorField:
         self.grid = grid
         self.components = components
 
-    @classmethod
-    def zeros(cls, grid: GridSpec, count: int | None = None) -> "VectorField":
-        count = grid.dimension if count is None else count
-        return cls(ScalarField.zeros(grid) for _ in range(count))
-
     def __len__(self) -> int:
         return len(self.components)
 
@@ -176,15 +177,14 @@ def inner_H(f: ScalarField, g: ScalarField) -> float:
     return float(d.h ** d.dimension * np.sum(f.values * g.values))
 
 
-def face_differences(values: np.ndarray, axis: int,
-                     dimension: int) -> np.ndarray:
-    """Forward differences across all faces along grid ``axis``.
+def _zero_ghost_faces(op, values: np.ndarray, axis: int,
+                      dimension: int) -> np.ndarray:
+    """``op`` of the two nodes around every face along grid ``axis``.
 
     ``values`` is a stack shaped (..., *grid.shape) whose trailing
-    ``dimension`` axes are the grid. The zero trace supplies one ghost node
-    on each side, so an axis with n-1 interior nodes has n faces. Slicing
-    gives the same bits as np.diff of the zero-padded array, since x - 0
-    and 0 - x are exact.
+    ``dimension`` axes are the grid. Face i gets op(node i, node i-1), and
+    the zero trace gives a ghost node at each end: slicing has the bits of
+    ``op`` on the zero-padded array, as x +- 0 and 0 +- x are exact.
     """
     ax = values.ndim - dimension + axis
 
@@ -194,11 +194,33 @@ def face_differences(values: np.ndarray, axis: int,
     shape = list(values.shape)
     shape[ax] += 1
     out = np.empty(shape, dtype=values.dtype)
-    out[along(slice(0, 1))] = values[along(slice(0, 1))]
-    out[along(slice(1, -1))] = (values[along(slice(1, None))]
-                                - values[along(slice(None, -1))])
-    out[along(slice(-1, None))] = 0.0 - values[along(slice(-1, None))]
+    op(values[along(slice(0, 1))], 0.0, out=out[along(slice(0, 1))])
+    op(values[along(slice(1, None))], values[along(slice(None, -1))],
+       out=out[along(slice(1, -1))])
+    op(0.0, values[along(slice(-1, None))], out=out[along(slice(-1, None))])
     return out
+
+
+def face_differences(values: np.ndarray, axis: int,
+                     dimension: int) -> np.ndarray:
+    """Differences node i - node i-1 across every face along grid ``axis``
+    of a (..., *grid.shape) stack, zero ghosts included."""
+    return _zero_ghost_faces(np.subtract, values, axis, dimension)
+
+
+def face_sums(values: np.ndarray, axis: int, dimension: int) -> np.ndarray:
+    """Sums of the two nodes around every face along grid ``axis``, zero
+    ghosts included; the mirror of :func:`face_differences`."""
+    return _zero_ghost_faces(np.add, values, axis, dimension)
+
+
+def adjacent_pairs(values: np.ndarray, axis: int,
+                   dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the (lower, upper) neighbours along grid ``axis``: the two
+    faces around each node, or the two nodes (boundary included) around
+    each face."""
+    lead = (slice(None),) * (values.ndim - dimension + axis)
+    return values[lead + (slice(None, -1),)], values[lead + (slice(1, None),)]
 
 
 def stack_face_differences(U: np.ndarray,
@@ -209,22 +231,15 @@ def stack_face_differences(U: np.ndarray,
             for axis in range(grid.dimension)]
 
 
-def gradient_energy(values: np.ndarray, grid: GridSpec,
-                    faces: list[np.ndarray] | None = None) -> np.ndarray:
-    """Face-weighted gradient energy h^N * sum over faces of s (D/h)^2.
-
-    ``values`` is a stack shaped (..., *grid.shape) and the result has the
-    leading shape (...). ``faces`` holds one weight array per axis, laid
-    out like the face differences; None means unit weights, which gives
-    the squared V norm.
-    """
-    return face_energy([face_differences(values, axis, grid.dimension)
-                        for axis in range(grid.dimension)], grid, faces)
-
-
 def face_energy(diffs: list[np.ndarray], grid: GridSpec,
                 faces: list[np.ndarray] | None = None) -> np.ndarray:
-    """``gradient_energy`` from the face differences of each grid axis."""
+    """Face-weighted gradient energy h^N * sum over faces of s (D/h)^2.
+
+    ``diffs`` are the face differences of a stack per grid axis and the
+    result has the stack's leading shape. ``faces`` holds one weight array
+    per axis, laid out like the differences; None means unit weights,
+    which gives the squared V norm.
+    """
     grid_axes = tuple(range(-grid.dimension, 0))
     total = 0.0
     for axis, d in enumerate(diffs):
@@ -239,7 +254,8 @@ def norm_V(f: ScalarField) -> float:
     Boundary faces use the zero trace; the quadrature weight per face is
     h^N so norm_V(f)^2 = h^N * sum over faces of (difference/h)^2.
     """
-    return float(np.sqrt(gradient_energy(f.values, f.grid)))
+    return float(np.sqrt(face_energy(
+        stack_face_differences(f.values, f.grid), f.grid)[0]))
 
 
 def sine_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -257,12 +273,9 @@ def sine_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def sine_weights_Hminus1(grid: GridSpec) -> np.ndarray:
     """Per-mode weights 1/(1 + pi^2 |k|^2) on the full sine spectrum."""
-    k = np.arange(1, grid.cells)
-    if grid.dimension == 1:
-        ksq = k.astype(float) ** 2
-    else:
-        ksq = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
-    return 1.0 / (1.0 + np.pi ** 2 * ksq)
+    k2 = np.arange(1, grid.cells) ** 2
+    ksq = sum(np.meshgrid(*[k2] * grid.dimension, indexing="ij", sparse=True))
+    return 1.0 / (1.0 + np.pi ** 2 * ksq.astype(float))
 
 
 # ---------------------------------------------------------------------------

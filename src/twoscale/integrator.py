@@ -54,6 +54,9 @@ __all__ = [
 
 GUARD_LIMIT = 0.5
 
+# the model variants BatchedStepper steps; the CLI rejects the others
+STEPPED_VARIANTS = ("allen_cahn",)
+
 LEDGER_COLUMNS = ("step", "t", "H2", "Hp", "V2", "L4",
                   "cumulative_dissipation")
 
@@ -105,13 +108,15 @@ class EnergyLedger:
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name in LEDGER_COLUMNS:
-            return self.table[:, LEDGER_COLUMNS.index(name)]
+            return self.table[..., LEDGER_COLUMNS.index(name)]
         raise AttributeError(name)
 
     def validate(self) -> None:
-        if not np.all(np.isfinite(self.table[:, 2:])):
+        """Raise on a non-finite entry or a decreasing dissipation sum, for
+        one member or for a (steps+1, members, columns) table at once."""
+        if not np.all(np.isfinite(self.table[..., 2:])):
             raise NonFinite("ledger contains non-finite entries")
-        if np.any(np.diff(self.cumulative_dissipation) < -1e-12):
+        if np.any(np.diff(self.cumulative_dissipation, axis=0) < -1e-12):
             raise ValueError("cumulative dissipation must be nondecreasing")
 
     def to_csv(self, path) -> None:
@@ -120,7 +125,6 @@ class EnergyLedger:
         The step column prints as an integer and every other value as
         ``repr`` of the float, which reads back bitwise.
         """
-        self.validate()
         row = "%d" + ",%r" * (len(LEDGER_COLUMNS) - 1) + "\n"
         body = (row * len(self.table)) % tuple(self.table.ravel().tolist())
         with open(path, "w", encoding="utf-8") as fh:
@@ -168,6 +172,9 @@ class BatchedStepper:
     def __init__(self, grid: GridSpec, model: ModelSpec, spec: QWienerSpec,
                  members: int, dt: float, tol: float = 1e-8,
                  homogenized_tensor: np.ndarray | None = None):
+        if model.variant not in STEPPED_VARIANTS:
+            raise ValidationError(f"the engine cannot step {model.variant!r}",
+                                  field="variant")
         self.grid = grid
         self.model = model
         self.spec = spec
@@ -284,7 +291,7 @@ class BatchedStepper:
 
     # -- energy bookkeeping ---------------------------------------------------
 
-    def energy_rows(self, U: np.ndarray, t_next: float,
+    def energy_rows(self, U: np.ndarray,
                     diffs: list[np.ndarray] | None = None,
                     ) -> dict[str, np.ndarray]:
         """Instantaneous energy functionals for every path in the stack.
@@ -300,7 +307,7 @@ class BatchedStepper:
                          else diffs, g)
         U2 *= U2
         l4 = hN * np.sum(U2, axis=-1)
-        return {"t": t_next, "H2": h2, "V2": v2, "L4": l4}
+        return {"H2": h2, "V2": v2, "L4": l4}
 
 
 def ensemble_shards(members: int, dof: int) -> list[slice]:
@@ -359,7 +366,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
         diss = np.zeros(rows.stop - rows.start)
 
         def record(n: int, t: float, U: np.ndarray, diffs=None) -> None:
-            energy = stepper.energy_rows(U, t, diffs)
+            energy = stepper.energy_rows(U, diffs)
             ledger[n, :, 1] = t
             ledger[n, :, 2] = ledger[n, :, 3] = energy["H2"]
             ledger[n, :, 4] = energy["V2"]
@@ -395,10 +402,8 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
                      time=t0 + steps * config.dt,
                      common_noise=ensemble.common_noise,
                      level=ensemble.level, streams=streams)
-    ledgers = [EnergyLedger(table[:, i]) for i in range(size)]
-    for led in ledgers:
-        led.validate()
-    return final, ledgers
+    EnergyLedger(table).validate()
+    return final, [EnergyLedger(table[:, i]) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .coefficients import CoefficientField
 from .errors import (NonFinite, NotDivergenceFree, SolverDiverged,
                      ValidationError)
-from .grid import (GridSpec, ScalarField, VectorField, face_differences,
-                   inner_H, norm_H, preconditioned_cg, sine_coefficients)
+from .grid import (GridSpec, ScalarField, VectorField, adjacent_pairs,
+                   face_differences, inner_H, norm_H, norm_V,
+                   preconditioned_cg, sine_coefficients)
 
 __all__ = [
     "ModelSpec",
@@ -109,16 +110,17 @@ def face_coefficients(coeff: CoefficientField, grid: GridSpec, eps: float,
     n-1 interior nodes. Each face value is the harmonic mean of the scalar
     coefficient at the two adjacent node positions.
     """
-    n = grid.cells
-    full_ax = grid.h * np.arange(0, n + 1)  # nodes incl. boundary
-    if grid.dimension == 1:
-        s = coeff.scalar_scaled(full_ax, t, eps)
-        return [2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])]
-    X, Y = np.meshgrid(full_ax, full_ax, indexing="ij")
-    s = coeff.scalar_scaled((X, Y), t, eps)
-    fx = 2.0 * s[:-1, 1:-1] * s[1:, 1:-1] / (s[:-1, 1:-1] + s[1:, 1:-1])
-    fy = 2.0 * s[1:-1, :-1] * s[1:-1, 1:] / (s[1:-1, :-1] + s[1:-1, 1:])
-    return [fx, fy]
+    full_ax = grid.h * np.arange(0, grid.cells + 1)  # nodes incl. boundary
+    s = coeff.scalar_scaled(
+        np.meshgrid(*[full_ax] * grid.dimension, indexing="ij"), t, eps)
+    out = []
+    for axis in range(grid.dimension):
+        # along the axis every node, across it the interior ones
+        lo, hi = adjacent_pairs(
+            s[tuple(slice(None) if d == axis else slice(1, -1)
+                    for d in range(grid.dimension))], axis, grid.dimension)
+        out.append(2.0 * lo * hi / (lo + hi))
+    return out
 
 
 def _apply_faces(values: np.ndarray, faces: list, h: float) -> np.ndarray:
@@ -131,14 +133,15 @@ def _apply_faces(values: np.ndarray, faces: list, h: float) -> np.ndarray:
     out = np.zeros_like(values)
     for axis, s_face in enumerate(faces):
         flux = s_face * face_differences(values, axis, dim) / h
-        out -= np.diff(flux, axis=axis - dim) / h
+        lo, hi = adjacent_pairs(flux, axis, dim)
+        out -= (hi - lo) / h
     return out
 
 
 def _central(values: np.ndarray, axis: int, dim: int, h: float) -> np.ndarray:
     """Zero-ghost central difference: the mean of the two adjacent faces."""
-    d = np.moveaxis(face_differences(values, axis, dim), axis - dim, -1)
-    return np.moveaxis(d[..., 1:] + d[..., :-1], -1, axis - dim) / (2.0 * h)
+    lo, hi = adjacent_pairs(face_differences(values, axis, dim), axis, dim)
+    return (hi + lo) / (2.0 * h)
 
 
 def _apply_tensor(values: np.ndarray, tensor: np.ndarray,
@@ -271,14 +274,6 @@ class ImplicitFactorization:
 # advection term (2D velocity variant)
 
 
-def _sine_transform(values: np.ndarray) -> np.ndarray:
-    return dstn(values, type=1)
-
-
-def _sine_inverse(coeff: np.ndarray, n: int) -> np.ndarray:
-    return dstn(coeff, type=1) / (2.0 * n) ** coeff.ndim
-
-
 def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     k = np.pi * np.arange(1, grid.cells)
     return k[:, None], k[None, :]
@@ -296,23 +291,20 @@ def leray_project(v: VectorField) -> VectorField:
     if v.grid.dimension != 2 or len(v) != 2:
         raise ValueError("Leray projection is defined for 2D velocity fields")
     g = v.grid
-    k1, k2 = _wavenumbers(g)
-    c1 = _sine_transform(v[0].values)
-    c2 = _sine_transform(v[1].values)
-    ksq = k1 ** 2 + k2 ** 2
-    dot = (k1 * c1 + k2 * c2) / ksq
-    p1 = _sine_inverse(c1 - dot * k1, g.cells)
-    p2 = _sine_inverse(c2 - dot * k2, g.cells)
-    return VectorField((ScalarField(g, p1), ScalarField(g, p2)))
+    k = _wavenumbers(g)
+    c = [dstn(v[m].values, type=1) for m in range(2)]
+    dot = (k[0] * c[0] + k[1] * c[1]) / (k[0] ** 2 + k[1] ** 2)
+    # the unnormalized DST-I is its own inverse up to (2n)^2
+    return VectorField(ScalarField(g, dstn(c[m] - dot * k[m], type=1)
+                                   / (2.0 * g.cells) ** 2) for m in range(2))
 
 
 def spectral_divergence_norm(v: VectorField) -> float:
     """H norm of the spectral divergence k . v_hat paired with the sine basis."""
     g = v.grid
-    k1, k2 = _wavenumbers(g)
-    c1 = sine_coefficients(v[0].values, g)
-    c2 = sine_coefficients(v[1].values, g)
-    d = k1 * c1 + k2 * c2
+    k = _wavenumbers(g)
+    c = [sine_coefficients(v[m].values, g) for m in range(2)]
+    d = k[0] * c[0] + k[1] * c[1]
     return float(np.sqrt(np.sum(d ** 2)))
 
 
@@ -360,8 +352,6 @@ def check_B_local_monotonicity(grid: GridSpec, samples: int = 50,
     which the analysis requires to be bounded; stability of the fit across
     grids is asserted in the tests.
     """
-    from .grid import norm_V
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

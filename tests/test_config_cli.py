@@ -15,6 +15,7 @@ import pytest
 import twoscale
 from twoscale import parallel
 from twoscale.cli import OUTPUT_ROOT_ENV, main
+from twoscale.coefficients import FAMILIES, make_coefficient
 from twoscale.config import _SCHEMA, config_digest, parse_config
 from twoscale.errors import ConfigError, IntegrityError, ValidationError
 from twoscale.integrator import ensemble_shards
@@ -73,6 +74,23 @@ def test_empty_config_parses_with_defaults():
     digest = cfg.digest()
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert parse_config("").digest() == digest
+
+
+def test_empty_config_digest_is_pinned():
+    # manifest.json carries this digest, so a default that moves changes
+    # every archive written without a config
+    assert parse_config("").digest() == \
+        "f4b4eded20863bec91837cf5cd68afe43d20c808610723b7ebc003a1629db9ea"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_parsed_coefficient_defaults_are_make_coefficient_defaults(family):
+    parsed = parse_config(f"[coefficient]\nfamily = {family}\n")
+    for dimension in (1, 2):
+        assert parsed.coefficient().params == \
+            make_coefficient(family, dimension).params == FAMILIES[family]
+    assert {k for k in _SCHEMA["coefficient"]} == \
+        {"family", "kappa"} | {k for p in FAMILIES.values() for k in p}
 
 
 def test_explicitly_setting_a_default_keeps_the_digest():
@@ -936,6 +954,13 @@ def test_simulate_writes_states_and_ledgers(tmp_path, capsys):
     summary = json.loads((out / "simulate.json").read_text())
     assert summary["epsilon"] == 0.25  # the finest rung drives the run
     assert summary["members"] == 2
+    # mean_H2 is read from the ledgers' last rows, with the bits of the
+    # final states' squared H norms (h = 1/64 is a power of two)
+    h2 = [float(ledger[-1].split(",")[2])]
+    h2.append(float((out / "ledger_m001.csv").read_text().splitlines()[-1]
+                    .split(",")[2]))
+    assert summary["mean_H2"] == float(np.mean(h2)) == float(
+        np.mean(np.sum(states ** 2, axis=-1)) / 64)
 
 
 def test_simulate_rejects_velocity_variant(tmp_path, capsys):

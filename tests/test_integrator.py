@@ -10,7 +10,8 @@ from twoscale import grid as grid_module
 from twoscale import parallel
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import Ensemble
-from twoscale.errors import InternalError, NonFinite, StepRejected
+from twoscale.errors import (InternalError, NonFinite, StepRejected,
+                             ValidationError)
 from twoscale.grid import GridSpec, ScalarField, VectorField, inner_H, norm_H
 from twoscale.integrator import (LEDGER_COLUMNS, BatchedStepper, EnergyLedger,
                                  IncrementFit, StepperConfig, check_guard,
@@ -442,6 +443,38 @@ def test_ledger_validation():
         getattr(led, "moment_p")
 
 
+def test_ledger_validation_of_a_whole_table():
+    # (steps+1, members, columns): one pass checks every member's ledger
+    table = np.zeros((3, 2, len(LEDGER_COLUMNS)))
+    table[:, :, -1] = [[0.0, 0.0], [0.1, 0.2], [0.2, 0.3]]
+    EnergyLedger(table).validate()
+    table[2, 1, -1] = 0.1  # member 1 loses dissipation in its last step
+    with pytest.raises(ValueError):
+        EnergyLedger(table).validate()
+    EnergyLedger(table[:, 0]).validate()
+    table[2, 1, -1] = 0.3
+    table[1, 1, 4] = np.nan
+    with pytest.raises(NonFinite):
+        EnergyLedger(table).validate()
+
+
+def test_run_ensemble_validates_once_and_csv_only_writes(monkeypatch,
+                                                         tmp_path):
+    calls = []
+    original = EnergyLedger.validate
+
+    def counting(self):
+        calls.append(self.table.shape)
+        return original(self)
+
+    monkeypatch.setattr(EnergyLedger, "validate", counting)
+    _, ledgers = run_once("stokes_drag", members=3)
+    assert calls == [(21, 3, len(LEDGER_COLUMNS))]
+    for i, led in enumerate(ledgers):
+        led.to_csv(tmp_path / f"ledger{i}.csv")
+    assert len(calls) == 1
+
+
 def test_ledger_csv_schema(tmp_path):
     _, ledgers = run_once("stokes_drag", members=1)
     path = tmp_path / "ledger.csv"
@@ -552,6 +585,22 @@ def test_velocity_step_runs_and_stays_finite():
         assert out[m].values.shape == grid.shape
         assert np.all(np.isfinite(out[m].values))
     assert not np.array_equal(out[0].values, u[0].values)
+
+
+def test_engine_rejects_the_velocity_variant():
+    # only the tests step the velocity variant, through step_velocity
+    grid = GridSpec(2, 16)
+    coeff = make_coefficient("checkerboard", 2)
+    model = ModelSpec(variant="navier_stokes_2d", coefficient=coeff,
+                      epsilon=0.25, cubic=False)
+    with pytest.raises(ValidationError) as err:
+        BatchedStepper(grid, model, noise_spec(grid), members=1, dt=1e-3)
+    assert err.value.field == "variant"
+    u0 = ScalarField(grid, 0.1 * sine_mode(grid, (1, 1)).values)
+    ens = Ensemble(members=[u0] * 2, noise=noise_spec(grid))
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(ens, model, StepperConfig(dt=1e-3, horizon=2e-3))
+    assert err.value.field == "variant"
 
 
 # ---------------------------------------------------------------------------

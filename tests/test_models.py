@@ -564,7 +564,7 @@ def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,
         U = rng.standard_normal((members, grid.dof))
         if model.mean_field == "stokes_drag":
             drift, _ = growth.explicit_terms(U, np.zeros((members, 1)))
-            rows = growth.energy_rows(U, 0.0)
+            rows = growth.energy_rows(U)
             second = float(np.mean(rows["H2"]))
             l4 = rows["L4"] if model.cubic else 0.0
             gap = (hN * np.sum(drift * U, axis=-1)
