@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
@@ -110,19 +111,17 @@ class CellSolution:
     residuals: np.ndarray
     iterations: np.ndarray
 
+    @cached_property
     def corrector_gradients(self) -> np.ndarray:
         """Central-difference gradients at cell centers, (S, N_i, N_j, m[, m]).
 
-        Entry [s, i, j] holds d(eta_i)/d(y_j) on slice s.
+        Entry [s, i, j] holds d(eta_i)/d(y_j) on slice s; computed once.
         """
-        g = self.grid
-        out = np.empty((g.tau_slices, g.dimension, g.dimension) + g.shape)
-        for s in range(g.tau_slices):
-            for i in range(g.dimension):
-                eta = self.correctors[s, i]
-                for j in range(g.dimension):
-                    out[s, i, j] = (np.roll(eta, -1, axis=j)
-                                    - np.roll(eta, 1, axis=j)) / (2.0 * g.h)
+        eta = self.correctors  # cell axis j is array axis 2 + j
+        out = np.stack([np.roll(eta, -1, axis=a) - np.roll(eta, 1, axis=a)
+                        for a in range(2, 2 + self.grid.dimension)], axis=2)
+        out /= 2.0 * self.grid.h
+        out.setflags(write=False)
         return out
 
 
@@ -262,7 +261,7 @@ def corrector_slopes(solution: CellSolution, y, tau: float = 0.0) -> np.ndarray:
     """
     g = solution.grid
     coords = fast_axes(y, g.dimension)
-    grads = solution.corrector_gradients()
+    grads = solution.corrector_gradients
     S = g.tau_slices
 
     def at_slice(s: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import ValidationError
-from .grid import (GridSpec, adjacent_pairs, face_sums,
+from .grid import (GridSpec, adjacent_pairs, face_energy, face_sums,
                    stack_face_differences)
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
@@ -497,20 +497,13 @@ def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
     Gradients arrive as raw face differences; the reconstruction adds the
     corrector slope contribution at the face midpoints of each axis. In
     2D the cross contribution uses the same-axis face differences of the
-    transverse component, which share the face layout to O(h).
+    transverse component, which share the face layout to O(h). Both
+    residuals are face arrays per axis, summed by ``grid.face_energy``.
     """
     dim = grid.dimension
-    hN = grid.h ** dim
-    P = eps_grad[0].shape[0]
-    plain2 = np.zeros(P)
-    corr2 = np.zeros(P)
-    inv_h2 = 1.0 / grid.h ** 2
-    for j in range(dim):
-        de = eps_grad[j]
-        dh = hom_grad[j]
-        diff = de - dh
-        diff *= diff
-        plain2 += hN * inv_h2 * np.sum(diff.reshape(P, -1), axis=-1)
+    plain, corrected = [], []
+    for j, (de, dh) in enumerate(zip(eps_grad, hom_grad)):
+        plain.append(de - dh)
         # a transverse component is averaged from its axis-i faces onto
         # the nodes, then from the nodes onto the axis-j faces
         terms = []
@@ -523,7 +516,5 @@ def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
         rec += dh  # dh + each slope term, in axis order
         for term in terms[1:]:
             rec += term
-        np.subtract(de, rec, out=rec)
-        rec *= rec
-        corr2 += hN * inv_h2 * np.sum(rec.reshape(P, -1), axis=-1)
-    return plain2, corr2
+        corrected.append(np.subtract(de, rec, out=rec))
+    return face_energy(plain, grid), face_energy(corrected, grid)

@@ -75,16 +75,14 @@ class Ensemble:
 class ObservableSamples:
     """Scalar observable values across an ensemble, tagged by kind.
 
-    kind is one of "H_norm", "V_norm", "point_value"; for point values the
-    probe location is recorded.
+    kind is "H_norm", the one observable the chaos gap compares.
     """
 
     kind: str
     values: np.ndarray
-    point: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("H_norm", "V_norm", "point_value"):
+        if self.kind != "H_norm":
             raise ValueError(f"unknown observable kind {self.kind!r}")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:

@@ -160,6 +160,21 @@ def check_guard(max_abs: float, model: ModelSpec, dt: float, h: float,
     return value
 
 
+def _effective_faces(grid: GridSpec, tensor) -> list[np.ndarray]:
+    """Axis-d faces equal to tensor[d, d], laid out as ``face_coefficients``
+    returns them, of a tensor that is diagonal to round-off."""
+    tensor = np.asarray(tensor, dtype=float)
+    dim = grid.dimension
+    if tensor.shape != (dim, dim) or np.max(np.abs(
+            tensor - np.diag(np.diag(tensor)))) > 1e-8 * np.max(np.abs(tensor)):
+        raise ValidationError(f"the homogenized tensor must be a diagonal "
+                              f"{dim}x{dim} matrix, got {tensor.tolist()}",
+                              field="homogenized_tensor")
+    return [np.full(tuple(grid.cells if a == d else grid.cells - 1
+                          for a in range(dim)), tensor[d, d])
+            for d in range(dim)]
+
+
 class BatchedStepper:
     """Advances a stack of scalar member paths under one model.
 
@@ -167,6 +182,12 @@ class BatchedStepper:
     ``members`` consecutive paths; the drag couples members within each
     replica only. The implicit factorization is cached and rebuilt only
     when the coefficient actually depends on the fast time.
+
+    ``homogenized_tensor`` makes this the effective level, factored once
+    with the constant faces a~[d, d]. Every coefficient family's cell solve
+    gives a diagonal tensor to round-off; a shape other than (N, N) or an
+    off-diagonal entry above 1e-8 times the largest diagonal entry raises
+    :class:`ValidationError`.
     """
 
     def __init__(self, grid: GridSpec, model: ModelSpec, spec: QWienerSpec,
@@ -182,6 +203,8 @@ class BatchedStepper:
         self.dt = float(dt)
         self.tol = float(tol)
         self.tensor = homogenized_tensor
+        self._faces = (None if homogenized_tensor is None
+                       else _effective_faces(grid, homogenized_tensor))
         self._g_weights = (np.sqrt(spec.eigenvalues * self.dt)
                            * model.mode_sigmas(spec.modes))
         if model.noise_law == "mode_modulated":  # built before a ladder forks
@@ -192,16 +215,12 @@ class BatchedStepper:
     # -- operator cache -----------------------------------------------------
 
     def factorization(self, t: float) -> ImplicitFactorization:
-        time_dependent = (self.tensor is None
+        time_dependent = (self._faces is None
                           and self.model.coefficient.time_dependent)
         if self._fac is None or (time_dependent and self._fac_time != t):
-            if self.tensor is not None:
-                self._fac = ImplicitFactorization(
-                    self.grid, None, self.dt, tensor=self.tensor)
-            else:
-                faces = face_coefficients(self.model.coefficient, self.grid,
-                                          self.model.epsilon, t)
-                self._fac = ImplicitFactorization(self.grid, faces, self.dt)
+            faces = self._faces or face_coefficients(
+                self.model.coefficient, self.grid, self.model.epsilon, t)
+            self._fac = ImplicitFactorization(self.grid, faces, self.dt)
             self._fac_time = t
         return self._fac
 

@@ -144,17 +144,6 @@ def _central(values: np.ndarray, axis: int, dim: int, h: float) -> np.ndarray:
     return (hi + lo) / (2.0 * h)
 
 
-def _apply_tensor(values: np.ndarray, tensor: np.ndarray,
-                  h: float) -> np.ndarray:
-    """-sum_jk t_jk d_j d_k u on a stack (..., *grid.shape)."""
-    dim = tensor.shape[0]
-    out = _apply_faces(values, [tensor[d, d] for d in range(dim)], h)
-    if dim == 2 and (tensor[0, 1] != 0.0 or tensor[1, 0] != 0.0):
-        cross = _central(_central(values, 1, dim, h), 0, dim, h)
-        out -= (tensor[0, 1] + tensor[1, 0]) * cross
-    return out
-
-
 def apply_A_eps(u: ScalarField, coeff: CoefficientField, eps: float,
                 t: float) -> ScalarField:
     """The oscillating divergence-form operator applied to a field."""
@@ -165,50 +154,38 @@ def apply_A_eps(u: ScalarField, coeff: CoefficientField, eps: float,
 class ImplicitFactorization:
     """Reusable solver for (I + dt * A) v = rhs at a frozen coefficient time.
 
-    A stack of right-hand sides is solved in one call. In 1D the operator
-    is tridiagonal and we keep its LDL^T factor from LAPACK ``pttrf``, so
-    each solve is one ``pttrs`` call costing O(n) per right-hand side. In
-    2D the whole stack runs matrix-free conjugate gradients together,
-    preconditioned by the exact DST-I inverse of the constant-coefficient
-    operator I + dt (c_x L_x + c_y L_y) (Concus & Golub 1973). c_d is the
-    mean of the absolute axis-d faces on an oscillating level (the plain
-    mean for an elliptic field, and positive definite for any faces) and
-    ``tensor[d, d]`` on the effective level, where a diagonal tensor makes
-    the preconditioner exact and CG stops after one iteration. The
-    eigenvalue array is built on the first 2D solve. ``iterations`` holds
-    the per-path CG iteration counts of the last 2D solve, shape (paths,);
-    in a ladder, whose work is split into shards stepped by forked
-    processes, the caller's copy holds the last step's solve of the last
-    block it stepped itself, and stays None for a level it left to a child.
+    A is -div(s grad u) with one face array per axis, laid out as
+    :func:`face_coefficients` returns them, on every ladder level; the
+    effective level's faces are the constants a~[d, d]. A stack of
+    right-hand sides is solved in one call. In 1D the operator is
+    tridiagonal and we keep its LDL^T factor from LAPACK ``pttrf``, so each
+    solve is one ``pttrs`` call costing O(n) per right-hand side. In 2D the
+    whole stack runs matrix-free conjugate gradients together,
+    preconditioned by the exact DST-I inverse of I + dt (c_x L_x + c_y L_y)
+    (Concus & Golub 1973). c_d is the value of constant axis-d faces, which
+    makes the preconditioner exact and CG stop after one iteration, and
+    else the mean of the absolute axis-d faces (positive definite for any
+    faces). The eigenvalue array is built on the first 2D solve.
+    ``iterations`` holds the per-path CG iteration counts of the last 2D
+    solve, shape (paths,); in a ladder, whose work is split into shards
+    stepped by forked processes, the caller's copy holds the last step's
+    solve of the last block it stepped itself, and stays None for a level
+    it left to a child.
     """
 
-    def __init__(self, grid: GridSpec, faces: list[np.ndarray] | None,
-                 dt: float, tensor: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, faces: list[np.ndarray], dt: float):
         self.grid = grid
         self.dt = float(dt)
         self.faces = faces
-        self.tensor = None if tensor is None else np.asarray(tensor, float)
         self.iterations: np.ndarray | None = None
-        self._ldl = None
         self._inverse = None
-        if grid.dimension == 1:
-            self._ldl = self._factor_1d()
-
-    def _diag_offdiag_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.cells
-        h2 = self.grid.h ** 2
-        if self.faces is not None:
-            s = self.faces[0]
-            diag = 1.0 + self.dt * (s[:-1] + s[1:]) / h2
-            off = -self.dt * s[1:-1] / h2
-        else:
-            t00 = float(self.tensor[0, 0])
-            diag = np.full(n - 1, 1.0 + 2.0 * self.dt * t00 / h2)
-            off = np.full(n - 2, -self.dt * t00 / h2)
-        return diag, off
+        self._ldl = self._factor_1d() if grid.dimension == 1 else None
 
     def _factor_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        d, e, info = dpttrf(*self._diag_offdiag_1d())
+        s = self.faces[0]
+        h2 = self.grid.h ** 2
+        d, e, info = dpttrf(1.0 + self.dt * (s[:-1] + s[1:]) / h2,
+                            -self.dt * s[1:-1] / h2)
         if info > 0:
             raise SolverDiverged(
                 "implicit operator is not positive definite (LAPACK pttrf: "
@@ -220,11 +197,7 @@ class ImplicitFactorization:
         return d, e
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
-        if self.faces is not None:
-            av = _apply_faces(values, self.faces, self.grid.h)
-        else:
-            av = _apply_tensor(values, self.tensor, self.grid.h)
-        return values + self.dt * av
+        return values + self.dt * _apply_faces(values, self.faces, self.grid.h)
 
     def _precondition(self, values: np.ndarray) -> np.ndarray:
         """Exact inverse of I + dt (c_x L_x + c_y L_y) by a DST-I pair.
@@ -235,10 +208,9 @@ class ImplicitFactorization:
         """
         if self._inverse is None:
             g = self.grid
-            if self.faces is not None:
-                c = [float(np.mean(np.abs(f))) for f in self.faces]
-            else:
-                c = [abs(float(self.tensor[d, d])) for d in range(2)]
+            # the mean of n copies of c can miss c in the last bit
+            c = [abs(float(f.flat[0])) if np.ptp(f) == 0.0
+                 else float(np.mean(np.abs(f))) for f in self.faces]
             lam = (4.0 / g.h ** 2) * np.sin(
                 np.arange(1, g.cells) * np.pi * g.h / 2.0) ** 2
             self._inverse = 1.0 / ((2.0 * g.cells) ** 2 * (

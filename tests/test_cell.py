@@ -42,8 +42,31 @@ def test_1d_corrector_slope_closed_form():
     y = grid.centers()[0]
     a_vals = 2.0 + np.sin(2.0 * np.pi * y)
     expected = sol.a_tilde[0, 0] / a_vals - 1.0
-    slopes = sol.corrector_gradients()[0, 0, 0]
+    slopes = sol.corrector_gradients[0, 0, 0]
     assert np.max(np.abs(slopes - expected)) <= 1e-3
+
+
+def corrector_gradients_oracle(sol):
+    """Central differences slice by slice and direction by direction."""
+    g = sol.grid
+    out = np.empty((g.tau_slices, g.dimension, g.dimension) + g.shape)
+    for s in range(g.tau_slices):
+        for i in range(g.dimension):
+            eta = sol.correctors[s, i]
+            for j in range(g.dimension):
+                out[s, i, j] = (np.roll(eta, -1, axis=j)
+                                - np.roll(eta, 1, axis=j)) / (2.0 * g.h)
+    return out
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_corrector_gradients_match_the_loop_oracle_and_are_kept(dimension):
+    c = make_coefficient("separable_trig", dimension)
+    sol = solve_cell_problem(c, CellGrid(dimension, 16, tau_slices=3))
+    grads = sol.corrector_gradients
+    assert np.array_equal(grads, corrector_gradients_oracle(sol))
+    assert sol.corrector_gradients is grads
+    assert not grads.flags.writeable
 
 
 def test_zero_mean_normalization_per_slice():

@@ -701,6 +701,42 @@ ONE_PATH_2D_INI = ini("""
     """)
 
 
+FOUR_PATH_2D_INI = ini("""
+    [grid]
+    dimension = 2
+    cells = 128
+    [coefficient]
+    family = checkerboard
+    [model]
+    noise_law = mode_modulated
+    [stepper]
+    dt = 0.001
+    horizon = 0.005
+    [ensemble]
+    members = 2
+    replicas = 2
+    [study]
+    epsilons = 0.25
+    [run]
+    seed = 7
+    """)
+
+LAYERED_1D_INI = ini("""
+    [grid]
+    cells = 1024
+    [model]
+    noise_law = mode_modulated
+    [stepper]
+    dt = 0.0001
+    horizon = 0.0005
+    [ensemble]
+    members = 8
+    replicas = 8
+    [run]
+    seed = 7
+    """)
+
+
 SPLIT_SIMULATE_INI = ini("""
     [grid]
     cells = 1024
@@ -735,24 +771,33 @@ def cli_in_subprocess(argv, threads):
 def test_ladder_bits_do_not_depend_on_blas_threads(tmp_path):
     # The pairing of a one-path 2D ladder was a BLAS product whose bits
     # changed with the OpenBLAS thread count; it is a fixed-order sum now.
-    # The simulate run has 17 members of 1023 values per CPU on two CPUs,
-    # enough to split; each shard forms the whole-stack noise product.
-    ladder = write_ladder_ini(tmp_path, ONE_PATH_2D_INI)
+    # The multi-path ladders form the mode-modulated noise product on
+    # 2D and 1D stacks. The simulate run has 17 members of 1023 values per
+    # CPU on two CPUs, enough to split; each shard forms the whole-stack
+    # noise product.
+    ladders = {"one_path_2d": ONE_PATH_2D_INI,
+               "four_path_2d": FOUR_PATH_2D_INI,
+               "layered_1d": LAYERED_1D_INI}
+    for name, text in ladders.items():
+        ladders[name] = tmp_path / f"{name}.ini"
+        ladders[name].write_text(text, encoding="utf-8")
     simulate = tmp_path / "simulate.ini"
     simulate.write_text(SPLIT_SIMULATE_INI, encoding="utf-8")
-    raw, manifests = [], []
+    raw, manifests = {}, []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        cli_in_subprocess(["ladder", "-c", str(ladder), "-o", str(out)],
-                          threads)
-        raw.append((out / "raw.npz").read_bytes())
+        for name, ladder in ladders.items():
+            out = tmp_path / f"{name}{threads}"
+            cli_in_subprocess(["ladder", "-c", str(ladder), "-o", str(out)],
+                              threads)
+            raw.setdefault(name, []).append((out / "raw.npz").read_bytes())
         sim = tmp_path / f"simulate{threads}"
         cli_in_subprocess(["simulate", "-c", str(simulate), "-o", str(sim)],
                           threads)
         manifests.append((sim / "manifest.json").read_bytes())
         info = json.loads((sim / "run_info.json").read_text())
         assert info["shards"] == len(ensemble_shards(34, 1023))
-    assert raw[0] == raw[1]
+    for name, (one, two) in raw.items():
+        assert one == two, name
     assert manifests[0] == manifests[1]
 
 

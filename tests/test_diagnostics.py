@@ -336,6 +336,30 @@ def test_ladder_2d_runs_many_paths():
         assert np.max(np.abs(out - alone)) <= 1e-8 * np.max(np.abs(alone))
 
 
+def test_effective_2d_level_takes_one_cg_iteration_per_path(monkeypatch):
+    # the effective level's faces are the constants a~[d, d], for which the
+    # DST preconditioner is the exact inverse
+    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    cfg = StudyConfig(coefficient=coeff, grid=GridSpec(2, 64),
+                      epsilons=(0.5, 0.25),
+                      stepper=StepperConfig(dt=0.002, horizon=0.01),
+                      members=2, replicas=2, noise_law="mode_modulated",
+                      cell_cells=32)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    counts = []
+    advance = BatchedStepper.advance
+
+    def recording(self, U, xi, t, *args, **kwargs):
+        out = advance(self, U, xi, t, *args, **kwargs)
+        if self.tensor is not None:
+            counts.extend(self.factorization(t).iterations.tolist())
+        return out
+
+    monkeypatch.setattr(BatchedStepper, "advance", recording)
+    run_ladder(cfg)
+    assert counts == [1] * (cfg.stepper.steps * 4)
+
+
 def block_study(family="layered", members=4, replicas=8,
                 noise_law="scalar_multiplicative"):
     coeff = make_coefficient(family, 1, alpha=2.0, beta=1.0) \

@@ -8,6 +8,7 @@ import pytest
 
 from twoscale import grid as grid_module
 from twoscale import parallel
+from twoscale.cell import CellGrid, solve_cell_problem
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import Ensemble
 from twoscale.errors import (InternalError, NonFinite, StepRejected,
@@ -585,6 +586,32 @@ def test_velocity_step_runs_and_stays_finite():
         assert out[m].values.shape == grid.shape
         assert np.all(np.isfinite(out[m].values))
     assert not np.array_equal(out[0].values, u[0].values)
+
+
+def test_engine_rejects_an_off_diagonal_homogenized_tensor():
+    # the effective level steps the diagonal a~[d, d] as constant faces, so
+    # an off-diagonal entry it would ignore is refused
+    grid = GridSpec(2, 16)
+    model = free_model(make_coefficient("checkerboard", 2))
+    tensor = np.array([[2.0, 1e-3], [1e-3, 2.0]])
+    with pytest.raises(ValidationError) as err:
+        BatchedStepper(grid, model, noise_spec(grid), members=1, dt=1e-3,
+                       homogenized_tensor=tensor)
+    assert err.value.field == "homogenized_tensor"
+
+
+def test_engine_accepts_a_cell_solved_tensor():
+    # a checkerboard cell solve leaves round-off off the diagonal; the
+    # effective level still takes one exact CG iteration per path
+    grid = GridSpec(2, 16)
+    coeff = make_coefficient("checkerboard", 2)
+    a_tilde = solve_cell_problem(coeff, CellGrid(2, 64)).a_tilde
+    assert a_tilde[0, 1] != 0.0
+    stepper = BatchedStepper(grid, free_model(coeff), noise_spec(grid),
+                             members=1, dt=1e-3, homogenized_tensor=a_tilde)
+    U = np.tile(sine_mode(grid, (1, 1)).values.reshape(-1), (2, 1))
+    stepper.advance(U, np.zeros((2, 8)), 0.0, 0)
+    assert np.array_equal(stepper.factorization(0.0).iterations, [1, 1])
 
 
 def test_engine_rejects_the_velocity_variant():

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
+from scipy.linalg.lapack import dpttrf
 
 from twoscale.coefficients import make_coefficient
 from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
                              SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
-                           norm_H, norm_V)
-from twoscale.integrator import BatchedStepper
-from twoscale.models import (ImplicitFactorization, ModelSpec, _apply_tensor,
-                             apply_A_eps, apply_B,
+                           norm_H, norm_V, preconditioned_cg)
+from twoscale.integrator import BatchedStepper, _effective_faces
+from twoscale.models import (ImplicitFactorization, ModelSpec, _apply_faces,
+                             _central, apply_A_eps, apply_B,
                              check_B_local_monotonicity, face_coefficients,
                              leray_project, spectral_divergence_norm)
 from twoscale.noise import QWienerSpec
@@ -103,19 +105,103 @@ def test_operator_coercive_with_measured_constant():
         assert quad >= (measured - 1e-9) * norm_V(u) ** 2
 
 
+# ---------------------------------------------------------------------------
+# the tensor form of the effective level's operator, an oracle for its
+# constant faces a~[d, d]
+
+
+def apply_tensor_oracle(values, tensor, h):
+    """-sum_jk t_jk d_j d_k u on a stack (..., *grid.shape)."""
+    dim = tensor.shape[0]
+    out = _apply_faces(values, [tensor[d, d] for d in range(dim)], h)
+    if dim == 2 and (tensor[0, 1] != 0.0 or tensor[1, 0] != 0.0):
+        cross = _central(_central(values, 1, dim, h), 0, dim, h)
+        out -= (tensor[0, 1] + tensor[1, 0]) * cross
+    return out
+
+
+def tensor_tridiagonal_oracle(grid, dt, tensor):
+    """Diagonal and off-diagonal of I + dt A for a 1D tensor."""
+    n = grid.cells
+    h2 = grid.h ** 2
+    t00 = float(tensor[0, 0])
+    return (np.full(n - 1, 1.0 + 2.0 * dt * t00 / h2),
+            np.full(n - 2, -dt * t00 / h2))
+
+
+def tensor_solve_oracle(grid, dt, tensor, rhs, tol):
+    """2D CG on I + dt A for a tensor, preconditioned with c_d = |t_dd|."""
+    c = [abs(float(tensor[d, d])) for d in range(2)]
+    lam = (4.0 / grid.h ** 2) * np.sin(
+        np.arange(1, grid.cells) * np.pi * grid.h / 2.0) ** 2
+    inverse = 1.0 / ((2.0 * grid.cells) ** 2 * (
+        1.0 + dt * (c[0] * lam[:, None] + c[1] * lam[None, :])))
+    out, _, iterations = preconditioned_cg(
+        lambda v: v + dt * apply_tensor_oracle(v, tensor, grid.h),
+        lambda v: dstn(dstn(v, type=1, axes=(-2, -1)) * inverse, type=1,
+                       axes=(-2, -1)),
+        rhs.reshape((-1,) + grid.shape), tol, 20 * grid.cells ** 2,
+        "implicit CG")
+    return out.reshape(rhs.shape), iterations
+
+
 def test_tensor_operator_matches_constant_scalar():
     rng = np.random.default_rng(2)
     grid = GridSpec(1, 64)
     u = random_field(grid, rng)
-    via_tensor = _apply_tensor(u.values, np.array([[2.5]]), grid.h)
+    via_tensor = apply_tensor_oracle(u.values, np.array([[2.5]]), grid.h)
     via_scalar = apply_A_eps(u, constant(2.5), 1.0, 0.0)
     assert np.max(np.abs(via_tensor - via_scalar.values)) < 1e-10
 
     grid2 = GridSpec(2, 32)
     u2 = random_field(grid2, rng)
-    via_tensor = _apply_tensor(u2.values, np.diag([3.0, 3.0]), grid2.h)
+    via_tensor = apply_tensor_oracle(u2.values, np.diag([3.0, 3.0]), grid2.h)
     via_scalar = apply_A_eps(u2, constant(3.0, dimension=2), 1.0, 0.0)
     assert np.max(np.abs(via_tensor - via_scalar.values)) < 1e-8
+
+
+# diagonal tensors as cell solves give them: the layered sqrt(3), a
+# constant's, a checkerboard's (whose mean over a face array misses it in
+# the last bit) and a separable_trig's
+DIAGONALS = {1: [1.7320508075688772, 2.5],
+             2: [[1.788977161941657] * 2, [3.464101615137755, 4.0]]}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_constant_faces_apply_the_tensor_operator_bitwise(dimension):
+    grid = GridSpec(dimension, 64 if dimension == 1 else 32)
+    stack = np.random.default_rng(21).standard_normal((3,) + grid.shape)
+    for diagonal in DIAGONALS[dimension]:
+        tensor = np.diag(np.atleast_1d(diagonal))
+        faces = _effective_faces(grid, tensor)
+        assert np.array_equal(_apply_faces(stack, faces, grid.h),
+                              apply_tensor_oracle(stack, tensor, grid.h))
+
+
+def test_constant_faces_give_the_tensor_tridiagonal_factor_bitwise():
+    grid = GridSpec(1, 128)
+    dt = 0.01
+    for value in DIAGONALS[1]:
+        tensor = np.array([[value]])
+        fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), dt)
+        d, e, info = dpttrf(*tensor_tridiagonal_oracle(grid, dt, tensor))
+        assert info == 0
+        assert np.array_equal(fac._ldl[0], d)
+        assert np.array_equal(fac._ldl[1], e)
+
+
+def test_constant_faces_give_the_tensor_2d_solve_bitwise():
+    grid = GridSpec(2, 32)
+    dt, tol = 0.001, 1e-8
+    stack = np.random.default_rng(23).standard_normal((3, grid.dof))
+    for diagonal in DIAGONALS[2]:
+        tensor = np.diag(diagonal)
+        fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), dt)
+        expected, iterations = tensor_solve_oracle(grid, dt, tensor, stack,
+                                                   tol)
+        assert np.array_equal(fac.solve_batch(stack, tol=tol), expected)
+        assert np.array_equal(fac.iterations, iterations)
+        assert np.array_equal(iterations, np.ones(3, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +283,9 @@ def _dense(grid, dt, operator):
 
 
 def _dense_tensor(grid, dt, tensor):
-    """I + dt * (-sum_jk t_jk d_j d_k) as the effective level applies it."""
+    """I + dt * (-sum_jk t_jk d_j d_k) as a dense matrix."""
     return _dense(grid, dt, lambda u: ScalarField(
-        grid, _apply_tensor(u.values, tensor, grid.h)))
+        grid, apply_tensor_oracle(u.values, tensor, grid.h)))
 
 
 def test_tridiagonal_solve_matches_dense():
@@ -266,21 +352,15 @@ def checkerboard():
     return make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
 
 
-@pytest.mark.parametrize("tensor", [None, np.array([[2.0, 0.6], [0.6, 1.5]])],
-                         ids=["checkerboard-faces", "off-diagonal-tensor"])
-def test_preconditioned_2d_solve_matches_dense(tensor):
-    # The DST preconditioner is inexact for oscillating faces and for an
-    # off-diagonal tensor pair, so CG has to iterate. I + dt A >= I, so the
-    # error of each row is at most its residual, tol * ||b||.
+def test_preconditioned_2d_solve_matches_dense():
+    # The DST preconditioner is inexact for oscillating faces, so CG has to
+    # iterate. I + dt A >= I, so the error of each row is at most its
+    # residual, tol * ||b||.
     grid = GridSpec(2, 16)
     dt, tol = 0.01, 1e-10
-    if tensor is None:
-        fac = ImplicitFactorization(
-            grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt)
-        dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
-    else:
-        fac = ImplicitFactorization(grid, None, dt, tensor=tensor)
-        dense = _dense_tensor(grid, dt, tensor)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt)
+    dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
     stack = np.random.default_rng(12).standard_normal((3, grid.dof))
     out = fac.solve_batch(stack, tol=tol)
     expected = np.linalg.solve(dense, stack.T).T
@@ -291,10 +371,10 @@ def test_preconditioned_2d_solve_matches_dense(tensor):
 
 
 def test_diagonal_tensor_solve_takes_one_iteration():
-    # With a diagonal tensor the DST preconditioner is the exact inverse.
+    # With constant faces the DST preconditioner is the exact inverse.
     grid = GridSpec(2, 16)
     tensor = np.diag([1.75, 2.5])
-    fac = ImplicitFactorization(grid, None, 0.01, tensor=tensor)
+    fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), 0.01)
     stack = np.random.default_rng(13).standard_normal((4, grid.dof))
     out = fac.solve_batch(stack, tol=1e-12)
     assert np.array_equal(fac.iterations, np.ones(4, dtype=int))
