@@ -334,7 +334,8 @@ _RAW_KEYS = (("epsilons", "shape", "dt", "grid_scale", "a_tilde",
 def _load_raw(path: Path) -> dict:
     """The arrays of a stored ladder archive, laid out as ``run_ladder``
     writes them. Raises :class:`IntegrityError` when the file is not an npz
-    archive, or naming the first array that is missing or misshapen."""
+    archive, or naming the first array that is missing, is not real and
+    finite, is misshapen, or has a sign that ``run_ladder`` cannot write."""
     def bad(key: str, why: str) -> IntegrityError:
         return IntegrityError(f"{path}: array {key!r} {why}", path=str(path))
 
@@ -347,14 +348,17 @@ def _load_raw(path: Path) -> dict:
     for key in _RAW_KEYS:
         if key not in raw:
             raise bad(key, "is missing")
-        if not np.issubdtype(raw[key].dtype, np.number):
-            raise bad(key, f"has non-numeric dtype {raw[key].dtype}")
+        if raw[key].dtype.kind not in "fiu":
+            raise bad(key, f"has dtype {raw[key].dtype}, not real numbers")
+        if not np.all(np.isfinite(raw[key])):
+            raise bad(key, "has non-finite values")
     eps, shape, states = raw["epsilons"], raw["shape"], raw["final_states"]
     if (eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0)
             or np.any(np.diff(eps) >= 0)):
         raise bad("epsilons", "is not a strictly decreasing list of "
                               "positive values")
-    if shape.shape != (3,) or not np.all(shape >= 1):
+    if (shape.shape != (3,) or shape.dtype.kind not in "iu"
+            or not np.all(shape >= 1)):
         raise bad("shape", "is not three counts >= 1 (replicas, members, "
                            "steps)")
     levels, paths = eps.size, int(shape[0]) * int(shape[1])
@@ -370,6 +374,12 @@ def _load_raw(path: Path) -> dict:
         if raw[key].shape != want:
             raise bad(key, f"has shape {raw[key].shape}, but 'epsilons' and "
                            f"'shape' ask for {want}")
+    for key in ("dt", "grid_scale"):
+        if not raw[key][0] > 0:
+            raise bad(key, "is not positive")
+    for key in ("err2", "plain2", "corr2", *_LEVEL_ROWS):  # squared norms
+        if np.any(raw[key] < 0):
+            raise bad(key, "has negative values")
     return raw
 
 

@@ -52,8 +52,6 @@ _SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
         "variant": (str, "allen_cahn"),
         "mean_field": (str, "stokes_drag"),
         "cubic": (bool, True),
-        "eta": (float, 0.0),
-        "ell": (float, 0.0),
         "noise_law": (str, "scalar_multiplicative"),
         "sigma0": (float, 0.1),
     },
@@ -169,7 +167,6 @@ class RunConfig:
             raise self.error(
                 "model.variant", "ladder and corrector studies run the "
                 f"{', '.join(STEPPED_VARIANTS)} variant only")
-        del model["eta"], model["ell"]  # checked 0.0; no study term reads them
         return self._build(
             "study", StudyConfig, coefficient=self.coefficient(),
             grid=self.grid(), stepper=self.stepper(), seed=self.seed,

@@ -187,41 +187,39 @@ class ConvergenceReport:
 
     def to_json(self) -> str:
         payload = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
+        """One row per eps level; the effective level has no error row."""
+        columns = (self.epsilons, self.errors, self.error_stderr,
+                   self.plain_gradient, self.plain_stderr,
+                   self.corrected_gradient, self.corrected_stderr,
+                   self.pairings, self.pairing_stderr,
+                   self.energy_functional, self.energy_stderr)
         lines = ["epsilon,error,error_stderr,plain_gradient,plain_stderr,"
                  "corrected_gradient,corrected_stderr,pairing,pairing_stderr,"
                  "energy_functional,energy_stderr"]
-        for i, e in enumerate(self.epsilons):
-            row = (e, self.errors[i], self.error_stderr[i],
-                   self.plain_gradient[i], self.plain_stderr[i],
-                   self.corrected_gradient[i], self.corrected_stderr[i],
-                   self.pairings[i], self.pairing_stderr[i],
-                   self.energy_functional[i], self.energy_stderr[i])
-            lines.append(",".join(repr(v) for v in row))
+        lines += [",".join(repr(v) for v in row) for row in zip(*columns)]
         return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _replica_stats(per_path: np.ndarray, replicas: int,
-                   members: int) -> tuple[float, float]:
-    """Mean over all paths plus the standard error over replica means."""
-    groups = per_path.reshape(replicas, members).mean(axis=1)
-    mean = float(per_path.mean())
-    se = float(groups.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
-    return mean, se
+def _level_stats(acc: np.ndarray, replicas: int, members: int,
+                 root: bool = False) -> tuple[list[float], list[float]]:
+    """Per level (row of ``acc``), the mean over all paths and the standard
+    error over replica means; with ``root``, the square root of the mean
+    and its standard error by the delta method."""
+    means, ses = [], []
+    for per_path in acc:
+        groups = per_path.reshape(replicas, members).mean(axis=1)
+        mean = float(per_path.mean())
+        se = (float(groups.std(ddof=1) / np.sqrt(replicas)) if replicas > 1
+              else 0.0)
+        if root:
+            se = float(se / (2.0 * np.sqrt(mean))) if mean > 0 else 0.0
+            mean = float(np.sqrt(mean))
+        means.append(mean)
+        ses.append(se)
+    return means, ses
 
 
 def _replica_blocks(replicas: int, members: int, dof: int) -> list[slice]:
@@ -252,6 +250,9 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     Within each step, the paths go in blocks of whole replicas
     (``parallel.BLOCK_VALUES``): a block draws its noise, advances every
     level and updates every accumulator before the next block starts.
+    Each accumulator has one update site: the left-point pairing before
+    the advances (t_0 .. t_{N-1}), every other one after them. The energy
+    sup starts at u0's, written once before any shard starts.
     Draws are per path and the drag stays inside a replica, so the block
     size changes no result; a time-dependent coefficient is still factored
     once per level and step.
@@ -316,6 +317,8 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     (err2, plain2, corr2, pairing, sup_h2, int_v2, int_l4,
      final_states) = parallel.shared_zeros(
         [(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3 + [(n_eps + 1, P, grid.dof)])
+    # every level starts from u0, so its energy sup starts at u0's
+    sup_h2[:] = steppers[0].energy_rows(u0[None])["H2"]
 
     mesh = grid.meshgrid()
     osc = [np.sin(2.0 * np.pi * mesh[0] / e).reshape(-1) for e in eps_list]
@@ -337,12 +340,6 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         face_slopes = {li: _face_corrector_slopes(cell_sol, grid,
                                                   eps_list[li], 0.0)
                        for li in levels}
-        # t = 0 contributions: pairing left-point, energy sup
-        for rows, S in zip(shard_blocks, states):
-            for li in levels:
-                pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
-            for li in owned:
-                sup_h2[li, rows] = steppers[li].energy_rows(S[li])["H2"]
         for n in range(steps):
             t = n * dt
             if slopes_move:
@@ -351,6 +348,8 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                     for li in levels}
             for rows, S in zip(shard_blocks, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
+                for li in levels:  # left-point pairing over t_0 .. t_{N-1}
+                    pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
                 for li in stepped:
                     yield n + 1, rows.start, li
                     S[li] = steppers[li].advance(S[li], xi, t, n,
@@ -368,8 +367,6 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                                                  face_slopes[li], grid)
                     plain2[li, rows] += dt * p2
                     corr2[li, rows] += dt * c2
-                    if n < steps - 1:  # left-point pairing: t_{n+1} counts
-                        pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
                 for li in owned:
                     energy = steppers[li].energy_rows(S[li], grads[li])
                     sup = sup_h2[li, rows]
@@ -382,10 +379,8 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             for li in owned:
                 final_states[li, rows] = S[li]
 
-    # level shards share their blocks, block shards their levels
-    by_levels = len(shards) > 1 and shards[0][1] == shards[1][1]
     parallel.run_shards(run_shard, shards,
-                        lambda shard: _shard_name(shard, by_levels), progress)
+                        lambda shard: _shard_name(shard, n_eps), progress)
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
@@ -401,9 +396,9 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                         report=report, shards=len(shards))
 
 
-def _shard_name(shard: tuple, by_levels: bool) -> str:
+def _shard_name(shard: tuple, n_eps: int) -> str:
     levels, blocks = shard
-    if by_levels:
+    if len(levels) < n_eps:
         return f"ladder shard of eps levels {levels[0]}..{levels[-1]}"
     return f"ladder shard of paths {blocks[0].start}..{blocks[-1].stop - 1}"
 
@@ -415,47 +410,23 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
     stored archive can be re-rendered at any time without recomputation.
     """
     eps_list = [float(e) for e in np.asarray(raw["epsilons"]).reshape(-1)]
-    n_eps = len(eps_list)
     R, M, steps = (int(v) for v in np.asarray(raw["shape"]).reshape(-1))
     dt = float(np.asarray(raw["dt"]).reshape(-1)[0])
     hN = float(np.asarray(raw["grid_scale"]).reshape(-1)[0])
     a_tilde = np.atleast_2d(np.asarray(raw["a_tilde"], dtype=float))
-    err2, plain2, corr2 = raw["err2"], raw["plain2"], raw["corr2"]
-    pairing, sup_h2 = raw["pairing"], raw["sup_h2"]
-    int_v2, int_l4 = raw["int_v2"], raw["int_l4"]
-    final_states = raw["final_states"]
-
-    errors, error_se = [], []
-    plain, plain_se = [], []
-    corrected, corrected_se = [], []
-    pair_mean, pair_se = [], []
-    for li in range(n_eps):
-        for acc, out_m, out_se in ((err2, errors, error_se),
-                                   (plain2, plain, plain_se),
-                                   (corr2, corrected, corrected_se)):
-            m, se = _replica_stats(acc[li], R, M)
-            out_m.append(float(np.sqrt(m)))
-            # delta method: se of sqrt(mean) from se of the mean
-            out_se.append(float(se / (2.0 * np.sqrt(m))) if m > 0 else 0.0)
-        m, se = _replica_stats(pairing[li], R, M)
-        pair_mean.append(float(m))
-        pair_se.append(float(se))
-
-    energy, energy_se = [], []
-    sup_p2, sup_p4 = [], []
-    for li in range(n_eps + 1):
-        functional = sup_h2[li] + int_v2[li] + int_l4[li]
-        m, se = _replica_stats(functional, R, M)
-        energy.append(float(m))
-        energy_se.append(float(se))
-        sup_p2.append(float(np.mean(sup_h2[li])))
-        sup_p4.append(float(np.mean(sup_h2[li] ** 2)))
-
-    w2 = []
-    hom_obs = np.sqrt(hN * np.sum(final_states[n_eps] ** 2, axis=-1))
-    for li in range(n_eps):
-        obs = np.sqrt(hN * np.sum(final_states[li] ** 2, axis=-1))
-        w2.append(wasserstein2_1d(obs, hom_obs))
+    errors, error_se = _level_stats(raw["err2"], R, M, root=True)
+    plain, plain_se = _level_stats(raw["plain2"], R, M, root=True)
+    corrected, corrected_se = _level_stats(raw["corr2"], R, M, root=True)
+    pair_mean, pair_se = _level_stats(raw["pairing"], R, M)
+    sup_h2 = raw["sup_h2"]
+    energy, energy_se = _level_stats(sup_h2 + raw["int_v2"] + raw["int_l4"],
+                                     R, M)
+    sup_p2 = [float(np.mean(row)) for row in sup_h2]
+    sup_p4 = [float(np.mean(row ** 2)) for row in sup_h2]
+    # final H norms, one level at a time: no (levels, paths, dof) square
+    norms = [np.sqrt(hN * np.sum(states ** 2, axis=-1))
+             for states in raw["final_states"]]
+    w2 = [wasserstein2_1d(obs, norms[-1]) for obs in norms[:-1]]
 
     return ConvergenceReport(
         epsilons=eps_list,

@@ -52,21 +52,14 @@ NOISE_LAWS = ("scalar_multiplicative", "mode_modulated")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which terms are active and with which constants.
-
-    ``eta`` and ``ell`` name the strengths of the interaction terms that the
-    well-posedness budget eta < kappa/2, ell < (kappa - 2 eta)/2 bounds. No
-    drift term reads them, so any value other than 0.0 is rejected rather
-    than accepted and ignored.
-    """
+    """Which terms are active and with which constants. No drift term has
+    an interaction strength, so there are no ``eta`` or ``ell`` fields."""
 
     variant: str
     coefficient: CoefficientField
     epsilon: float
     mean_field: str = "stokes_drag"
     cubic: bool = True
-    eta: float = 0.0
-    ell: float = 0.0
     noise_law: str = "scalar_multiplicative"
     sigma0: float = 0.1
 
@@ -86,11 +79,6 @@ class ModelSpec:
         if self.variant == "navier_stokes_2d" and self.coefficient.dimension != 2:
             raise ValidationError("velocity variant needs a 2D coefficient",
                                   field="variant")
-        for name, value in (("eta", self.eta), ("ell", self.ell)):
-            if value != 0.0:
-                raise ValidationError(
-                    f"{name}={value} is not supported: no drift term reads "
-                    f"{name}, so only 0.0 is accepted", field=name)
 
     def mode_sigmas(self, modes: int) -> np.ndarray:
         """Per-mode noise amplitudes sigma_k = sigma0 / k, k = 1..modes."""

@@ -80,7 +80,7 @@ def test_empty_config_digest_is_pinned():
     # manifest.json carries this digest, so a default that moves changes
     # every archive written without a config
     assert parse_config("").digest() == \
-        "f4b4eded20863bec91837cf5cd68afe43d20c808610723b7ebc003a1629db9ea"
+        "cb65a44987637f83aa4a9f266febea84ba9f0279f7e296838281afcd0cc64496"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -167,29 +167,27 @@ def test_epsilon_ladder_must_decrease():
 
 
 def test_interaction_budget_rejections():
-    # no drift term reads eta or ell, so any value but 0.0 is rejected,
-    # even one inside the old budget ell < (kappa - 2 eta)/2
+    # no drift term reads eta or ell, so neither is a [model] key: a config
+    # that sets one, even to 0.0, is rejected as an unknown key at its line
     text = ini("""
         [coefficient]
         alpha = 2.0
         beta = 1.0
         [model]
-        eta = 0.0
-        ell = 0.2
+        cubic = true
+        ell = 0.0
         """)
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.field == "model.ell"
-    assert str(err.value).startswith("ell=")
-    assert "no drift term" in str(err.value)
+    assert str(err.value) == "unknown key 'ell' in section [model]"
     assert err.value.line == 6
 
-    with pytest.raises(ValidationError) as err:
-        parse_config("[model]\neta = 0.2\nell = 0.1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("[model]\neta = 0.0\nell = 0.1\n")
     assert err.value.field == "model.eta"
     assert err.value.line == 2
-    assert "no drift term" in str(err.value)
-    parse_config("[model]\neta = 0.0\nell = 0.0\n")
+    assert str(err.value) == "unknown key 'eta' in section [model]"
 
 
 def test_unknown_section_and_key_are_located():
@@ -499,6 +497,14 @@ def _edit_arrays(path, edit):
     np.savez(path, **raw)
 
 
+def _set_first(key, value):
+    """A rewrite of raw.npz whose array ``key`` starts with ``value``."""
+    def edit(raw):
+        raw[key] = raw[key].copy()
+        raw[key].flat[0] = value
+    return lambda path: _edit_arrays(path, edit)
+
+
 # case -> (rewrite of raw.npz, text the error message must contain)
 MALFORMED_ARCHIVES = {
     "missing-dt": (lambda path: _edit_arrays(
@@ -511,6 +517,15 @@ MALFORMED_ARCHIVES = {
         "'epsilons'"),
     "not-an-archive": (lambda path: path.write_bytes(b"not an archive"),
                        "not a readable npz archive"),
+    "complex-err2": (lambda path: _edit_arrays(
+        path, lambda raw: raw.update(err2=raw["err2"] + 0j)), "'err2'"),
+    "nan-pairing": (_set_first("pairing", np.nan), "'pairing'"),
+    "negative-grid-scale": (_set_first("grid_scale", -1.0), "'grid_scale'"),
+    "negative-err2": (_set_first("err2", -1.0), "'err2'"),
+    "negative-sup-h2": (_set_first("sup_h2", -1.0), "'sup_h2'"),
+    "negative-dt": (_set_first("dt", -0.01), "'dt'"),
+    "fractional-shape": (lambda path: _edit_arrays(
+        path, lambda raw: raw.update(shape=raw["shape"] + 0.5)), "'shape'"),
 }
 
 

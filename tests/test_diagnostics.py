@@ -11,6 +11,7 @@ import pytest
 from twoscale import diagnostics, parallel
 from twoscale.cell import CellGrid, CellSolution, solve_cell_problem
 from twoscale.coefficients import make_coefficient
+from twoscale.ensemble import wasserstein2_1d
 from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
                                   _face_corrector_slopes, _gradient_residuals,
                                   reduce_raw, run_ladder)
@@ -684,17 +685,46 @@ def stored_ladder_paths(cfg, result):
 
 
 @pytest.mark.parametrize("family", ["layered", "separable_trig"])
-def test_stored_paths_reproduce_ladder_accumulators(family):
+def test_stored_paths_reproduce_ladder_accumulators(monkeypatch, family):
     # The diagnostics on stored trajectories and the ladder's streaming
     # accumulators are one definition: same face differences, same slopes,
-    # same time rules.
+    # same time rules. The energy sup over t_0 .. t_N and the left-point
+    # pairing over t_0 .. t_{N-1} keep every bit, in one process and in
+    # two level shards.
     cfg = small_study(coefficient=make_coefficient(family, 1))
-    result = run_ladder(cfg)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = run_ladder(cfg)
+        assert results[cpus].shards == cpus
+    result = results[1]
     raw = result.raw
     paths = stored_ladder_paths(cfg, result)
     assert np.array_equal(np.stack([p[:, -1] for p in paths]),
                           raw["final_states"])
-    dt = cfg.stepper.dt
+    dt, steps = cfg.stepper.dt, cfg.stepper.steps
+    hN = cfg.grid.h ** cfg.grid.dimension
+    stepper = BatchedStepper(cfg.grid, cfg.model_for(cfg.epsilons[0]),
+                             cfg.noise_spec(), members=cfg.members, dt=dt)
+    sup_h2 = []
+    for path in paths:
+        sup = stepper.energy_rows(np.ascontiguousarray(path[:, 0]))["H2"]
+        for n in range(1, steps + 1):
+            h2 = stepper.energy_rows(np.ascontiguousarray(path[:, n]))["H2"]
+            sup = np.maximum(sup, h2)
+        sup_h2.append(sup)
+    pairing = []
+    mesh = cfg.grid.meshgrid()
+    for li, eps in enumerate(cfg.epsilons):
+        osc = np.sin(2.0 * np.pi * mesh[0] / eps).reshape(-1)
+        acc = np.zeros(paths[li].shape[0])
+        for n in range(steps):
+            acc += dt * hN * diagnostics._pair(
+                np.ascontiguousarray(paths[li][:, n]), osc)
+        pairing.append(acc)
+    for cpus, res in results.items():
+        assert np.array_equal(res.raw["sup_h2"], np.stack(sup_h2)), cpus
+        assert np.array_equal(res.raw["pairing"], np.stack(pairing)), cpus
     for li, eps in enumerate(cfg.epsilons):
         for p in range(paths[li].shape[0]):
             pairing = two_scale_pairing(paths[li][p], cfg.grid, dt, eps)
@@ -786,3 +816,123 @@ def test_report_validation():
             energy_stderr=[0.0, 0.0, 0.0], sup_moment_p2=[0.0, 0.0, 0.0],
             sup_moment_p4=[0.0, 0.0, 0.0], wasserstein_final=[0.0, 0.0],
             replicas=1, members=1, steps=1, dt=0.1, a_tilde=[[1.0]])
+
+
+# ---------------------------------------------------------------------------
+# the reduction spelled out once per accumulator, with the report's former
+# serializers: the oracle that reduce_raw, to_json and to_csv must match
+# byte for byte
+
+
+def _oracle_replica_stats(per_path, replicas, members):
+    groups = per_path.reshape(replicas, members).mean(axis=1)
+    mean = float(per_path.mean())
+    se = float(groups.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
+    return mean, se
+
+
+def oracle_reduce_raw(raw: dict) -> ConvergenceReport:
+    eps_list = [float(e) for e in np.asarray(raw["epsilons"]).reshape(-1)]
+    n_eps = len(eps_list)
+    R, M, steps = (int(v) for v in np.asarray(raw["shape"]).reshape(-1))
+    dt = float(np.asarray(raw["dt"]).reshape(-1)[0])
+    hN = float(np.asarray(raw["grid_scale"]).reshape(-1)[0])
+    a_tilde = np.atleast_2d(np.asarray(raw["a_tilde"], dtype=float))
+    err2, plain2, corr2 = raw["err2"], raw["plain2"], raw["corr2"]
+    pairing, sup_h2 = raw["pairing"], raw["sup_h2"]
+    int_v2, int_l4 = raw["int_v2"], raw["int_l4"]
+    final_states = raw["final_states"]
+
+    errors, error_se = [], []
+    plain, plain_se = [], []
+    corrected, corrected_se = [], []
+    pair_mean, pair_se = [], []
+    for li in range(n_eps):
+        for acc, out_m, out_se in ((err2, errors, error_se),
+                                   (plain2, plain, plain_se),
+                                   (corr2, corrected, corrected_se)):
+            m, se = _oracle_replica_stats(acc[li], R, M)
+            out_m.append(float(np.sqrt(m)))
+            out_se.append(float(se / (2.0 * np.sqrt(m))) if m > 0 else 0.0)
+        m, se = _oracle_replica_stats(pairing[li], R, M)
+        pair_mean.append(float(m))
+        pair_se.append(float(se))
+
+    energy, energy_se = [], []
+    sup_p2, sup_p4 = [], []
+    for li in range(n_eps + 1):
+        functional = sup_h2[li] + int_v2[li] + int_l4[li]
+        m, se = _oracle_replica_stats(functional, R, M)
+        energy.append(float(m))
+        energy_se.append(float(se))
+        sup_p2.append(float(np.mean(sup_h2[li])))
+        sup_p4.append(float(np.mean(sup_h2[li] ** 2)))
+
+    w2 = []
+    hom_obs = np.sqrt(hN * np.sum(final_states[n_eps] ** 2, axis=-1))
+    for li in range(n_eps):
+        obs = np.sqrt(hN * np.sum(final_states[li] ** 2, axis=-1))
+        w2.append(wasserstein2_1d(obs, hom_obs))
+
+    return ConvergenceReport(
+        epsilons=eps_list,
+        errors=errors, error_stderr=error_se,
+        plain_gradient=plain, plain_stderr=plain_se,
+        corrected_gradient=corrected, corrected_stderr=corrected_se,
+        pairings=pair_mean, pairing_stderr=pair_se,
+        energy_functional=energy, energy_stderr=energy_se,
+        sup_moment_p2=sup_p2, sup_moment_p4=sup_p4,
+        wasserstein_final=w2, replicas=R, members=M, steps=steps, dt=dt,
+        a_tilde=[[float(v) for v in row] for row in a_tilde],
+        levels=[f"eps={e:g}" for e in eps_list] + ["effective"])
+
+
+def _oracle_jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _oracle_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _oracle_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+def oracle_to_json(report: ConvergenceReport) -> str:
+    payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
+    return json.dumps(_oracle_jsonable(payload), indent=2, sort_keys=True)
+
+
+def oracle_to_csv(report: ConvergenceReport) -> str:
+    lines = ["epsilon,error,error_stderr,plain_gradient,plain_stderr,"
+             "corrected_gradient,corrected_stderr,pairing,pairing_stderr,"
+             "energy_functional,energy_stderr"]
+    for i, e in enumerate(report.epsilons):
+        row = (e, report.errors[i], report.error_stderr[i],
+               report.plain_gradient[i], report.plain_stderr[i],
+               report.corrected_gradient[i], report.corrected_stderr[i],
+               report.pairings[i], report.pairing_stderr[i],
+               report.energy_functional[i], report.energy_stderr[i])
+        lines.append(",".join(repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def trig_study():
+    return small_study(coefficient=make_coefficient("separable_trig", 1))
+
+
+@pytest.mark.parametrize("make, cpus", [
+    (small_study, 1), (small_2d_study, 2), (trig_study, 1)])
+def test_reduction_matches_per_accumulator_oracle(monkeypatch, make, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    result = run_ladder(make())
+    buf = io.BytesIO()
+    np.savez(buf, **result.raw)
+    buf.seek(0)
+    stored = dict(np.load(buf))
+    for raw, report in ((result.raw, result.report),
+                        (stored, reduce_raw(stored))):
+        oracle = oracle_reduce_raw(raw)
+        assert report.to_json() == oracle_to_json(oracle)
+        assert report.to_csv() == oracle_to_csv(oracle)
