@@ -3,8 +3,10 @@
 Every family in v1 is diagonal-scalar, a(y, tau) = s(y, tau) * I, with s
 1-periodic in each fast variable. The fast arguments are always reduced to
 the unit torus before evaluation, so callers may pass x/eps and t/eps
-directly. Ellipticity is declared per instance: ``make_coefficient``
-derives the sharp lower bound of s when no constant is given.
+directly. A field checks its own parameters when it is built and derives
+its ellipticity constant ``kappa``, the sharp lower bound of s (for the
+checkerboard, the bound over every width); a field whose bound is not
+positive is rejected, so every field that exists is uniformly elliptic.
 
 Families:
     constant        s = c
@@ -53,19 +55,19 @@ def _mollified_square(y: np.ndarray, width: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """A diagonal-scalar coefficient a = s(y, tau) * I with declared ellipticity.
+    """A uniformly elliptic diagonal-scalar coefficient a = s(y, tau) * I.
 
     Attributes:
         family: one of :data:`FAMILIES`.
         dimension: spatial dimension of y (1 or 2).
-        kappa: declared ellipticity constant, must be positive.
-        params: family parameters (see module docstring).
+        params: exactly the family's parameters (see module docstring).
+        kappa: derived sharp lower bound of s, always positive.
     """
 
     family: str
     dimension: int
-    kappa: float
     params: Mapping[str, float] = field(default_factory=dict)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -74,10 +76,22 @@ class CoefficientField:
         if self.dimension not in (1, 2):
             raise ValidationError("dimension must be 1 or 2",
                                   field="dimension")
-        if not (self.kappa > 0):
-            raise ValidationError("declared ellipticity must be positive",
-                                  field="kappa")
-        object.__setattr__(self, "params", dict(self.params))
+        params = {k: float(v) for k, v in self.params.items()}
+        if set(params) != set(FAMILIES[self.family]):
+            raise ValidationError(
+                f"{self.family} takes the parameters "
+                f"{sorted(FAMILIES[self.family])}, got {sorted(params)}")
+        if self.family == "checkerboard" and not params["width"] > 0:
+            raise ValidationError("checkerboard width must be positive",
+                                  field="width")
+        kappa = _sharp_bound(self.family, params)
+        # the rule spans several parameters, so the error names none
+        if not kappa > 0:
+            raise ValidationError(
+                f"{self.family} with these parameters is not uniformly "
+                f"elliptic (sharp bound {kappa})")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def time_dependent(self) -> bool:
@@ -132,44 +146,25 @@ def fast_axes(y, dimension: int) -> tuple:
     return axes
 
 
-def _default_kappa(family: str, params: Mapping[str, float]) -> float:
-    """Sharp lower bound of s for each family, used as the declared constant."""
+def _sharp_bound(family: str, p: Mapping[str, float]) -> float:
+    """Minimum of s over the torus; for the checkerboard, its infimum over
+    the mollification width, min(low, high)."""
     if family == "constant":
-        return float(params["value"])
+        return p["value"]
+    if family == "checkerboard":
+        return min(p["low"], p["high"])
+    space = (p["alpha"] - abs(p["beta"]), p["alpha"] + abs(p["beta"]))
     if family == "layered":
-        return float(params["alpha"] - abs(params["beta"]))
-    if family == "separable_trig":
-        space = params["alpha"] - abs(params["beta"])
-        time = params["gamma"] - abs(params["delta"])
-        return float(space * time)
-    return float(min(params["low"], params["high"]))
+        return space[0]
+    # y and tau vary independently, so the product of the two factors
+    # ranges over the products of their ranges' ends
+    time = (p["gamma"] - abs(p["delta"]), p["gamma"] + abs(p["delta"]))
+    return min(a * b for a in space for b in time)
 
 
-def make_coefficient(family: str, dimension: int, kappa: float | None = None,
+def make_coefficient(family: str, dimension: int,
                      **params: float) -> CoefficientField:
-    """Build a coefficient field, deriving the declared ellipticity if omitted.
-
-    Raises :class:`ValidationError` if the family is non-elliptic for these
-    parameters and no explicit (to-be-audited) kappa was given; that rule
-    spans several parameters, so the error names none.
-    """
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}", field="family")
-    full = dict(FAMILIES[family])
-    unknown = set(params) - set(full)
-    if unknown:
-        raise ValidationError(
-            f"unknown parameters for {family}: {sorted(unknown)}")
-    full.update({k: float(v) for k, v in params.items()})
-    if family == "checkerboard" and not full["width"] > 0:
-        raise ValidationError("checkerboard width must be positive",
-                              field="width")
-    if kappa is None:
-        kappa = _default_kappa(family, full)
-        if not kappa > 0:
-            raise ValidationError(
-                f"{family} with these parameters is not uniformly elliptic "
-                f"(sharp bound {kappa})")
+    """Build a coefficient field, the family's defaults filling in the
+    parameters not given; the field checks the result."""
     return CoefficientField(family=family, dimension=dimension,
-                            kappa=float(kappa), params=full)
-
+                            params={**FAMILIES.get(family, {}), **params})

@@ -32,7 +32,6 @@ from .noise import QWienerSpec
 __all__ = ["RunConfig", "parse_config", "config_digest"]
 
 _FLOAT_LIST = "float_list"
-_OPT_FLOAT = "optional_float"
 _OPT_INT = "optional_int"
 
 # section -> key -> (type, default)
@@ -46,7 +45,6 @@ _SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
         "family": (str, "layered"),
         **{k: (float, v) for params in FAMILIES.values()
            for k, v in params.items()},
-        "kappa": (_OPT_FLOAT, None),
     },
     "model": {
         "variant": (str, "allen_cahn"),
@@ -141,7 +139,7 @@ class RunConfig:
         return self._build("coefficient", make_coefficient,
                            family=c["family"],
                            dimension=self.values["grid"]["dimension"],
-                           kappa=c["kappa"], **params)
+                           **params)
 
     def model_for(self, eps: float) -> ModelSpec:
         return self._build("model", ModelSpec, coefficient=self.coefficient(),
@@ -221,8 +219,6 @@ def _convert(raw: str, kind, where: str, line: int | None):
             return _finite(raw)
         if kind is _OPT_INT:
             return None if raw.lower() in ("", "none") else int(raw)
-        if kind is _OPT_FLOAT:
-            return None if raw.lower() in ("", "none") else _finite(raw)
         if kind is bool:
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:

@@ -325,7 +325,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     # corrector_slopes reads tau only when the cell solve has several slices
     slopes_move = cfg.coefficient.time_dependent and cell_grid.tau_slices > 1
 
-    def run_shard(shard, progress):
+    def run_shard(shard):
         """Step the shard's eps levels and the effective level over its
         blocks; before each level's step, yield its failure rank (step,
         first path of the block, level)."""
@@ -373,14 +373,15 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                     np.maximum(sup, energy["H2"], out=sup)
                     int_v2[li, rows] += dt * energy["V2"]
                     int_l4[li, rows] += dt * energy["L4"]
-            if progress is not None and (n + 1) % max(1, steps // 10) == 0:
+            if (progress is not None and shard is shards[0]
+                    and (n + 1) % max(1, steps // 10) == 0):
                 progress(n + 1, steps)
         for rows, S in zip(shard_blocks, states):
             for li in owned:
                 final_states[li, rows] = S[li]
 
     parallel.run_shards(run_shard, shards,
-                        lambda shard: _shard_name(shard, n_eps), progress)
+                        lambda shard: _shard_name(shard, n_eps))
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,

@@ -32,17 +32,13 @@ __all__ = [
 class Ensemble:
     """M member fields on a shared clock with their noise streams.
 
-    With ``common_noise`` every member consumes the identical increment
-    sequence (stream index 0); otherwise each member owns the stream keyed
-    by its index. ``level`` tags which resolution run this ensemble belongs
-    to so coupled ladders can share keys across levels.
+    Unless ``streams`` are given, member i owns the stream
+    ``NoiseStream.derive(noise, i, 0)``.
     """
 
     members: list[ScalarField]
     noise: QWienerSpec
     time: float = 0.0
-    common_noise: bool = False
-    level: int = 0
     streams: list[NoiseStream] = field(default_factory=list)
 
     def __post_init__(self):
@@ -53,12 +49,8 @@ class Ensemble:
             if m.grid != g:
                 raise ValueError("members live on different grids")
         if not self.streams:
-            self.streams = [
-                NoiseStream.derive(self.noise,
-                                   0 if self.common_noise else i,
-                                   self.level)
-                for i in range(len(self.members))
-            ]
+            self.streams = [NoiseStream.derive(self.noise, i, 0)
+                            for i in range(len(self.members))]
         if len(self.streams) != len(self.members):
             raise ValueError("one stream per member required")
 

@@ -11,7 +11,7 @@ class ToolkitError(Exception):
 
 
 class EllipticityViolation(ToolkitError):
-    """A coefficient field dipped below its declared ellipticity constant.
+    """A coefficient field dipped below its derived ellipticity constant.
 
     Carries the offending sample point so the caller can report it.
     """

@@ -378,7 +378,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     states[0] = [m.values.reshape(-1) for m in ensemble.members]
     table[:, :, 0] = np.arange(steps + 1)[:, None]
 
-    def run_shard(rows, progress):
+    def run_shard(rows):
         """Step the members ``rows``; yield (n,) at the barrier before
         step n, once the shard's draws for it are in."""
         ledger = table[:, rows]
@@ -418,9 +418,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     U = states[steps % 2]
     members = [ScalarField(g, U[i].reshape(g.shape)) for i in range(size)]
     final = Ensemble(members=members, noise=spec,
-                     time=t0 + steps * config.dt,
-                     common_noise=ensemble.common_noise,
-                     level=ensemble.level, streams=streams)
+                     time=t0 + steps * config.dt, streams=streams)
     EnergyLedger(table).validate()
     return final, [EnergyLedger(table[:, i]) for i in range(size)]
 

@@ -10,11 +10,12 @@ increasing |k|^2, ties broken lexicographically). Increments over dt are
 so E ||dW||_H^2 = (sum_k lambda_k) * dt exactly.
 
 Randomness is counter-addressed: a stream is (key, counter) where the key
-is derived from the master seed and the stream indices (member, level, ...)
-and the counter advances by the number of modes per draw. Identical
-(key, counter) pairs reproduce draws bitwise on any platform, which is what
-makes synchronous coupling across resolution levels and byte-identical
-reruns possible.
+is derived from the master seed and two stream indices, and the counter
+advances by the number of modes per draw. A simulate member i draws from
+indices (i, 0); a ladder path, member m of replica r, from (m, r) on every
+level. Identical (key, counter) pairs reproduce draws bitwise on any
+platform, which is what makes synchronous coupling across resolution levels
+and byte-identical reruns possible.
 """
 from __future__ import annotations
 
@@ -180,7 +181,7 @@ class NoiseStream:
 
     @classmethod
     def derive(cls, spec: QWienerSpec, *indices: int) -> "NoiseStream":
-        """Stream for (member index, level index, ...) under the master seed."""
+        """Stream keyed by the master seed and the integer ``indices``."""
         return cls(spec=spec, stream_id=_derive_stream_id(*indices))
 
     def draw(self, count: int | None = None) -> np.ndarray:

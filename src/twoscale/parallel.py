@@ -70,19 +70,18 @@ def shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def run_shards(run_shard, shards: list, name, progress=None,
+def run_shards(run_shard, shards: list, name,
                lockstep: bool = False) -> None:
     """Run ``run_shard`` on every shard, shards 1 and up in forked children.
 
-    ``run_shard(shard, progress)`` is a generator that yields the rank of
-    each piece of work before it does it (a tuple, step first), and writes
-    its results into shared memory. Shard 0 runs here and alone gets
-    ``progress``. Every child is waited for, also when shard 0 fails. Of
-    all failures, the one of the lowest rank is raised: the one a one-shard
-    run meets first (the lowest shard on ties). A failure before the first
-    yield ranks as step 0, and a child that ended without a report raises
-    :class:`InternalError`, naming the shard by ``name(shard)``, before any
-    of them.
+    ``run_shard(shard)`` is a generator that yields the rank of each piece
+    of work before it does it (a tuple, step first), and writes its results
+    into shared memory. Shard 0 runs here. Every child is waited for, also
+    when shard 0 fails. Of all failures, the one of the lowest rank is
+    raised: the one a one-shard run meets first (the lowest shard on ties).
+    A failure before the first yield ranks as step 0, and a child that
+    ended without a report raises :class:`InternalError`, naming the shard
+    by ``name(shard)``, before any of them.
 
     With ``lockstep`` every yield is also a barrier: no shard goes on
     before all have reached it. Each child writes a byte to its parent and
@@ -114,7 +113,7 @@ def run_shards(run_shard, shards: list, name, progress=None,
         if cpus:
             _pin(cpus[0])
         failures = []
-        failure = _drive(run_shard(shards[0], progress),
+        failure = _drive(run_shard(shards[0]),
                          _parent_barrier(children, bool(cpus))
                          if lockstep and children else None)
         if failure is not None:
@@ -243,7 +242,7 @@ def _fork_shard(run_shard, shard, inherited: list[int], lockstep: bool,
                 os.write(up, b".")
                 return _read_byte(down, cpu is not None) == b"."
 
-        failure = _drive(run_shard(shard, None), barrier)
+        failure = _drive(run_shard(shard), barrier)
         with os.fdopen(pipes[0][1], "wb") as pipe:
             if failure is not None:
                 pipe.write(_pickled_failure(*failure))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoscale.cell import CellGrid, corrector_slopes, solve_cell_problem
-from twoscale.coefficients import make_coefficient
+from twoscale.coefficients import FAMILIES, CoefficientField, make_coefficient
 from twoscale.errors import SolverDiverged
 
 SQRT3 = np.sqrt(3.0)
@@ -93,11 +93,18 @@ def test_checkerboard_cell_iterations_stay_pinned():
     assert np.all(sol.residuals <= 1e-10)
 
 
+class Negated(CoefficientField):
+    """-s: negative everywhere. No parameters build such a field."""
+
+    def scalar(self, y, tau=0.0):
+        return -super().scalar(y, tau)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cell_cg_stops_at_lost_definiteness():
     # Negative faces make the cell operator negative definite: the first
     # search direction has p.Ap <= 0 and CG must stop at once.
-    c = make_coefficient("layered", 2, kappa=1.0, alpha=-2.0, beta=1.0)
+    c = Negated("layered", 2, FAMILIES["layered"])
     with pytest.raises(SolverDiverged) as err:
         solve_cell_problem(c, CellGrid(dimension=2, cells=16))
     assert err.value.iterations == 0

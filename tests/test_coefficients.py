@@ -4,18 +4,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.coefficients import CoefficientField, make_coefficient
-from twoscale.errors import EllipticityViolation
+from twoscale.coefficients import (FAMILIES, CoefficientField, _sharp_bound,
+                                   make_coefficient)
+from twoscale.errors import EllipticityViolation, ValidationError
 
 
 def verify_ellipticity(coeff: CoefficientField, samples: int = 4096,
                        tau_samples: int = 8) -> float:
-    """Audit the declared ellipticity against dense torus sampling.
+    """Audit the derived ellipticity constant against dense torus sampling.
 
     Samples at least ``samples`` points of the (y, tau) torus, takes the
     minimum eigenvalue of a = s I at each (that is s), and returns the
     sampled constant. Raises :class:`EllipticityViolation` carrying a
-    witness point when the sampled minimum undercuts the declared constant
+    witness point when the sampled minimum undercuts that constant
     beyond round-off.
     """
     samples = max(int(samples), 1000)
@@ -42,7 +43,7 @@ def verify_ellipticity(coeff: CoefficientField, samples: int = 4096,
             y_at = (float(ys[0][idx]), float(ys[1][idx]))
         tau_at = float(taus[idx])
         raise EllipticityViolation(
-            f"sampled ellipticity {measured:.6g} undercuts declared "
+            f"sampled ellipticity {measured:.6g} undercuts kappa "
             f"{coeff.kappa:.6g} at y={y_at}, tau={tau_at}",
             y=y_at, tau=tau_at, value=measured)
     return measured
@@ -146,9 +147,17 @@ def test_verify_ellipticity_constant_and_layered():
     assert khat >= lay.kappa - 1e-12
 
 
+class ShiftedDown(CoefficientField):
+    """s - 2: for layered 2 + sin(2 pi y) the sign-changing sin(2 pi y),
+    under the kappa 1 derived for s. No parameters build such a field."""
+
+    def scalar(self, y, tau=0.0):
+        return super().scalar(y, tau) - 2.0
+
+
 def test_verify_ellipticity_flags_sign_changing_family():
-    bad = make_coefficient("layered", dimension=1, alpha=1.0, beta=2.0,
-                           kappa=0.5)
+    bad = ShiftedDown("layered", 1, FAMILIES["layered"])
+    assert bad.kappa == 1.0
     with pytest.raises(EllipticityViolation) as err:
         verify_ellipticity(bad, 20000)
     # the witness point is carried along and actually violates
@@ -165,6 +174,77 @@ def test_default_kappa_matches_family_minimum():
     cb = make_coefficient("checkerboard", dimension=2, low=1.0, high=3.0,
                           width=0.05)
     assert cb.kappa <= 1.0 + 1e-12
+
+
+def test_separable_trig_bound_is_the_smallest_corner_product():
+    # (alpha +- |beta|)(gamma +- |delta|): two nonnegative lower ends no
+    # longer multiply into a positive bound when a factor changes sign
+    with pytest.raises(ValidationError) as err:
+        make_coefficient("separable_trig", 1, alpha=0.5, beta=1.0,
+                         gamma=0.5, delta=1.0)
+    assert "sharp bound -0.75" in str(err.value)
+    # both factors negative: the product of the upper ends is the minimum
+    both = make_coefficient("separable_trig", 1, alpha=-2.0, beta=1.0,
+                            gamma=-2.0, delta=1.0)
+    assert both.kappa == 1.0
+    assert abs(verify_ellipticity(both) - 1.0) < 1e-12
+
+
+class Unchecked(CoefficientField):
+    """A field built past every check, with kappa -inf: the audit samples
+    it without ever flagging it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa", -np.inf)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("constant", {"value": 0.5}),
+    ("layered", {"alpha": 2.0, "beta": -1.5}),
+    ("layered", {"alpha": -2.0, "beta": 0.0}),
+    ("separable_trig", {"alpha": 2.0, "beta": -1.0, "gamma": 3.0,
+                        "delta": -2.5}),
+    ("separable_trig", {"alpha": -3.0, "beta": 1.0, "gamma": -1.0,
+                        "delta": 0.5}),
+    ("separable_trig", {"alpha": 1.0, "beta": 0.5, "gamma": -1.0,
+                        "delta": 0.5}),
+])
+def test_sharp_bound_is_the_sampled_minimum(family, params):
+    # the dense audit samples y = 1/4, 3/4 and tau = 0, 1/2, where each
+    # factor takes its extremes, so it meets a sharp bound exactly; a
+    # field is built exactly when that bound is positive
+    bound = _sharp_bound(family, params)
+    assert abs(verify_ellipticity(Unchecked(family, 1, params)) - bound) \
+        < 1e-12
+    if bound > 0:
+        assert make_coefficient(family, 1, **params).kappa == bound
+    else:
+        with pytest.raises(ValidationError, match="not uniformly elliptic"):
+            make_coefficient(family, 1, **params)
+
+
+@pytest.mark.parametrize("family, dimension, params, field", [
+    ("hexagonal", 1, {}, "family"),
+    ("layered", 3, FAMILIES["layered"], "dimension"),
+    ("layered", 1, {"alpha": 2.0}, None),
+    ("layered", 1, {**FAMILIES["layered"], "gamma": 1.0}, None),
+    ("checkerboard", 2, {**FAMILIES["checkerboard"], "width": 0.0}, "width"),
+    ("constant", 1, {"value": 0.0}, None),
+    ("checkerboard", 2, {**FAMILIES["checkerboard"], "low": -1.0}, None),
+])
+def test_field_checks_its_own_parameters(family, dimension, params, field):
+    with pytest.raises(ValidationError) as err:
+        CoefficientField(family, dimension, params)
+    assert err.value.field == field
+
+
+def test_kappa_is_derived_not_declared():
+    with pytest.raises(TypeError):
+        CoefficientField("layered", 1, FAMILIES["layered"], kappa=0.5)
+    # make_coefficient passes it on as a parameter no family has
+    with pytest.raises(ValidationError, match="kappa"):
+        make_coefficient("layered", 1, kappa=0.5)
+    assert CoefficientField("layered", 1, FAMILIES["layered"]).kappa == 1.0
 
 
 def test_time_dependence_flag():

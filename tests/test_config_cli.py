@@ -80,7 +80,7 @@ def test_empty_config_digest_is_pinned():
     # manifest.json carries this digest, so a default that moves changes
     # every archive written without a config
     assert parse_config("").digest() == \
-        "cb65a44987637f83aa4a9f266febea84ba9f0279f7e296838281afcd0cc64496"
+        "d455a19b0e3e8735d43b9d99425865215e3c315d4d7bfe376672c7281b681dbb"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -90,7 +90,7 @@ def test_parsed_coefficient_defaults_are_make_coefficient_defaults(family):
         assert parsed.coefficient().params == \
             make_coefficient(family, dimension).params == FAMILIES[family]
     assert {k for k in _SCHEMA["coefficient"]} == \
-        {"family", "kappa"} | {k for p in FAMILIES.values() for k in p}
+        {"family"} | {k for p in FAMILIES.values() for k in p}
 
 
 def test_explicitly_setting_a_default_keeps_the_digest():
@@ -113,14 +113,14 @@ def test_typed_value_conversions():
         epsilons = 0.5 0.25, 0.125
         [coefficient]
         family = checkerboard
-        kappa = 0.75
+        width = 0.1
         """))
     assert cfg.values["grid"] == {"dimension": 2, "cells": 32}
     assert cfg.values["model"]["cubic"] is False
     assert cfg.values["model"]["sigma0"] == 0.25
     assert cfg.values["noise"]["modes"] is None
     assert cfg.values["study"]["epsilons"] == (0.5, 0.25, 0.125)
-    assert cfg.values["coefficient"]["kappa"] == 0.75
+    assert cfg.values["coefficient"]["width"] == 0.1
 
 
 def test_digest_invariant_under_reordering_and_comments():
@@ -266,7 +266,8 @@ def test_semantic_guards(text, field):
     ("[coefficient]\nalpha = 1.0\nbeta = 2.0\n", "coefficient", 1),
     ("[coefficient]\nfamily = checkerboard\nwidth = 0\n",
      "coefficient.width", 3),
-    ("[coefficient]\nkappa = -1\n", "coefficient.kappa", 2),
+    ("[coefficient]\nfamily = separable_trig\nalpha = 0.5\ngamma = 0.5\n",
+     "coefficient", 1),
     ("[grid]\ndimension = 2\ncells = 16\n[noise]\nmodes = 226\n",
      "noise.modes", 5),
     ("[stepper]\ndt = 0.003\n# pad\nhorizon = 0.01\n", "stepper.horizon", 4),
@@ -589,6 +590,35 @@ def test_rejected_study_creates_no_output_directory(tmp_path, capsys,
     payload = json.loads(stderr)
     assert payload["error"] == "ValidationError"
     assert payload["field"] == "study.epsilons"
+    assert not out.exists()
+
+
+NON_ELLIPTIC = {
+    # a(y) = 1 + 1.5 sin(2 pi y) under a declared kappa, which once let
+    # simulate run it (exit 0) and cell and ladder fail (exit 3); kappa is
+    # derived now, and a line that sets it is an unknown key
+    "layered_override": ("layered\nalpha = 1\nbeta = 1.5\nkappa = 0.5\n",
+                         "coefficient.kappa", 7),
+    # (0.5 + sin)(0.5 + cos) reaches -0.75; the bound once taken as the
+    # product of the lower ends, 0.25, let simulate crash (exit 5)
+    "separable_trig": ("separable_trig\nalpha = 0.5\nbeta = 1\n"
+                       "gamma = 0.5\ndelta = 1\n", "coefficient", 3),
+}
+
+
+@pytest.mark.parametrize("command", ["cell", "simulate", "ladder"])
+@pytest.mark.parametrize("case", sorted(NON_ELLIPTIC))
+def test_non_elliptic_coefficient_exits_2_before_the_run(tmp_path, capsys,
+                                                        command, case):
+    family, field, line = NON_ELLIPTIC[case]
+    cfg = write_ladder_ini(tmp_path, LADDER_INI.replace(
+        "[stepper]", "[coefficient]\nfamily = " + family + "[stepper]"))
+    out = tmp_path / "out"
+    code, _, stderr = run_cli([command, "-c", str(cfg), "-o", str(out)],
+                              capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert (payload["field"], payload["line"]) == (field, line)
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from twoscale.errors import CountMismatch
 from twoscale.grid import GridSpec, ScalarField, norm_H
 from twoscale.integrator import BatchedStepper
 from twoscale.models import ModelSpec
-from twoscale.noise import QWienerSpec
+from twoscale.noise import NoiseStream, QWienerSpec
 
 from empirical import empirical_measure
 
@@ -214,16 +214,21 @@ def noise_spec(grid):
 
 def test_ensemble_stream_keys():
     grid = grid1d()
+    spec = noise_spec(grid)
     members = random_members(grid, 4, seed=8)
-    independent = Ensemble(members=members, noise=noise_spec(grid))
-    ids = [s.stream_id for s in independent.streams]
-    assert len(set(ids)) == 4
-    common = Ensemble(members=members, noise=noise_spec(grid),
-                      common_noise=True)
-    assert len({s.stream_id for s in common.streams}) == 1
-    # level participates in the key so coupled ladders stay decorrelated
-    other_level = Ensemble(members=members, noise=noise_spec(grid), level=1)
-    assert ids != [s.stream_id for s in other_level.streams]
+    # member i draws from (i, 0), as simulate's member i does
+    ids = [s.stream_id for s in Ensemble(members=members, noise=spec).streams]
+    assert ids == [NoiseStream.derive(spec, i, 0).stream_id
+                   for i in range(4)]
+    # both indices enter the key: a ladder path (member m, replica r)
+    # draws from (m, r), and no two of these keys agree
+    keys = {NoiseStream.derive(spec, m, r).stream_id
+            for m in range(4) for r in range(3)}
+    assert len(keys) == 12
+    # explicit streams are kept, also when they share one key
+    shared = [NoiseStream.derive(spec, 0, 0) for _ in members]
+    common = Ensemble(members=members, noise=spec, streams=shared)
+    assert common.streams is shared
 
 
 def test_ensemble_validation():

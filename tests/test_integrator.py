@@ -264,8 +264,10 @@ def run_once(mean_field, common_noise=False, members=2, seed=0, sigma0=0.3):
                       sigma0=sigma0)
     spec = noise_spec(grid, seed=seed)
     u0 = sin_initial(grid)
-    ens = Ensemble(members=[u0] * members, noise=spec,
-                   common_noise=common_noise)
+    # common noise: every member draws from the one key (0, 0)
+    streams = [NoiseStream.derive(spec, 0 if common_noise else i, 0)
+               for i in range(members)]
+    ens = Ensemble(members=[u0] * members, noise=spec, streams=streams)
     cfg = StepperConfig(dt=0.001, horizon=0.02)
     return run_ensemble(ens, model, cfg)
 
