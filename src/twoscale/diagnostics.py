@@ -13,11 +13,12 @@ accumulators then measure, per path,
 
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 64-65 s on a shared
-2-core host in two processes, against 117-120 s in one.
+on 1024 cells (the acceptance reference ladder) took 51-56 s on a shared
+2-core host in two processes, against 111-112 s in one.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -257,17 +258,17 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     size changes no result; a time-dependent coefficient is still factored
     once per level and step.
 
-    The work is split into shards, one per usable CPU. With at least as
-    many blocks as the smaller of the CPU and eps level counts, each shard
-    steps every level over a contiguous run of blocks. With fewer blocks,
-    each shard steps every block for a contiguous group of eps levels plus
-    its own copy of the effective level, whose rows only the shard of eps
-    level 0 writes. This process steps shard 0 and a forked child steps
-    each other shard; the accumulators live in shared memory and every
-    shard writes only its own rows, so the shard count changes no bit
-    either. A failure is raised as a one-shard run raises it: the first in
-    (step, block, level) order, the effective level last in each block. A
-    child that ends without a report raises :class:`InternalError`.
+    The work items are (block, eps level), block by block, split into
+    contiguous runs, one shard per usable CPU and at most one per item.
+    For each block it touches, a shard steps the eps levels it holds there
+    plus its own copy of the block's effective level, whose rows only the
+    shard of the block's eps level 0 writes. This process steps shard 0
+    and a forked child steps each other shard, none waiting for another;
+    the accumulators live in shared memory and every shard writes only its
+    own rows, so the shard count changes no bit either. A failure is raised as a one-shard run raises it: the first in
+    (step, block, level) order, the effective level last in each block;
+    the other shards stop at the next step. A child that ends without a
+    report raises :class:`InternalError`.
     ``progress(n, steps)``, when given, is called after about every tenth
     step of shard 0.
     """
@@ -300,16 +301,12 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
     blocks = _replica_blocks(cfg.replicas, cfg.members, grid.dof)
-    cpus = parallel.usable_cpus()
-    # shards are (eps levels, blocks); ties go to blocks, which repeat no work
-    if len(blocks) >= min(cpus, n_eps):
-        shards = [(range(n_eps), part)
-                  for part in parallel.split(blocks,
-                                             min(cpus, len(blocks)))]
-    else:
-        shards = [(part, blocks)
-                  for part in parallel.split(range(n_eps),
-                                             min(cpus, n_eps))]
+    # a shard is a list of (block, the eps levels it holds there)
+    items = [(rows, li) for rows in blocks for li in range(n_eps)]
+    shards = [[(rows, [li for _, li in run])
+               for rows, run in itertools.groupby(part, lambda w: w[0])]
+              for part in parallel.split(
+                  items, min(parallel.usable_cpus(), len(items)))]
     u0 = cfg.initial_values()
 
     # streaming accumulators, all shaped (levels, paths), and the final
@@ -326,31 +323,28 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     slopes_move = cfg.coefficient.time_dependent and cell_grid.tau_slices > 1
 
     def run_shard(shard):
-        """Step the shard's eps levels and the effective level over its
-        blocks; before each level's step, yield its failure rank (step,
-        first path of the block, level)."""
-        levels, shard_blocks = shard
-        # the effective level steps last; the shard of eps level 0 owns its
-        # energy rows and final states
-        stepped = [*levels, n_eps]
-        owned = stepped if levels[0] == 0 else list(levels)
-        # per block, one (block paths, dof) state stack per level
+        """Step the shard's eps levels of each of its blocks and the
+        block's effective level; before each level's step, yield its
+        failure rank (step, first path of the block, level)."""
+        held = {li for _, levels in shard for li in levels}
+        # per block, one (block paths, dof) state stack per level, the
+        # effective level last
         states = [{li: np.tile(u0, (rows.stop - rows.start, 1))
-                   for li in stepped} for rows in shard_blocks]
+                   for li in [*levels, n_eps]} for rows, levels in shard]
         face_slopes = {li: _face_corrector_slopes(cell_sol, grid,
                                                   eps_list[li], 0.0)
-                       for li in levels}
+                       for li in held}
         for n in range(steps):
             t = n * dt
             if slopes_move:
                 face_slopes = {li: _face_corrector_slopes(
                     cell_sol, grid, eps_list[li], (t + dt) / eps_list[li])
-                    for li in levels}
-            for rows, S in zip(shard_blocks, states):
+                    for li in held}
+            for (rows, levels), S in zip(shard, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
                 for li in levels:  # left-point pairing over t_0 .. t_{N-1}
                     pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
-                for li in stepped:
+                for li in S:
                     yield n + 1, rows.start, li
                     S[li] = steppers[li].advance(S[li], xi, t, n,
                                                  first_row=rows.start)
@@ -367,7 +361,9 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                                                  face_slopes[li], grid)
                     plain2[li, rows] += dt * p2
                     corr2[li, rows] += dt * c2
-                for li in owned:
+                # the shard of the block's eps level 0 owns its effective
+                # energy rows and final states
+                for li in (S if levels[0] == 0 else levels):
                     energy = steppers[li].energy_rows(S[li], grads[li])
                     sup = sup_h2[li, rows]
                     np.maximum(sup, energy["H2"], out=sup)
@@ -376,12 +372,11 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             if (progress is not None and shard is shards[0]
                     and (n + 1) % max(1, steps // 10) == 0):
                 progress(n + 1, steps)
-        for rows, S in zip(shard_blocks, states):
-            for li in owned:
+        for (rows, levels), S in zip(shard, states):
+            for li in (S if levels[0] == 0 else levels):
                 final_states[li, rows] = S[li]
 
-    parallel.run_shards(run_shard, shards,
-                        lambda shard: _shard_name(shard, n_eps))
+    parallel.run_shards(run_shard, shards, _shard_name)
 
     raw = {
         "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
@@ -397,11 +392,11 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                         report=report, shards=len(shards))
 
 
-def _shard_name(shard: tuple, n_eps: int) -> str:
-    levels, blocks = shard
-    if len(levels) < n_eps:
-        return f"ladder shard of eps levels {levels[0]}..{levels[-1]}"
-    return f"ladder shard of paths {blocks[0].start}..{blocks[-1].stop - 1}"
+def _shard_name(shard: list) -> str:
+    levels = [li for _, held in shard for li in held]
+    return (f"ladder shard of paths {shard[0][0].start}.."
+            f"{shard[-1][0].stop - 1}, eps levels {min(levels)}.."
+            f"{max(levels)}")
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:

@@ -4,10 +4,12 @@ A run that splits its work into shards steps shard 0 in this process and
 each other shard in a forked child. Results go into arrays of one shared
 anonymous mapping (``shared_zeros``), of which every shard writes only its
 own rows, so the shard count changes no bit. A shard is a generator that
-yields a failure rank before each piece of work; ``run_shards`` drives the
-generators, waits for every child and raises the failure a one-shard run
+yields a failure rank, step first, before each piece of work;
+``run_shards`` drives the generators, stops them all at the step after a
+failure, waits for every child and raises the failure a one-shard run
 meets first. With ``lockstep`` the shards also meet at a pipe barrier at
-every yield, so a shard may read rows that the others wrote before it.
+the first yield of every step, so a shard may read rows that the others
+wrote in the steps before.
 """
 from __future__ import annotations
 
@@ -83,18 +85,25 @@ def run_shards(run_shard, shards: list, name,
     ended without a report raises :class:`InternalError`, naming the shard
     by ``name(shard)``, before any of them.
 
-    With ``lockstep`` every yield is also a barrier: no shard goes on
-    before all have reached it. Each child writes a byte to its parent and
-    waits for one back; the parent reads one from every child and answers
-    them all. Once a shard has failed or died, the others stop at their
-    next barrier instead of waiting there: a child's pipe to the parent
-    reads empty, and the parent closes its pipes to the children. When
-    there are CPUs enough, each lockstep shard is pinned to its own for the
-    run (this process gets its CPU set back after it) and polls its pipe
-    for up to ``SPIN_SECONDS`` before it sleeps at a barrier. Unpinned, the
-    scheduler tends to wake a shard on the CPU of the shard that woke it,
-    and the two take turns there while another CPU idles; and a shard that
-    sleeps at every barrier waits for a wake-up that costs up to a
+    At its first yield of each step (the first yield, and every one whose
+    step differs from the one before) a shard stops if that step comes
+    after a failure, so the failures of the failed step still rank with
+    it. Each shard notes the step of its failure in a shared array, where
+    this process, looking at each of its steps, notes a child that ended
+    without a report as step -1.
+
+    With ``lockstep`` that yield is a barrier instead: no shard goes
+    on before all have reached it, so a shard may read rows that the
+    others wrote in the steps before, and each step costs the slowest
+    shard's time. Each child writes a byte to its parent and waits for one
+    back; the parent reads one from every child and answers them all. Once
+    a child has ended, its pipe to the parent reads empty, and the parent
+    closes its pipes to the others, which stop there. When there are CPUs
+    enough, each lockstep shard is pinned to its own for the run (this
+    process gets its CPU set back after it) and polls its pipe for up to
+    ``SPIN_SECONDS`` before it sleeps. Unpinned, the scheduler tends to
+    wake a shard on the CPU of the shard that woke it, and the two take
+    turns there while another CPU idles; and a wake-up costs up to a
     millisecond on a virtual machine.
 
     Python 3.12 and later warn that ``fork`` is called with threads
@@ -102,35 +111,59 @@ def run_shards(run_shard, shards: list, name,
     down before a fork; the warning is left as it is.
     """
     children = {}  # shard index -> [pid, report fd, barrier fds...]
+    failed = shared_zeros([(len(shards),)])[0]
+    failed[:] = np.inf  # the step of each shard's failure
+    failures = []
+    poller = select.poll()
     cpus = _home_cpus(len(shards)) if lockstep else None
     affinity = os.sched_getaffinity(0) if cpus else None
+
+    def reap(timeout):
+        """Reap the children that have ended, or end within ``timeout``
+        milliseconds (None: one at least), and note their failures."""
+        for fd, _ in poller.poll(timeout):
+            poller.unregister(fd)
+            index = next(i for i, c in children.items() if c[1] == fd)
+            pid, report, *barrier_fds = children.pop(index)
+            failure = _reap(pid, report, name(shards[index]))
+            for end in barrier_fds:
+                os.close(end)
+            if failure is not None:
+                failed[index] = failure[0][0]
+                failures.append((failure[0], index, failure[1]))
+
+    def check(step) -> bool:
+        if not lockstep:
+            reap(0)
+            return failed.min() >= step
+        # a barrier; a child's pipe reads empty once it has ended
+        if not all([_read_byte(up, bool(cpus))
+                    for _, _, up, _ in children.values()]):
+            return False
+        for *_, down in children.values():
+            os.write(down, b".")
+        return True
+
     try:
         for index in range(1, len(shards)):
             inherited = [fd for _, *fds in children.values() for fd in fds]
             children[index] = _fork_shard(
-                run_shard, shards[index], inherited, lockstep,
-                cpus[index] if cpus else None)
+                run_shard, shards[index], index, failed, inherited,
+                lockstep, cpus[index] if cpus else None)
+            poller.register(children[index][1], select.POLLIN)
         if cpus:
             _pin(cpus[0])
-        failures = []
-        failure = _drive(run_shard(shards[0]),
-                         _parent_barrier(children, bool(cpus))
-                         if lockstep and children else None)
+        failure = _drive(run_shard(shards[0]), check)
         if failure is not None:
             if not isinstance(failure[1], Exception):
                 raise failure[1]  # an interrupt: stop the children
+            failed[0] = failure[0][0]
             failures.append((failure[0], 0, failure[1]))
         if lockstep:  # a child waiting at a barrier stops there
             for child in children.values():
                 os.close(child.pop())
-        for index in list(children):
-            pid, report, *up = children[index]
-            failure = _reap(pid, report, name(shards[index]))
-            for fd in up:
-                os.close(fd)
-            del children[index]
-            if failure is not None:
-                failures.append((failure[0], index, failure[1]))
+        while children:
+            reap(None)
     finally:
         if affinity is not None:
             os.sched_setaffinity(0, affinity)
@@ -160,20 +193,6 @@ def _pin(cpu: int) -> None:
         os.sched_setaffinity(0, {cpu})
 
 
-def _parent_barrier(children: dict, spin: bool):
-    """The parent's side of the barrier: wait for every child, then let
-    them all go on. False, with none let go, once a child has ended."""
-    def barrier() -> bool:
-        # a child's pipe reads empty once it has ended
-        if not all([_read_byte(up, spin)
-                    for _, _, up, _ in children.values()]):
-            return False
-        for *_, down in children.values():
-            os.write(down, b".")
-        return True
-    return barrier
-
-
 def _read_byte(fd: int, spin: bool) -> bytes:
     """One byte from a non-blocking pipe, b"" once its writer has ended;
     with ``spin``, polled for up to ``SPIN_SECONDS`` before sleeping."""
@@ -188,29 +207,35 @@ def _read_byte(fd: int, spin: bool) -> bytes:
                 poller.poll()
 
 
-def _drive(shard, barrier=None):
+def _drive(shard, check):
     """Exhaust a shard's generator: None, or (rank, exception) on failure,
-    the rank being the last one the generator yielded. ``barrier()`` runs
-    at every yield; when it returns False the shard stops, with None."""
+    the rank being the last one the generator yielded. ``check(step)``
+    runs at the first yield of each step; when it returns False the shard
+    stops, with None."""
     rank = (0,)
+    step = None
     try:
         for rank in shard:
-            if barrier is not None and not barrier():
-                return None
+            if rank[0] != step:
+                step = rank[0]
+                if not check(step):
+                    return None
     except BaseException as exc:  # noqa: B036 - reported, not swallowed
         return rank, exc
     return None
 
 
-def _fork_shard(run_shard, shard, inherited: list[int], lockstep: bool,
+def _fork_shard(run_shard, shard, index: int, failed: np.ndarray,
+                inherited: list[int], lockstep: bool,
                 cpu: int | None = None) -> list[int]:
-    """Fork a child that runs one shard, pinned to ``cpu`` when given:
-    [pid, report fd], and with ``lockstep`` the parent's ends of the
+    """Fork a child that runs shard ``index``, pinned to ``cpu`` when
+    given: [pid, report fd], and with ``lockstep`` the parent's ends of the
     barrier pipes (from the child, to the child).
 
-    The child writes nothing to the report pipe on success and a pickled
-    (rank, exception) on failure, then leaves through ``os._exit``, so no
-    cleanup of the parent's runs twice.
+    The child notes the step of its failure in ``failed[index]``, writes
+    nothing to the report pipe on success and a pickled (rank, exception)
+    on failure, then leaves through ``os._exit``, so no cleanup of the
+    parent's runs twice.
     """
     pipes = [os.pipe() for _ in range(3 if lockstep else 1)]
     pid = os.fork()
@@ -231,18 +256,21 @@ def _fork_shard(run_shard, shard, inherited: list[int], lockstep: bool,
             os.close(fd)
         if cpu is not None:
             _pin(cpu)
-        barrier = None
         if lockstep:
             (up_read, up), (down, down_write) = pipes[1:]
             os.close(up_read)
             os.close(down_write)
             os.set_blocking(down, False)
 
-            def barrier():
-                os.write(up, b".")
-                return _read_byte(down, cpu is not None) == b"."
+        def check(step) -> bool:
+            if not lockstep:
+                return failed.min() >= step
+            os.write(up, b".")
+            return _read_byte(down, cpu is not None) == b"."
 
-        failure = _drive(run_shard(shard), barrier)
+        failure = _drive(run_shard(shard), check)
+        if failure is not None:
+            failed[index] = failure[0][0]
         with os.fdopen(pipes[0][1], "wb") as pipe:
             if failure is not None:
                 pipe.write(_pickled_failure(*failure))

@@ -4,7 +4,7 @@ Running ``pytest -v tests/test_acceptance.py`` prints one pass/fail line
 per criterion. Thresholds appear literally in the asserts; values frozen
 from the seeded reference runs guard against silent numerical drift.
 The shared reference ladder (criteria 6 to 8) dominates the runtime: its
-fixture took 64-65 s on a shared 2-core host, stepped by two processes
+fixture took 51-56 s on a shared 2-core host, stepped by two processes
 (1024 cells, 4 levels, 256 paths, 2500 steps); everything else finishes
 in seconds.
 """
@@ -33,6 +33,8 @@ from twoscale.models import (ModelSpec, apply_A_eps, apply_B,
 from twoscale.noise import (NoiseStream, QWienerSpec, default_mode_count,
                             partial_trace, sample_increment)
 
+from forks import deadline
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -53,7 +55,8 @@ def reference_ladder():
         stepper=StepperConfig(dt=1e-4, horizon=0.25),
         members=8, replicas=32, sigma0=0.1, cell_cells=256, seed=2026)
     t0 = time.perf_counter()
-    result = run_ladder(cfg)
+    with deadline(300):
+        result = run_ladder(cfg)
     return result.report, time.perf_counter() - t0
 
 

@@ -701,8 +701,9 @@ def test_ladder_archive_does_not_depend_on_the_shard_count(tmp_path,
     for shards in (1, 2):
         cfg = sharded_ladder_ini(tmp_path, monkeypatch, shards)
         outs[shards] = tmp_path / f"shards{shards}"
-        assert run_cli(["ladder", "-c", str(cfg), "-o", str(outs[shards])],
-                       capsys)[0] == 0
+        with deadline(60):
+            assert run_cli(["ladder", "-c", str(cfg), "-o",
+                            str(outs[shards])], capsys)[0] == 0
         info = json.loads((outs[shards] / "run_info.json").read_text())
         assert info["shards"] == shards
     for name in ("manifest.json", "raw.npz"):
@@ -719,8 +720,9 @@ def test_level_split_ladder_archive_matches_one_shard(tmp_path, monkeypatch,
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         outs[cpus] = tmp_path / f"cpus{cpus}"
-        assert run_cli(["ladder", "-c", str(cfg), "-o", str(outs[cpus])],
-                       capsys)[0] == 0
+        with deadline(60):
+            assert run_cli(["ladder", "-c", str(cfg), "-o",
+                            str(outs[cpus])], capsys)[0] == 0
         info = json.loads((outs[cpus] / "run_info.json").read_text())
         assert info["shards"] == cpus
     for name in ("manifest.json", "raw.npz"):
@@ -947,8 +949,10 @@ def test_ladder_child_that_dies_exits_5(tmp_path, monkeypatch, capsys):
         return draw(self, count)
 
     monkeypatch.setattr(NoiseStream, "draw", dying_draw)
-    code, _, stderr = run_cli(["ladder", "-c", str(cfg), "-o",
-                               str(tmp_path / "o")], capsys)
+    with deadline(60):
+        code, _, stderr = run_cli(["ladder", "-c", str(cfg), "-o",
+                                   str(tmp_path / "o")], capsys)
+    assert_no_child_left()
     assert code == 5
     payload = json.loads(stderr)
     assert payload["error"] == "InternalError"

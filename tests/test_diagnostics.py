@@ -21,7 +21,15 @@ from twoscale.integrator import BatchedStepper, StepperConfig
 from twoscale.models import ImplicitFactorization, face_coefficients
 from twoscale.noise import NoiseStream
 
-from forks import assert_no_child_left
+from forks import assert_no_child_left, deadline
+
+
+@pytest.fixture(autouse=True)
+def no_hang():
+    """Most ladders here fork shards, and this process waits for each; a
+    shard that never ends fails its test instead of hanging the suite."""
+    with deadline(60):
+        yield
 
 
 def small_study(coefficient=None, replicas=3, members=2, seed=0):
@@ -531,8 +539,8 @@ def test_child_shard_that_dies_raises_internal_error(monkeypatch, death):
         run_ladder(cfg)
     status = "exit status 3" if death == "exit" else \
         f"signal {int(signal.SIGKILL)}"
-    assert str(info.value) == (f"ladder shard of paths 8..15 ended with "
-                               f"{status} and no report")
+    assert str(info.value) == (f"ladder shard of paths 8..15, eps levels "
+                               f"0..1 ended with {status} and no report")
     assert_no_child_left()
 
 
@@ -568,7 +576,7 @@ def small_2d_study():
 ])
 def test_level_shards_give_bitwise_equal_raw_arrays(monkeypatch, make,
                                                     shards):
-    # With fewer blocks than CPUs each shard steps a group of eps levels
+    # With one block each shard steps a contiguous group of eps levels
     # and its own copy of the effective level, whose rows the shard of eps
     # level 0 writes; every raw array keeps the one-process bits.
     cfg = make()
@@ -654,9 +662,130 @@ def test_level_shard_that_dies_raises_internal_error(monkeypatch):
     monkeypatch.setattr(NoiseStream, "draw", dying_draw)
     with pytest.raises(InternalError) as info:
         run_ladder(cfg)
-    assert str(info.value) == ("ladder shard of eps levels 2..2 ended with "
-                               "exit status 3 and no report")
+    assert str(info.value) == ("ladder shard of paths 0..7, eps levels 2..2 "
+                               "ended with exit status 3 and no report")
     assert_no_child_left()
+
+
+def two_shard_study():
+    """A one-block 1D ladder whose two eps levels go to two shards."""
+    coeff = make_coefficient("layered", 1, alpha=2.0, beta=1.0)
+    return StudyConfig(coefficient=coeff, grid=GridSpec(1, 256),
+                       epsilons=(1 / 8, 1 / 16),
+                       stepper=StepperConfig(dt=1e-3, horizon=0.02),
+                       members=4, replicas=8, sigma0=0.2, cell_cells=32,
+                       initial_amplitude=0.5)
+
+
+def test_parent_failure_stops_the_child_at_the_next_step(monkeypatch):
+    # the child would die at step 5 and outrank the parent's NonFinite of
+    # step 1, but it stops at step 2
+    cfg = two_shard_study()
+    assert len(diagnostics._replica_blocks(
+        cfg.replicas, cfg.members, cfg.grid.dof)) == 1
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+    advance = BatchedStepper.advance
+
+    def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
+        if os.getpid() == parent and step_index == 1:
+            raise NonFinite("parent fails", step=step_index)
+        if os.getpid() != parent and step_index >= 5:
+            os._exit(7)
+        return advance(self, U, xi, t, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedStepper, "advance", failing_advance)
+    with pytest.raises(NonFinite, match="parent fails"):
+        run_ladder(cfg)
+    assert_no_child_left()
+
+
+def test_child_failure_stops_the_parent_at_the_next_step(monkeypatch):
+    cfg = two_shard_study()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+    advance = BatchedStepper.advance
+    advanced = [-1]
+
+    def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
+        if os.getpid() != parent and step_index == 1:
+            raise NonFinite("child fails", step=step_index)
+        if os.getpid() == parent:
+            advanced[0] = max(advanced[0], step_index)
+        return advance(self, U, xi, t, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedStepper, "advance", failing_advance)
+    with pytest.raises(NonFinite, match="child fails"):
+        run_ladder(cfg)
+    assert_no_child_left()
+    assert 1 <= advanced[0] < 5 < cfg.stepper.steps
+
+
+def split_block_study():
+    """Three 16-path blocks and two eps levels: on two CPUs, shard 0 steps
+    block 0 and eps level 0 of block 1, shard 1 eps level 1 of block 1 and
+    block 2, and each steps an effective copy of block 1."""
+    coeff = make_coefficient("layered", 1, alpha=2.0, beta=1.0)
+    return StudyConfig(coefficient=coeff, grid=GridSpec(1, 1024),
+                       epsilons=(1 / 8, 1 / 16),
+                       stepper=StepperConfig(dt=1e-4, horizon=5e-4),
+                       members=4, replicas=12, noise_law="mode_modulated",
+                       sigma0=0.2, cell_cells=32, initial_amplitude=0.5)
+
+
+def test_block_split_between_shards_keeps_raw_arrays(monkeypatch):
+    cfg = split_block_study()
+    blocks = diagnostics._replica_blocks(cfg.replicas, cfg.members,
+                                         cfg.grid.dof)
+    assert [(b.start, b.stop) for b in blocks] == [(0, 16), (16, 32),
+                                                   (32, 48)]
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = run_ladder(cfg)
+        assert results[cpus].shards == cpus
+        assert_no_child_left()
+    for cpus in (2, 3):
+        assert results[cpus].raw.keys() == results[1].raw.keys()
+        for key in results[1].raw:
+            assert np.array_equal(results[cpus].raw[key],
+                                  results[1].raw[key]), (cpus, key)
+
+
+def test_split_block_failures_rank_as_one_shard(monkeypatch):
+    # on two CPUs eps level 1 of block 1 fails in the child and the parent's
+    # effective copy of block 1 in the same step; a one-shard run meets the
+    # eps level first
+    cfg = split_block_study()
+    advance = BatchedStepper.advance
+
+    def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
+        level = "effective" if self.tensor is not None else \
+            cfg.epsilons.index(self.model.epsilon)
+        if (kwargs.get("first_row") == 16 and step_index == 2
+                and level in (1, "effective")):
+            raise NonFinite(f"level {level} fails", step=step_index)
+        return advance(self, U, xi, t, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedStepper, "advance", failing_advance)
+    errors = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(NonFinite) as info:
+            run_ladder(cfg)
+        assert_no_child_left()
+        errors[cpus] = str(info.value), info.value.step
+    assert errors[1] == errors[2] == ("level 1 fails", 2)
+
+
+def test_shard_names_give_paths_and_eps_levels():
+    a, b, c = slice(0, 16), slice(16, 32), slice(32, 48)
+    assert diagnostics._shard_name([(a, [0, 1]), (b, [0])]) == \
+        "ladder shard of paths 0..31, eps levels 0..1"
+    assert diagnostics._shard_name([(b, [1]), (c, [0, 1])]) == \
+        "ladder shard of paths 16..47, eps levels 0..1"
+    assert diagnostics._shard_name([(a, [2])]) == \
+        "ladder shard of paths 0..15, eps levels 2..2"
 
 
 def stored_ladder_paths(cfg, result):
