@@ -6,7 +6,8 @@ Subcommands map one-to-one onto module operations:
   simulate   advance one interacting ensemble, write states and ledgers
   ladder     coupled multi-resolution study with the full diagnostics
   corrector  same engine, reported through the gradient-residual lens
-  report     re-render JSON/CSV tables from a stored raw archive
+  report     re-render report.json and report.csv from a stored raw.npz,
+             after checking every other file the manifest lists
 
 Every run directory receives a deterministic manifest.json (config
 digest, seed, per-file sha256) and a volatile run_info.json (wall clock,
@@ -14,10 +15,12 @@ environment, and for simulate, ladder and corrector the number of
 processes that stepped the paths). Reruns with identical config and seed
 rewrite the data files and the manifest byte for byte.
 
-Exit codes: 0 success, 2 configuration rejected, 3 solver failure,
-4 archive integrity failure, 5 internal error (a bug: a ValueError that
-no toolkit error class describes, or a forked process that died without
-a report). Failures print one JSON object on stderr.
+Exit codes: 0 success, 2 configuration rejected (or an output directory
+that cannot be created), 3 solver failure, 4 archive integrity failure
+(for report, also a kept file edited or missing), 5 internal error (a
+bug: a ValueError that no toolkit error class describes, or a forked
+process that died without a report). Failures print one JSON object on
+stderr.
 """
 from __future__ import annotations
 
@@ -91,7 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_command(name: str, help_text: str):
+    for name, help_text, handler in (
+            ("cell", "solve the periodic cell problem", _cmd_cell),
+            ("simulate", "advance one interacting ensemble", _cmd_simulate),
+            ("ladder", "coupled resolution-ladder study", _cmd_ladder),
+            ("corrector", "gradient-residual study", _cmd_corrector)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-c", "--config", required=True,
                        help="path to the INI configuration")
@@ -100,25 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"${OUTPUT_ROOT_ENV} or ./runs)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed from the config")
-        return p
-
-    add_run_command("cell", "solve the periodic cell problem") \
-        .set_defaults(handler=_cmd_cell)
-    add_run_command("simulate", "advance one interacting ensemble") \
-        .set_defaults(handler=_cmd_simulate)
-    for name, help_text, handler in (
-            ("ladder", "coupled resolution-ladder study", _cmd_ladder),
-            ("corrector", "gradient-residual study", _cmd_corrector)):
-        p = add_run_command(name, help_text)
-        p.add_argument("--plot-data", action="store_true",
-                       help="also write plot_data.csv with (epsilon, error) "
-                            "pairs for external plotting")
         p.set_defaults(handler=handler)
 
     rep = sub.add_parser("report",
-                         help="re-render tables from a stored archive")
+                         help="re-render report.json and report.csv "
+                              "from a checked archive")
     rep.add_argument("-d", "--directory", required=True,
-                     help="run directory holding manifest.json and raw data")
+                     help="run directory holding manifest.json and raw.npz")
     rep.set_defaults(handler=_cmd_report)
     return parser
 
@@ -139,14 +134,20 @@ def _load_config(args) -> tuple[RunConfig, str]:
 
 
 def _resolve_output(args, cfg: RunConfig, command: str) -> Path:
+    key = None
     if args.output:
         out = Path(args.output)
     elif cfg.output:
-        out = Path(cfg.output)
+        out, key = Path(cfg.output), "run.output"
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
         out = root / f"{command}-{cfg.digest()[:12]}"
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}", line=cfg.lines.get(key),
+                          field=key) from None
     return out
 
 
@@ -265,19 +266,8 @@ def _run_study(args, command: str, render) -> int:
     result = run_ladder(study)
     np.savez(out / "raw.npz", **result.raw)
     files = ["raw.npz"] + render(out, result.report)
-    if getattr(args, "plot_data", False):
-        files.append(_write_plot_data(out, result.report))
     return _finish(out, cfg, text, command, files, t0,
                    {"shards": result.shards})
-
-
-def _write_plot_data(out: Path, report) -> str:
-    lines = ["epsilon,error"]
-    for eps, err in zip(report.epsilons, report.errors):
-        lines.append(f"{eps!r},{err!r}")
-    (out / "plot_data.csv").write_text("\n".join(lines) + "\n",
-                                       encoding="utf-8")
-    return "plot_data.csv"
 
 
 def _render_ladder(out: Path, report) -> list[str]:
@@ -310,11 +300,13 @@ def _cmd_corrector(args) -> int:
 
 def _cmd_report(args) -> int:
     out = Path(args.directory)
-    manifest = verify_archive(out, only=["raw.npz"])
+    # every kept file is checked, so the rewritten manifest re-blesses none
+    manifest = verify_archive(out, skip=("report.json", "report.csv"))
+    if "raw.npz" not in manifest["files"]:
+        raise IntegrityError("archive has no digest entry for 'raw.npz'",
+                             path=str(out / "raw.npz"))
     report = reduce_raw(_load_raw(out / "raw.npz"))
     written = _render_ladder(out, report)
-    if "plot_data.csv" in manifest["files"]:
-        _write_plot_data(out, report)
     refreshed = sorted(set(manifest["files"]) | set(written))
     carried = {k: v for k, v in manifest.items()
                if k not in ("toolkit_version", "config_digest", "seed",

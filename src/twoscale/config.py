@@ -1,10 +1,11 @@
 """Run configuration: INI-style text in, validated typed config out.
 
 Every key has a default, so the empty string is a valid configuration.
-The parser itself rejects unknown sections or keys, type mismatches and
-non-finite numbers. Every other rule lives in the constructor that owns
-the value: the parser builds each component once and re-raises its
-rejection with the line and the dotted field name of the offender.
+The parser itself rejects unknown sections or keys, a [coefficient] key
+that the chosen family does not take, type mismatches and non-finite
+numbers. Every other rule lives in the constructor that owns the value:
+the parser builds each component once and re-raises its rejection with
+the line and the dotted field name of the offender.
 
 The content digest hashes the canonical JSON form of the typed values
 (defaults filled, keys sorted), so key order and comments never change
@@ -272,7 +273,14 @@ def parse_config(text: str) -> RunConfig:
                     lines=lines)
     # build each component once: its constructor checks its own values
     cfg.grid()
-    cfg.coefficient()
+    family = cfg.coefficient().family
+    # the schema holds every family's keys; the text may set only its own
+    if parser.has_section("coefficient"):
+        for key in parser.options("coefficient"):
+            if key not in ("family", *FAMILIES[family]):
+                raise cfg.error(f"coefficient.{key}", f"{family} takes the "
+                                f"parameters {sorted(FAMILIES[family])}, "
+                                f"not {key!r}")
     eps = cfg._build("study", check_ladder, **values["ensemble"],
                      epsilons=values["study"]["epsilons"])
     cfg.model_for(eps[-1])

@@ -89,23 +89,17 @@ def read_manifest(out_dir: Path | str) -> dict:
                              path=str(path)) from None
 
 
-def verify_archive(out_dir: Path | str,
-                   only: list[str] | None = None) -> dict:
-    """Check digests of archived files against the manifest.
+def verify_archive(out_dir: Path | str, skip: tuple[str, ...] = ()) -> dict:
+    """Check every file the manifest lists, except those named in ``skip``
+    (the ones a consumer is about to rewrite), against its digest.
 
-    ``only`` restricts the check to the named files (the ones a consumer
-    is about to read); by default every manifest entry is checked. The
-    first missing or mismatched file raises IntegrityError carrying the
-    expected digest.
+    The first missing or mismatched file raises IntegrityError carrying
+    the expected digest.
     """
     out = Path(out_dir)
     manifest = read_manifest(out)
-    names = only if only is not None else sorted(manifest["files"])
-    for name in names:
-        expected = manifest["files"].get(name)
-        if expected is None:
-            raise IntegrityError(
-                f"archive has no digest entry for {name!r}", path=name)
+    for name in sorted(set(manifest["files"]) - set(skip)):
+        expected = manifest["files"][name]
         target = out / name
         if not target.is_file():
             raise IntegrityError(

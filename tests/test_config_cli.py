@@ -268,6 +268,14 @@ def test_semantic_guards(text, field):
      "coefficient.width", 3),
     ("[coefficient]\nfamily = separable_trig\nalpha = 0.5\ngamma = 0.5\n",
      "coefficient", 1),
+    # the schema holds every family's keys, but a family takes only its own
+    ("[coefficient]\nfamily = layered\nlow = -5\nwidth = -1\n",
+     "coefficient.low", 3),
+    ("[coefficient]\n# pad\ngamma = 2.0\n", "coefficient.gamma", 3),
+    ("[coefficient]\nwidth = 0.1\nfamily = constant\n",
+     "coefficient.width", 2),
+    ("[coefficient]\nfamily = checkerboard\nlow = 1.0\nalpha = 2.0\n",
+     "coefficient.alpha", 4),
     ("[grid]\ndimension = 2\ncells = 16\n[noise]\nmodes = 226\n",
      "noise.modes", 5),
     ("[stepper]\ndt = 0.003\n# pad\nhorizon = 0.01\n", "stepper.horizon", 4),
@@ -379,9 +387,9 @@ def test_verification_failures_carry_the_expected_digest(tmp_path):
         verify_archive(tmp_path)
     assert err.value.digest == expected
 
-    with pytest.raises(IntegrityError) as err:
-        verify_archive(tmp_path, only=["never_written.bin"])
-    assert "never_written.bin" in str(err.value)
+    # a skipped file is not checked, so its absence is no failure
+    assert verify_archive(tmp_path, skip=("data.bin",)) == \
+        read_manifest(tmp_path)
 
 
 def test_manifest_read_errors(tmp_path):
@@ -473,6 +481,77 @@ def test_report_rerenders_tables_without_recompute(tmp_path, capsys):
         assert (out / name).read_bytes() == blob, name
     assert (out / "raw.npz").read_bytes() == raw_before
     verify_archive(out)
+
+
+@pytest.mark.parametrize("damage", ["edited", "deleted"])
+def test_report_refuses_a_damaged_kept_file(tmp_path, capsys, damage):
+    # report rewrites the manifest, so it must not re-bless a kept file
+    cfg = write_ladder_ini(tmp_path)
+    out = tmp_path / "out"
+    run_cli(["ladder", "-c", str(cfg), "-o", str(out)], capsys)
+    kept = out / "config.snapshot.ini"
+    expected = read_manifest(out)["files"][kept.name]
+    manifest = (out / "manifest.json").read_bytes()
+    if damage == "edited":
+        kept.write_text(kept.read_text() + "# edited after the run\n")
+    else:
+        kept.unlink()
+    (out / "report.csv").unlink()
+
+    code, _, stderr = run_cli(["report", "-d", str(out)], capsys)
+    assert code == 4
+    payload = json.loads(stderr)
+    assert payload["error"] == "IntegrityError"
+    assert payload["path"] == str(kept) and payload["digest"] == expected
+    assert kept.name in payload["message"]
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert not (out / "report.csv").exists()
+
+
+def test_report_refuses_an_unlisted_raw_archive(tmp_path, capsys):
+    # a simulate archive does not list raw.npz, so a stray one is not read
+    ladder = tmp_path / "ladder"
+    run_cli(["ladder", "-c", str(write_ladder_ini(tmp_path)), "-o",
+             str(ladder)], capsys)
+    cfg = tmp_path / "simulate.ini"
+    cfg.write_text("[grid]\ncells = 64\n[stepper]\nhorizon = 0.002\n"
+                   "[ensemble]\nmembers = 2\n", encoding="utf-8")
+    out = tmp_path / "simulate"
+    assert run_cli(["simulate", "-c", str(cfg), "-o", str(out)],
+                   capsys)[0] == 0
+    shutil.copy(ladder / "raw.npz", out / "raw.npz")
+
+    code, _, stderr = run_cli(["report", "-d", str(out)], capsys)
+    assert code == 4
+    payload = json.loads(stderr)
+    assert payload["error"] == "IntegrityError"
+    assert "raw.npz" in payload["message"]
+    assert not (out / "report.json").exists()
+
+
+def test_report_carries_an_archived_plot_data_file(tmp_path, capsys):
+    # archives of older versions may list plot_data.csv, written by a
+    # since-removed --plot-data flag: report checks and keeps it
+    cfg = write_ladder_ini(tmp_path)
+    out = tmp_path / "out"
+    run_cli(["ladder", "-c", str(cfg), "-o", str(out)], capsys)
+    report = json.loads((out / "report.json").read_text())
+    pairs = [f"{e!r},{r!r}" for e, r in zip(report["epsilons"],
+                                             report["errors"])]
+    (out / "plot_data.csv").write_text("\n".join(["epsilon,error", *pairs])
+                                       + "\n", encoding="utf-8")
+    manifest = read_manifest(out)
+    write_manifest(out, manifest["config_digest"], manifest["seed"],
+                   [*manifest["files"], "plot_data.csv"],
+                   extra={"noise": manifest["noise"]})
+    archive = {p.name: p.read_bytes() for p in out.iterdir()
+               if p.name != "run_info.json"}
+    (out / "report.csv").unlink()
+
+    assert run_cli(["report", "-d", str(out)], capsys)[0] == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()
+            if p.name != "run_info.json"} == archive
+    assert "plot_data.csv" in verify_archive(out)["files"]
 
 
 def test_report_on_truncated_archive_names_the_digest(tmp_path, capsys):
@@ -985,28 +1064,41 @@ def test_output_directory_from_config(tmp_path, capsys):
     assert (target / "manifest.json").is_file()
 
 
-def test_plot_data_flag_writes_epsilon_error_pairs(tmp_path, capsys):
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+def test_uncreatable_output_directory_exits_2(tmp_path, monkeypatch, capsys,
+                                              source):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    text, argv = "[study]\ncell_cells = 32\n", []
+    if source == "flag":
+        argv = ["-o", str(blocker)]
+    elif source == "config":
+        text += f"[run]\noutput = {blocker}\n"
+    else:
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(blocker))
+    cfg = tmp_path / "cell.ini"
+    cfg.write_text(text, encoding="utf-8")
+
+    code, _, stderr = run_cli(["cell", "-c", str(cfg), *argv], capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    assert payload["error"] == "ConfigError"
+    assert str(blocker) in payload["message"]
+    if source == "config":
+        assert payload["field"] == "run.output" and payload["line"] == 4
+    else:
+        assert "field" not in payload and "line" not in payload
+
+
+def test_plot_data_flag_is_refused(tmp_path, capsys):
+    # a ladder's epsilon,error pairs are `cut -d, -f1,2 report.csv`
     cfg = write_ladder_ini(tmp_path)
     out = tmp_path / "out"
-    run_cli(["ladder", "-c", str(cfg), "-o", str(out), "--plot-data"],
-            capsys)
-    report = json.loads((out / "report.json").read_text())
-    lines = (out / "plot_data.csv").read_text().splitlines()
-    assert lines[0] == "epsilon,error"
-    assert len(lines) == 1 + len(report["epsilons"])
-    for line, eps, err in zip(lines[1:], report["epsilons"],
-                              report["errors"]):
-        got_eps, got_err = (float(p) for p in line.split(","))
-        assert got_eps == eps and got_err == err
-    manifest = read_manifest(out)
-    assert "plot_data.csv" in manifest["files"]
-
-    # the report subcommand regenerates it from the raw archive
-    blob = (out / "plot_data.csv").read_bytes()
-    (out / "plot_data.csv").unlink()
-    assert run_cli(["report", "-d", str(out)], capsys)[0] == 0
-    assert (out / "plot_data.csv").read_bytes() == blob
-    verify_archive(out)
+    with pytest.raises(SystemExit) as err:
+        main(["ladder", "-c", str(cfg), "-o", str(out), "--plot-data"])
+    assert err.value.code == 2
+    assert "--plot-data" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ladder_without_flag_writes_no_plot_data(tmp_path, capsys):
