@@ -20,8 +20,11 @@ tolerance.
 The solver is conjugate gradients on the singular but consistent system
 (constants span the kernel), preconditioned by the exact FFT inverse of the
 constant-coefficient periodic operator whose per-axis coefficient is the
-mean of that axis's absolute faces (Moulinec & Suquet 1998). The
-directions of one slice are solved as one stack; the constant mode is
+mean of that axis's absolute faces (Moulinec & Suquet 1998). Each (slice,
+direction) item is its own one-row solve, and the items are split over
+forked processes when each gets at least ``parallel.BLOCK_VALUES`` values
+(a 256^2 cell's two directions run in two processes), with results in
+shared memory, so the process count changes no bit. The constant mode is
 projected out of the residual at every iteration and the final corrector
 is recentred to zero mean.
 """
@@ -35,6 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfftn, rfftn
 
+from . import parallel
 from .coefficients import CoefficientField, fast_axes
 from .errors import ValidationError
 from .grid import is_power_of_two, preconditioned_cg
@@ -170,24 +174,27 @@ def _periodic_inverse(faces: list[np.ndarray], h: float) -> np.ndarray:
     return np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
 
 
-def _slice_tensor(faces: list[np.ndarray], correctors_slice: np.ndarray,
-                  h: float) -> np.ndarray:
-    """Flux average a_eff[j, k] = mean over j-faces of s*(delta_jk + D_j eta_k)."""
-    dim = len(faces)
-    out = np.empty((dim, dim))
-    for k in range(dim):
-        eta = correctors_slice[k]
-        for j in range(dim):
-            d = (np.roll(eta, -1, axis=j) - eta) / h
-            if j == k:
-                d = d + 1.0
-            out[j, k] = np.mean(faces[j] * d)
+def _flux_averages(faces: list[np.ndarray], eta: np.ndarray, k: int,
+                   h: float) -> np.ndarray:
+    """Column k of the slice tensor, a_eff[j, k] = mean over j-faces of
+    s * (delta_jk + D_j eta_k), from the corrector eta_k."""
+    out = np.empty(len(faces))
+    for j in range(len(faces)):
+        d = (np.roll(eta, -1, axis=j) - eta) / h
+        if j == k:
+            d = d + 1.0
+        out[j] = np.mean(faces[j] * d)
     return out
 
 
 def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
                        tol: float = 1e-10) -> CellSolution:
     """Solve the periodic cell problems on every tau slice.
+
+    The (tau slice, direction) items are split into contiguous runs, one
+    per usable CPU and as many as get at least ``parallel.BLOCK_VALUES``
+    values each (so a 1D cell stays in this process); this process solves
+    the first run and a forked child each other one.
 
     Args:
         coeff: the oscillating coefficient field (diagonal-scalar).
@@ -204,50 +211,62 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
     S = grid.tau_slices
     max_iter = 10 * grid.cells ** 2
     centers = grid.centers()
-
-    correctors = np.zeros((S, dim) + grid.shape)
-    slice_tensors = np.zeros((S, dim, dim))
-    residuals = np.zeros((S, dim))
-    iterations = np.zeros((S, dim), dtype=int)
-
+    taus = grid.tau_values()
+    correctors, slice_tensors, residuals, iterations = parallel.shared_zeros(
+        [(S, dim) + grid.shape, (S, dim, dim), (S, dim), (S, dim)])
     axes = tuple(range(-dim, 0))
 
     def mean_free(v: np.ndarray) -> np.ndarray:
         return v - v.mean(axis=axes, keepdims=True)
 
-    for s, tau in enumerate(grid.tau_values()):
-        s_cells = np.broadcast_to(coeff.scalar(centers, tau),
-                                  grid.shape).astype(float)
-        faces = [_face_coefficients(s_cells, axis) for axis in range(dim)]
-        inverse = _periodic_inverse(faces, grid.h)
-        b = np.stack([(faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
-                      for k in range(dim)])
-        eta, residuals[s], iterations[s] = preconditioned_cg(
-            lambda v: _apply_periodic_operator(v, faces, grid.h),
-            lambda v: irfftn(rfftn(v, axes=axes) * inverse, s=grid.shape,
-                             axes=axes),
-            b, tol, max_iter, "cell CG", project=mean_free)
-        correctors[s] = mean_free(eta)
-        slice_tensors[s] = _slice_tensor(faces, correctors[s], grid.h)
+    def run_shard(items):
+        """Solve direction k of slice s for each item (s, k); yield the
+        item's index before it."""
+        for s, k in items:
+            yield (s * dim + k,)
+            s_cells = np.broadcast_to(coeff.scalar(centers, taus[s]),
+                                      grid.shape).astype(float)
+            faces = [_face_coefficients(s_cells, axis) for axis in range(dim)]
+            inverse = _periodic_inverse(faces, grid.h)
+            b = (faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
+            eta, residual, its = preconditioned_cg(
+                lambda v: _apply_periodic_operator(v, faces, grid.h),
+                lambda v: irfftn(rfftn(v, axes=axes) * inverse, s=grid.shape,
+                                 axes=axes),
+                b[None], tol, max_iter, "cell CG", project=mean_free)
+            residuals[s, k], iterations[s, k] = residual[0], its[0]
+            correctors[s, k] = mean_free(eta[0])
+            slice_tensors[s, :, k] = _flux_averages(faces, correctors[s, k],
+                                                    k, grid.h)
 
-    a_tilde = slice_tensors.mean(axis=0)
+    items = [(s, k) for s in range(S) for k in range(dim)]
+    parallel.run_shards(
+        run_shard, parallel.split(
+            items, parallel.shard_count(len(items), grid.cells ** dim)),
+        lambda part: f"cell shard of items {part[0]}..{part[-1]}")
     return CellSolution(grid=grid, correctors=correctors,
-                        slice_tensors=slice_tensors, a_tilde=a_tilde,
-                        residuals=residuals, iterations=iterations)
+                        slice_tensors=slice_tensors,
+                        a_tilde=slice_tensors.mean(axis=0),
+                        residuals=residuals, iterations=iterations.astype(int))
 
 
 def _interp_periodic(values: np.ndarray, coords: tuple[np.ndarray, ...],
                      m: int) -> np.ndarray:
-    """Multilinear periodic interpolation from cell centers (i+1/2)/m."""
+    """Multilinear periodic interpolation from cell centers (i+1/2)/m.
+
+    ``values`` is shaped (*cell shape, ...): every trailing component is
+    interpolated with the one set of corner indices and weights.
+    """
     axes = []  # per axis: (index, weight) of the lower and the upper center
     for q in coords:
         u = np.asarray(q, dtype=float) % 1.0 * m - 0.5
         i0 = np.floor(u).astype(int)
         axes.append(((i0 % m, 1.0 - (u - i0)), ((i0 + 1) % m, u - i0)))
+    trailing = (Ellipsis,) + (None,) * (values.ndim - len(coords))
     terms = []
     for corner in itertools.product(*axes[::-1]):  # the first axis fastest
         index, weights = zip(*corner[::-1])
-        terms.append(math.prod(weights) * values[index])
+        terms.append(math.prod(weights)[trailing] * values[index])
     return sum(terms[1:], terms[0])
 
 
@@ -261,17 +280,12 @@ def corrector_slopes(solution: CellSolution, y, tau: float = 0.0) -> np.ndarray:
     """
     g = solution.grid
     coords = fast_axes(y, g.dimension)
-    grads = solution.corrector_gradients
+    # (S, *cell shape, i, j): a slice's components gather at once
+    grads = np.moveaxis(solution.corrector_gradients, (1, 2), (-2, -1))
     S = g.tau_slices
 
     def at_slice(s: int) -> np.ndarray:
-        out = np.empty(np.broadcast_shapes(*map(np.shape, coords))
-                       + (g.dimension, g.dimension))
-        for i in range(g.dimension):
-            for j in range(g.dimension):
-                out[..., i, j] = _interp_periodic(grads[s, i, j], coords,
-                                                  g.cells)
-        return out
+        return _interp_periodic(grads[s], coords, g.cells)
 
     if S == 1:
         return at_slice(0)
@@ -279,4 +293,3 @@ def corrector_slopes(solution: CellSolution, y, tau: float = 0.0) -> np.ndarray:
     s0 = int(np.floor(pos)) % S
     w = pos - np.floor(pos)
     return (1.0 - w) * at_slice(s0) + w * at_slice((s0 + 1) % S)
-

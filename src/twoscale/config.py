@@ -62,7 +62,6 @@ _SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
     "stepper": {
         "dt": (float, 1e-3),
         "horizon": (float, 0.1),
-        "tol": (float, 1e-8),
     },
     "ensemble": {
         "members": (int, 8),

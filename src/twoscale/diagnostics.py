@@ -290,12 +290,10 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     steppers = []
     for e in eps_list:
         steppers.append(BatchedStepper(grid, cfg.model_for(e), spec,
-                                       members=cfg.members, dt=dt,
-                                       tol=cfg.stepper.tol))
+                                       members=cfg.members, dt=dt))
     # the effective level reuses the smallest-eps model constants
     steppers.append(BatchedStepper(grid, cfg.model_for(eps_list[-1]), spec,
                                    members=cfg.members, dt=dt,
-                                   tol=cfg.stepper.tol,
                                    homogenized_tensor=a_tilde))
 
     streams = [NoiseStream.derive(spec, m, r)

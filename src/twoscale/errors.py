@@ -24,7 +24,8 @@ class EllipticityViolation(ToolkitError):
 
 
 class SolverDiverged(ToolkitError):
-    """An iterative solve ran out of iterations or lost finiteness."""
+    """A CG solve ran out of iterations or lost definiteness, or an
+    implicit operator is not positive definite."""
 
     def __init__(self, message: str, iterations: int | None = None,
                  residual: float | None = None):

@@ -19,10 +19,14 @@ which the tests assert to solver tolerance.
 
 ``BatchedStepper`` is the one stepping engine: members (and, in coupled
 studies, whole replica blocks) advance as one (paths, dof) array per level,
-so the per-step cost is a few vectorized array passes plus, in 1D, one
-LAPACK ``pttrs`` solve of the whole stack against the LDL^T factor from
-``pttrf``. ``run_ensemble`` records every member's energy ledger into one
-(steps+1, members, columns) array. An ensemble of at least
+so the per-step cost is a few vectorized array passes plus one direct
+solve against a factor built once per coefficient time: in 1D one LAPACK
+``pttrs`` call on the whole stack against the LDL^T factor from
+``pttrf``; in 2D one SuperLU solve per path, or a DST-I pair for the
+effective level's constant faces (see ``models.ImplicitFactorization``).
+A time-dependent 2D coefficient refactors every step, which costs more
+than the solves of a single path. ``run_ensemble`` records every member's
+energy ledger into one (steps+1, members, columns) array. An ensemble of at least
 ``parallel.BLOCK_VALUES`` values per usable CPU (64 members on 1024 cells
 on two CPUs) is split by members into one forked shard per CPU; the
 shards step in lockstep, one barrier per step, and every output keeps the
@@ -40,7 +44,7 @@ from .errors import NonFinite, StepRejected, ValidationError
 from .grid import (GridSpec, ScalarField, face_energy, sine_coefficients,
                    sine_weights_Hminus1, stack_face_differences)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
-from .noise import QWienerSpec
+from .noise import QWienerSpec, mode_synthesis
 
 __all__ = [
     "StepperConfig",
@@ -64,23 +68,16 @@ LEDGER_COLUMNS = ("step", "t", "H2", "Hp", "V2", "L4",
 @dataclass(frozen=True)
 class StepperConfig:
     """Time-stepping parameters; horizon / dt must be integral (to round-off).
-
-    ``tol`` is the relative residual of the 2D implicit CG solve; the 1D
-    implicit solve is a direct LAPACK ``pttrf``/``pttrs`` solve and does
-    not read it.
-    """
+    The implicit solves are direct, so there is no solver tolerance."""
 
     dt: float
     horizon: float
-    tol: float = 1e-8
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError("dt must be positive", field="dt")
         if not self.horizon > 0:
             raise ValidationError("horizon must be positive", field="horizon")
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive", field="tol")
         ratio = self.horizon / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValidationError(
@@ -191,7 +188,7 @@ class BatchedStepper:
     """
 
     def __init__(self, grid: GridSpec, model: ModelSpec, spec: QWienerSpec,
-                 members: int, dt: float, tol: float = 1e-8,
+                 members: int, dt: float,
                  homogenized_tensor: np.ndarray | None = None):
         if model.variant not in STEPPED_VARIANTS:
             raise ValidationError(f"the engine cannot step {model.variant!r}",
@@ -201,14 +198,13 @@ class BatchedStepper:
         self.spec = spec
         self.members = members
         self.dt = float(dt)
-        self.tol = float(tol)
         self.tensor = homogenized_tensor
         self._faces = (None if homogenized_tensor is None
                        else _effective_faces(grid, homogenized_tensor))
         self._g_weights = (np.sqrt(spec.eigenvalues * self.dt)
                            * model.mode_sigmas(spec.modes))
         if model.noise_law == "mode_modulated":  # built before a ladder forks
-            self._g_basis = spec.basis
+            self._synthesize = mode_synthesis(spec)
         self._fac: ImplicitFactorization | None = None
         self._fac_time: float | None = None
 
@@ -264,7 +260,7 @@ class BatchedStepper:
         if model.noise_law == "scalar_multiplicative":
             noise = (xi @ self._g_weights)[rows, None] * part
         else:
-            noise = ((xi * self._g_weights) @ self._g_basis)[rows]
+            noise = self._synthesize(xi * self._g_weights)[rows]
             noise *= part
         return drift, noise
 
@@ -298,7 +294,7 @@ class BatchedStepper:
         rhs += noise
         fac = self.factorization(t)
         try:
-            return fac.solve_batch(rhs, tol=self.tol)
+            return fac.solve_batch(rhs)
         except NonFinite:
             bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0] \
                 + first_row + (rows.start or 0)
@@ -332,11 +328,8 @@ class BatchedStepper:
 def ensemble_shards(members: int, dof: int) -> list[slice]:
     """Member runs of ``run_ensemble``: one per usable CPU, as many as get
     at least ``parallel.BLOCK_VALUES`` values each, and at least one."""
-    count = parallel.usable_cpus()
-    while count > 1 and members // count * dof < parallel.BLOCK_VALUES:
-        count -= 1
-    return [slice(part[0], part[-1] + 1)
-            for part in parallel.split(range(members), count)]
+    return [slice(part[0], part[-1] + 1) for part in parallel.split(
+        range(members), parallel.shard_count(members, dof))]
 
 
 def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
@@ -363,8 +356,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     g = ensemble.grid
     spec = ensemble.noise
     size = ensemble.size
-    stepper = BatchedStepper(g, model, spec, members=size,
-                             dt=config.dt, tol=config.tol)
+    stepper = BatchedStepper(g, model, spec, members=size, dt=config.dt)
     steps = config.steps
     streams = ensemble.streams
     t0 = ensemble.time

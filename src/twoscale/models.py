@@ -13,6 +13,11 @@ spectral modes. F and G are evaluated on whole (paths, dof) stacks by
 ``integrator.BatchedStepper.explicit_terms``, where mu is the empirical law
 of each replica's members; this module holds their constants.
 
+``ImplicitFactorization`` solves (I + dt A_eps) directly in 1D and 2D:
+LAPACK ``pttrf``/``pttrs`` for the tridiagonal 1D operator, a DST-I pair
+for constant 2D faces and a SuperLU factor of the 5-point 2D matrix
+otherwise, each refusing an operator that is not positive definite.
+
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
 (symmetry and coercivity of A_eps, exact skew-symmetry of B, the drift
@@ -32,7 +37,7 @@ from .errors import (NonFinite, NotDivergenceFree, SolverDiverged,
                      ValidationError)
 from .grid import (GridSpec, ScalarField, VectorField, adjacent_pairs,
                    face_differences, inner_H, norm_H, norm_V,
-                   preconditioned_cg, sine_coefficients)
+                   sine_coefficients)
 
 __all__ = [
     "ModelSpec",
@@ -140,34 +145,42 @@ def apply_A_eps(u: ScalarField, coeff: CoefficientField, eps: float,
 
 
 class ImplicitFactorization:
-    """Reusable solver for (I + dt * A) v = rhs at a frozen coefficient time.
+    """Reusable direct solver for (I + dt * A) v = rhs at a frozen time.
 
     A is -div(s grad u) with one face array per axis, laid out as
     :func:`face_coefficients` returns them, on every ladder level; the
-    effective level's faces are the constants a~[d, d]. A stack of
-    right-hand sides is solved in one call. In 1D the operator is
-    tridiagonal and we keep its LDL^T factor from LAPACK ``pttrf``, so each
-    solve is one ``pttrs`` call costing O(n) per right-hand side. In 2D the
-    whole stack runs matrix-free conjugate gradients together,
-    preconditioned by the exact DST-I inverse of I + dt (c_x L_x + c_y L_y)
-    (Concus & Golub 1973). c_d is the value of constant axis-d faces, which
-    makes the preconditioner exact and CG stop after one iteration, and
-    else the mean of the absolute axis-d faces (positive definite for any
-    faces). The eigenvalue array is built on the first 2D solve.
-    ``iterations`` holds the per-path CG iteration counts of the last 2D
-    solve, shape (paths,); in a ladder, whose work is split into shards
-    stepped by forked processes, the caller's copy holds the last step's
-    solve of the last block it stepped itself, and stays None for a level
-    it left to a child.
+    effective level's faces are the constants a~[d, d]. The operator is
+    factored once, when this object is built, and a stack of right-hand
+    sides is solved in one call:
+
+    - 1D: the tridiagonal operator's LDL^T factor from LAPACK ``pttrf``;
+      each solve is one ``pttrs`` call on the whole stack, O(n) per path.
+    - 2D, constant faces c_d: the exact inverse of I + dt (c_x L_x + c_y
+      L_y) by a DST-I pair, whose eigenvalues 1 + dt (c_x lam + c_y mu)
+      must all be positive.
+    - 2D, other faces: the 5-point matrix as CSC, factored by SuperLU
+      ``splu`` with a symmetric minimum-degree ordering and diagonal
+      pivots. Each path is solved on its own, since SuperLU's multi-column
+      solve changes bits with the column count.
+
+    A factor that is not positive definite raises :class:`SolverDiverged`,
+    and non-finite faces or right-hand sides raise :class:`NonFinite`.
     """
 
     def __init__(self, grid: GridSpec, faces: list[np.ndarray], dt: float):
         self.grid = grid
         self.dt = float(dt)
         self.faces = faces
-        self.iterations: np.ndarray | None = None
-        self._inverse = None
-        self._ldl = self._factor_1d() if grid.dimension == 1 else None
+        self._ldl = self._inverse = self._lu = None
+        if grid.dimension == 1:
+            self._ldl = self._factor_1d()
+            return
+        if not all(np.all(np.isfinite(f)) for f in faces):
+            raise NonFinite("implicit operator has non-finite entries")
+        if all(np.ptp(f) == 0.0 for f in faces):
+            self._inverse = self._factor_constant_2d()
+        else:
+            self._lu = self._factor_2d()
 
     def _factor_1d(self) -> tuple[np.ndarray, np.ndarray]:
         s = self.faces[0]
@@ -184,50 +197,83 @@ class ImplicitFactorization:
             raise NonFinite("implicit operator has non-finite entries")
         return d, e
 
-    def _apply(self, values: np.ndarray) -> np.ndarray:
-        return values + self.dt * _apply_faces(values, self.faces, self.grid.h)
-
-    def _precondition(self, values: np.ndarray) -> np.ndarray:
-        """Exact inverse of I + dt (c_x L_x + c_y L_y) by a DST-I pair.
+    def _factor_constant_2d(self) -> np.ndarray:
+        """Inverse eigenvalues of I + dt (c_x L_x + c_y L_y), scaled for the
+        unnormalized DST-I pair.
 
         L_d has the eigenvalues (4/h^2) sin^2(k pi h / 2), k = 1..n-1, and
-        (2n)^2 is the scale of the unnormalized DST-I pair; the inverse
-        eigenvalue array is built on first use.
+        (2n)^2 is the scale of the pair. The faces keep their signs.
         """
-        if self._inverse is None:
-            g = self.grid
-            # the mean of n copies of c can miss c in the last bit
-            c = [abs(float(f.flat[0])) if np.ptp(f) == 0.0
-                 else float(np.mean(np.abs(f))) for f in self.faces]
-            lam = (4.0 / g.h ** 2) * np.sin(
-                np.arange(1, g.cells) * np.pi * g.h / 2.0) ** 2
-            self._inverse = 1.0 / ((2.0 * g.cells) ** 2 * (
-                1.0 + self.dt * (c[0] * lam[:, None] + c[1] * lam[None, :])))
-        return dstn(dstn(values, type=1, axes=(-2, -1)) * self._inverse,
-                    type=1, axes=(-2, -1))
+        g = self.grid
+        c = [float(f.flat[0]) for f in self.faces]
+        lam = (4.0 / g.h ** 2) * np.sin(
+            np.arange(1, g.cells) * np.pi * g.h / 2.0) ** 2
+        eig = 1.0 + self.dt * (c[0] * lam[:, None] + c[1] * lam[None, :])
+        if not np.all(eig > 0.0):
+            raise SolverDiverged("implicit operator is not positive definite "
+                                 f"(eigenvalue {float(np.min(eig)):.3e})")
+        return 1.0 / ((2.0 * g.cells) ** 2 * eig)
 
-    def solve_batch(self, rhs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def _factor_2d(self):
+        """SuperLU factor of the 5-point I + dt A, assembled as CSC.
+
+        Column (i, j) holds its neighbours (i-1, j), (i, j-1), itself,
+        (i, j+1) and (i+1, j), in row order, where they are interior.
+        """
+        # imported here: a module-level import costs every 1D run memory
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        sx, sy = self.faces
+        m = self.grid.cells - 1
+        k = self.dt / self.grid.h ** 2
+        values = np.stack([
+            -k * sx[:-1], -k * sy[:, :-1],
+            1.0 + k * ((sx[:-1] + sx[1:]) + (sy[:, :-1] + sy[:, 1:])),
+            -k * sy[:, 1:], -k * sx[1:]], axis=-1)
+        rows = np.arange(m * m).reshape(m, m, 1) + np.array([-m, -1, 0, 1, m])
+        present = np.ones(values.shape, dtype=bool)
+        present[0, :, 0] = present[:, 0, 1] = False
+        present[:, -1, 3] = present[-1, :, 4] = False
+        starts = np.concatenate([[0], np.cumsum(present.sum(axis=-1))])
+        matrix = csc_matrix((values[present], rows[present], starts),
+                            shape=(m * m, m * m))
+        try:
+            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      relax=1, panel_size=1)
+        except RuntimeError as exc:  # an exactly singular factor
+            raise SolverDiverged(
+                f"implicit operator is singular (SuperLU: {exc})") from None
+        # With faces >= 0 the operator is I plus a positive semi-definite
+        # matrix, so every diagonal pivot is at least 1 and the check of
+        # the pivots, which copies U, is left out.
+        if min(float(np.min(f)) for f in self.faces) < 0.0 and not (
+                np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0)):
+            raise SolverDiverged("implicit operator is not positive definite "
+                                 "(SuperLU: a non-positive pivot)")
+        return lu
+
+    def solve_batch(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a stack of right-hand sides, shape (paths, dof...).
 
         A single right-hand side (dof...) is a stack of one, and a
-        non-finite right-hand side raises :class:`NonFinite`. 1D applies
-        the cached LDL^T factor to the whole stack in one direct ``pttrs``
-        call and ignores ``tol``. 2D runs DST-preconditioned CG on the
-        whole stack with per-path step scalars for at most 20 n^2
-        iterations; each path stops once its residual is within ``tol`` of
-        its right-hand side, and ``iterations`` records how many steps
-        each path took.
+        non-finite right-hand side raises :class:`NonFinite`. A path's
+        solution has the same bits alone and inside any stack.
         """
-        if self.grid.dimension == 2:
-            out, _, self.iterations = preconditioned_cg(
-                self._apply, self._precondition,
-                rhs.reshape((-1,) + self.grid.shape), tol,
-                20 * self.grid.cells ** 2, "implicit CG")
-            return out.reshape(rhs.shape)
         flat = rhs.reshape(-1, self.grid.dof)
         if not np.all(np.isfinite(flat)):
             raise NonFinite("implicit solve got a non-finite right-hand side")
-        return dpttrs(*self._ldl, flat.T)[0].T.reshape(rhs.shape)
+        if self._ldl is not None:
+            return dpttrs(*self._ldl, flat.T)[0].T.reshape(rhs.shape)
+        if self._inverse is not None:
+            fields = flat.reshape((-1,) + self.grid.shape)
+            return dstn(dstn(fields, type=1, axes=(-2, -1)) * self._inverse,
+                        type=1, axes=(-2, -1)).reshape(rhs.shape)
+        out = np.empty_like(flat)
+        for path, row in enumerate(flat):
+            out[path] = self._lu.solve(row)
+        return out.reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -37,6 +38,7 @@ __all__ = [
     "partial_trace",
     "trace_tail_bound",
     "sample_increment",
+    "mode_synthesis",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -119,6 +121,34 @@ class QWienerSpec:
         basis = _basis_matrix(self.grid, self.mode_indices)
         basis.setflags(write=False)
         return basis
+
+
+def mode_synthesis(spec: QWienerSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from mode coefficients (paths, modes) to fields (paths, dof),
+    sum_k c_k e_k, with its tables built now.
+
+    1D multiplies by ``spec.basis``. 2D never builds the (modes, dof) basis
+    (7.9 MiB at 128^2 and 64 modes): it scatters each path's coefficients
+    into a (k1, k2) matrix C and forms S1^T C S2 from the per-axis sine
+    tables S1 = 2 sin(k1 pi x) and S2 = sin(k2 pi y), k up to the largest
+    wavenumber among the modes. Both agree with ``coeffs @ spec.basis`` to
+    round-off, and a path's field does not depend on the other paths.
+    """
+    if spec.grid.dimension == 1:
+        basis = spec.basis
+        return lambda coeffs: coeffs @ basis
+    ax = spec.grid.axis_nodes()
+    k = np.arange(1, int(spec.mode_indices.max()) + 1)
+    s1 = 2.0 * np.sin(np.pi * np.outer(ax, k))  # S1^T, (x, k1)
+    s2 = np.sin(np.pi * np.outer(k, ax))
+    k1, k2 = spec.mode_indices.T - 1
+
+    def synthesize(coeffs: np.ndarray) -> np.ndarray:
+        c = np.zeros((len(coeffs), len(k), len(k)))
+        c[:, k1, k2] = coeffs
+        return (s1 @ c @ s2).reshape(len(coeffs), -1)
+
+    return synthesize
 
 
 def partial_trace(spec: QWienerSpec) -> float:

@@ -29,6 +29,7 @@ __all__ = [
     "BLOCK_VALUES",
     "usable_cpus",
     "split",
+    "shard_count",
     "shared_zeros",
     "run_shards",
 ]
@@ -36,7 +37,8 @@ __all__ = [
 #: Size of one stack of paths, in float64 values. 16,384 values (128 kB)
 #: keep a ladder block's stacks and temporaries in a 2 MiB L2 cache; the 1D
 #: reference ladder (8 members, 1023 dof) gets 2 replicas per block. An
-#: ensemble is split into shards only when each gets at least this many.
+#: ensemble or a cell solve is split into shards only when each gets at
+#: least this many.
 BLOCK_VALUES = 16_384
 
 #: How long a pinned lockstep shard polls at a barrier before it sleeps.
@@ -56,6 +58,16 @@ def split(items, count: int) -> list[list]:
     """``count`` contiguous runs of ``items``, as even as they split."""
     return [[items[i] for i in part]
             for part in np.array_split(np.arange(len(items)), count)]
+
+
+def shard_count(items: int, values: int) -> int:
+    """Shards for ``items`` pieces of work of ``values`` values each: one
+    per usable CPU, as many as get at least ``BLOCK_VALUES`` values each,
+    and at least one."""
+    count = usable_cpus()
+    while count > 1 and items // count * values < BLOCK_VALUES:
+        count -= 1
+    return count
 
 
 def shared_zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

@@ -4,9 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from twoscale import parallel
 from twoscale.cell import CellGrid, corrector_slopes, solve_cell_problem
 from twoscale.coefficients import FAMILIES, CoefficientField, make_coefficient
 from twoscale.errors import SolverDiverged
+
+from forks import assert_no_child_left, deadline
 
 SQRT3 = np.sqrt(3.0)
 
@@ -107,6 +110,55 @@ def test_cell_cg_stops_at_lost_definiteness():
     c = Negated("layered", 2, FAMILIES["layered"])
     with pytest.raises(SolverDiverged) as err:
         solve_cell_problem(c, CellGrid(dimension=2, cells=16))
+    assert err.value.iterations == 0
+
+
+def solve_counting_shards(monkeypatch, coeff, grid, cpus):
+    """The cell solve at ``cpus`` usable CPUs, and its shard count."""
+    counts = []
+    run_shards = parallel.run_shards
+
+    def counting(run_shard, shards, *args, **kwargs):
+        counts.append(len(shards))
+        return run_shards(run_shard, shards, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "run_shards", counting)
+    with deadline(120):
+        sol = solve_cell_problem(coeff, grid)
+    assert_no_child_left()
+    monkeypatch.setattr(parallel, "run_shards", run_shards)
+    return sol, counts[0]
+
+
+@pytest.mark.parametrize("dimension, cells, slices, shards", [
+    (2, 128, 2, [1, 2, 3]),  # 4 items of 16,384 values
+    (1, 256, 3, [1, 1, 1]),  # 3 items of 256 values stay in one process
+])
+def test_cell_solve_does_not_depend_on_the_cpu_count(monkeypatch, dimension,
+                                                      cells, slices, shards):
+    coeff = make_coefficient("separable_trig", dimension)
+    grid = CellGrid(dimension, cells, tau_slices=slices)
+    results = [solve_counting_shards(monkeypatch, coeff, grid, cpus)
+               for cpus in (1, 2, 3)]
+    assert [count for _, count in results] == shards
+    first = results[0][0]
+    for sol, _ in results[1:]:
+        for name in ("correctors", "slice_tensors", "a_tilde", "residuals",
+                     "iterations"):
+            assert np.array_equal(getattr(sol, name), getattr(first, name))
+    assert first.iterations.dtype.kind == "i"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cell_failure_in_a_child_shard_is_raised(monkeypatch):
+    # direction 1 is solved by a forked child on two CPUs; its failure
+    # comes back with its telemetry, after direction 0's in the parent
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    c = Negated("layered", 2, FAMILIES["layered"])
+    with deadline(60), pytest.raises(SolverDiverged, match="cell CG") as err:
+        solve_cell_problem(c, CellGrid(dimension=2, cells=128))
+    assert_no_child_left()
     assert err.value.iterations == 0
 
 

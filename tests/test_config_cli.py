@@ -77,10 +77,11 @@ def test_empty_config_parses_with_defaults():
 
 
 def test_empty_config_digest_is_pinned():
-    # manifest.json carries this digest, so a default that moves changes
-    # every archive written without a config
+    # manifest.json carries this digest, so a default that moves (or a key
+    # that goes, as [stepper] tol did) changes every archive written
+    # without a config
     assert parse_config("").digest() == \
-        "d455a19b0e3e8735d43b9d99425865215e3c315d4d7bfe376672c7281b681dbb"
+        "25a236e635d487f3c1a4f0b9cc12b4a589a427c7b19f82dc3677466f620e83e2"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -188,6 +189,15 @@ def test_interaction_budget_rejections():
     assert err.value.field == "model.eta"
     assert err.value.line == 2
     assert str(err.value) == "unknown key 'eta' in section [model]"
+
+
+def test_stepper_tol_is_an_unknown_key():
+    # every implicit solve is direct, so no solve reads a tolerance
+    with pytest.raises(ConfigError) as err:
+        parse_config("[stepper]\ndt = 0.01\ntol = 1e-8\n")
+    assert err.value.field == "stepper.tol"
+    assert err.value.line == 3
+    assert str(err.value) == "unknown key 'tol' in section [stepper]"
 
 
 def test_unknown_section_and_key_are_located():

@@ -324,7 +324,7 @@ def test_ladder_replica_relabeling_invariance():
 
 
 def test_ladder_2d_runs_many_paths():
-    # Every 2D level advances a (paths, dof) stack through one CG solve.
+    # Every 2D level advances a (paths, dof) stack through one factor.
     coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
     grid = GridSpec(2, 32)
     cfg = StudyConfig(coefficient=coeff, grid=grid, epsilons=(0.5,),
@@ -337,17 +337,16 @@ def test_ladder_2d_runs_many_paths():
 
     fac = ImplicitFactorization(grid, face_coefficients(coeff, grid, 0.5, 0.0),
                                 dt=0.01)
-    # rows alone stop at other iterates; tol 1e-10 keeps that below 1e-8
     stack = np.random.default_rng(6).standard_normal((4, grid.dof))
-    batched = fac.solve_batch(stack, tol=1e-10)
+    batched = fac.solve_batch(stack)
     for row, out in zip(stack, batched):
-        alone = fac.solve_batch(row, tol=1e-10)
-        assert np.max(np.abs(out - alone)) <= 1e-8 * np.max(np.abs(alone))
+        assert np.array_equal(fac.solve_batch(row), out)
 
 
-def test_effective_2d_level_takes_one_cg_iteration_per_path(monkeypatch):
-    # the effective level's faces are the constants a~[d, d], for which the
-    # DST preconditioner is the exact inverse
+def test_static_2d_ladder_factors_each_level_once(monkeypatch):
+    # a checkerboard does not depend on the fast time, so each level is
+    # factored once for the whole run: the eps levels by LU, the effective
+    # level, whose faces are the constants a~[d, d], by the DST pair
     coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
     cfg = StudyConfig(coefficient=coeff, grid=GridSpec(2, 64),
                       epsilons=(0.5, 0.25),
@@ -355,18 +354,16 @@ def test_effective_2d_level_takes_one_cg_iteration_per_path(monkeypatch):
                       members=2, replicas=2, noise_law="mode_modulated",
                       cell_cells=32)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    counts = []
-    advance = BatchedStepper.advance
+    factors = []
+    init = ImplicitFactorization.__init__
 
-    def recording(self, U, xi, t, *args, **kwargs):
-        out = advance(self, U, xi, t, *args, **kwargs)
-        if self.tensor is not None:
-            counts.extend(self.factorization(t).iterations.tolist())
-        return out
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        factors.append(self._lu is None)
 
-    monkeypatch.setattr(BatchedStepper, "advance", recording)
+    monkeypatch.setattr(ImplicitFactorization, "__init__", recording)
     run_ladder(cfg)
-    assert counts == [1] * (cfg.stepper.steps * 4)
+    assert sorted(factors) == [False, False, True]
 
 
 def block_study(family="layered", members=4, replicas=8,
@@ -747,6 +744,29 @@ def test_block_split_between_shards_keeps_raw_arrays(monkeypatch):
         assert_no_child_left()
     for cpus in (2, 3):
         assert results[cpus].raw.keys() == results[1].raw.keys()
+        for key in results[1].raw:
+            assert np.array_equal(results[cpus].raw[key],
+                                  results[1].raw[key]), (cpus, key)
+
+
+def test_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(
+        monkeypatch):
+    # three eps levels of one block give one shard per CPU up to three;
+    # LU solves, the DST pair of the effective level and the table noise
+    # synthesis all keep their bits
+    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
+    cfg = StudyConfig(coefficient=coeff, grid=GridSpec(2, 128),
+                      epsilons=(0.5, 0.25, 0.125),
+                      stepper=StepperConfig(dt=0.002, horizon=0.01),
+                      members=2, replicas=2, noise_law="mode_modulated",
+                      sigma0=0.5, cell_cells=32)
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = run_ladder(cfg)
+        assert results[cpus].shards == cpus
+        assert_no_child_left()
+    for cpus in (2, 3):
         for key in results[1].raw:
             assert np.array_equal(results[cpus].raw[key],
                                   results[1].raw[key]), (cpus, key)

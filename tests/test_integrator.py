@@ -91,22 +91,22 @@ def reference_noise(values, xi, dt, model, spec):
     return values * (amp @ spec.basis).reshape(values.shape)
 
 
-def reference_solve(values, grid, model, t, dt, tol):
+def reference_solve(values, grid, model, t, dt):
     """(I + dt A_eps(t))^{-1} values with the coefficient frozen at t."""
     faces = face_coefficients(model.coefficient, grid, model.epsilon, t)
-    return ImplicitFactorization(grid, faces, dt).solve_batch(values, tol=tol)
+    return ImplicitFactorization(grid, faces, dt).solve_batch(values)
 
 
-def step(u, model, measure, xi, spec, dt, t, tol=1e-8):
+def step(u, model, measure, xi, spec, dt, t):
     """One semi-implicit step of a single scalar path."""
     check_guard(float(np.max(np.abs(u.values))), model, dt, u.grid.h)
     mean = None if measure is None else measure.mean.values
     rhs = (u.values + dt * reference_drift(u.values, mean, model)
            + reference_noise(u.values, xi, dt, model, spec))
-    return ScalarField(u.grid, reference_solve(rhs, u.grid, model, t, dt, tol))
+    return ScalarField(u.grid, reference_solve(rhs, u.grid, model, t, dt))
 
 
-def step_velocity(u, model, measures, streams, dt, t, tol=1e-8):
+def step_velocity(u, model, measures, streams, dt, t):
     """One semi-implicit step of the 2D velocity variant.
 
     Advection enters explicitly through the skew-symmetrized projected
@@ -123,8 +123,7 @@ def step_velocity(u, model, measures, streams, dt, t, tol=1e-8):
         noise = reference_noise(comp.values, streams[m].draw(), dt, model,
                                 streams[m].spec)
         rhs = comp.values + dt * (drift - b[m].values) + noise
-        comps.append(ScalarField(g, reference_solve(rhs, g, model, t, dt,
-                                                    tol)))
+        comps.append(ScalarField(g, reference_solve(rhs, g, model, t, dt)))
     return VectorField(comps)
 
 
@@ -604,16 +603,39 @@ def test_engine_rejects_an_off_diagonal_homogenized_tensor():
 
 def test_engine_accepts_a_cell_solved_tensor():
     # a checkerboard cell solve leaves round-off off the diagonal; the
-    # effective level still takes one exact CG iteration per path
+    # effective level steps the diagonal's constant faces, and a sine mode
+    # is an eigenvector of that operator, so one noise-free step scales it
+    # by 1 / (1 + dt (a_00 lam_1 + a_11 lam_1))
     grid = GridSpec(2, 16)
     coeff = make_coefficient("checkerboard", 2)
     a_tilde = solve_cell_problem(coeff, CellGrid(2, 64)).a_tilde
     assert a_tilde[0, 1] != 0.0
     stepper = BatchedStepper(grid, free_model(coeff), noise_spec(grid),
                              members=1, dt=1e-3, homogenized_tensor=a_tilde)
-    U = np.tile(sine_mode(grid, (1, 1)).values.reshape(-1), (2, 1))
-    stepper.advance(U, np.zeros((2, 8)), 0.0, 0)
-    assert np.array_equal(stepper.factorization(0.0).iterations, [1, 1])
+    mode = sine_mode(grid, (1, 1)).values.reshape(-1)
+    out = stepper.advance(np.tile(mode, (2, 1)), np.zeros((2, 8)), 0.0, 0)
+    lam = (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
+    factor = 1.0 / (1.0 + 1e-3 * lam * (a_tilde[0, 0] + a_tilde[1, 1]))
+    np.testing.assert_allclose(out, factor * np.tile(mode, (2, 1)),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_2d_mode_modulated_stepper_holds_no_basis():
+    # the noise is synthesized from per-axis sine tables, so no stepper
+    # holds the (modes, dof) basis
+    grid = GridSpec(2, 32)
+    spec = noise_spec(grid)
+    model = ModelSpec(variant="allen_cahn",
+                      coefficient=make_coefficient("checkerboard", 2),
+                      epsilon=0.25, noise_law="mode_modulated", sigma0=0.5)
+    stepper = BatchedStepper(grid, model, spec, members=2, dt=1e-3)
+    U = np.tile(0.1 * sine_mode(grid, (1, 1)).values.reshape(-1), (2, 1))
+    xi = np.random.default_rng(3).standard_normal((2, spec.modes))
+    _, noise = stepper.explicit_terms(U, xi)
+    weights = np.sqrt(spec.eigenvalues * 1e-3) * model.mode_sigmas(spec.modes)
+    assert "basis" not in vars(spec)
+    expected = U * ((xi * weights) @ spec.basis)
+    assert np.max(np.abs(noise - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_engine_rejects_the_velocity_variant():

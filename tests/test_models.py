@@ -9,7 +9,7 @@ from twoscale.coefficients import make_coefficient
 from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
                              SolverDiverged)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
-                           norm_H, norm_V, preconditioned_cg)
+                           norm_H, norm_V)
 from twoscale.integrator import BatchedStepper, _effective_faces
 from twoscale.models import (ImplicitFactorization, ModelSpec, _apply_faces,
                              _central, apply_A_eps, apply_B,
@@ -129,20 +129,16 @@ def tensor_tridiagonal_oracle(grid, dt, tensor):
             np.full(n - 2, -dt * t00 / h2))
 
 
-def tensor_solve_oracle(grid, dt, tensor, rhs, tol):
-    """2D CG on I + dt A for a tensor, preconditioned with c_d = |t_dd|."""
-    c = [abs(float(tensor[d, d])) for d in range(2)]
+def tensor_solve_oracle(grid, dt, tensor, rhs):
+    """I + dt A for a diagonal 2D tensor, inverted by a DST-I pair."""
+    c = [float(tensor[d, d]) for d in range(2)]
     lam = (4.0 / grid.h ** 2) * np.sin(
         np.arange(1, grid.cells) * np.pi * grid.h / 2.0) ** 2
     inverse = 1.0 / ((2.0 * grid.cells) ** 2 * (
         1.0 + dt * (c[0] * lam[:, None] + c[1] * lam[None, :])))
-    out, _, iterations = preconditioned_cg(
-        lambda v: v + dt * apply_tensor_oracle(v, tensor, grid.h),
-        lambda v: dstn(dstn(v, type=1, axes=(-2, -1)) * inverse, type=1,
-                       axes=(-2, -1)),
-        rhs.reshape((-1,) + grid.shape), tol, 20 * grid.cells ** 2,
-        "implicit CG")
-    return out.reshape(rhs.shape), iterations
+    fields = rhs.reshape((-1,) + grid.shape)
+    return dstn(dstn(fields, type=1, axes=(-2, -1)) * inverse, type=1,
+                axes=(-2, -1)).reshape(rhs.shape)
 
 
 def test_tensor_operator_matches_constant_scalar():
@@ -190,29 +186,28 @@ def test_constant_faces_give_the_tensor_tridiagonal_factor_bitwise():
         assert np.array_equal(fac._ldl[1], e)
 
 
-def test_constant_faces_give_the_tensor_2d_solve_bitwise():
+def test_constant_faces_give_the_tensor_2d_inverse_bitwise():
+    # the effective level's constant faces a~[d, d] are solved by the DST
+    # pair of the tensor's own diagonal
     grid = GridSpec(2, 32)
-    dt, tol = 0.001, 1e-8
+    dt = 0.001
     stack = np.random.default_rng(23).standard_normal((3, grid.dof))
     for diagonal in DIAGONALS[2]:
         tensor = np.diag(diagonal)
         fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), dt)
-        expected, iterations = tensor_solve_oracle(grid, dt, tensor, stack,
-                                                   tol)
-        assert np.array_equal(fac.solve_batch(stack, tol=tol), expected)
-        assert np.array_equal(fac.iterations, iterations)
-        assert np.array_equal(iterations, np.ones(3, dtype=int))
+        assert np.array_equal(fac.solve_batch(stack),
+                              tensor_solve_oracle(grid, dt, tensor, stack))
 
 
 # ---------------------------------------------------------------------------
 # implicit solve
 
 
-def solve_implicit(rhs, coeff, eps, t, dt, tol=1e-8):
+def solve_implicit(rhs, coeff, eps, t, dt):
     """(I + dt A_eps(t)) v = rhs through the engine's factorization."""
     fac = ImplicitFactorization(
         rhs.grid, face_coefficients(coeff, rhs.grid, eps, t), dt)
-    return ScalarField(rhs.grid, fac.solve_batch(rhs.values, tol=tol))
+    return ScalarField(rhs.grid, fac.solve_batch(rhs.values))
 
 
 def test_implicit_zero_step_is_identity():
@@ -241,7 +236,7 @@ def test_implicit_residual_contract_1d():
     rhs = random_field(grid, rng)
     dt = 0.01
     eps = 0.125
-    v = solve_implicit(rhs, layered(), eps, 0.2, dt=dt, tol=1e-8)
+    v = solve_implicit(rhs, layered(), eps, 0.2, dt=dt)
     residual = v + apply_A_eps(v, layered(), eps, 0.2) * dt - rhs
     assert norm_H(residual) <= 1e-8 * norm_H(rhs)
 
@@ -252,7 +247,7 @@ def test_implicit_residual_contract_2d():
     coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
     rhs = random_field(grid, rng)
     dt = 0.01
-    v = solve_implicit(rhs, coeff, 0.25, 0.0, dt=dt, tol=1e-8)
+    v = solve_implicit(rhs, coeff, 0.25, 0.0, dt=dt)
     residual = v + apply_A_eps(v, coeff, 0.25, 0.0) * dt - rhs
     assert norm_H(residual) <= 1e-8 * norm_H(rhs)
 
@@ -334,66 +329,84 @@ def test_tridiagonal_rejects_non_finite_rhs():
             fac.solve_batch(rhs)
 
 
-@pytest.mark.filterwarnings("error")
-def test_implicit_cg_stops_at_lost_definiteness():
-    # Negative faces make I + dt A indefinite: the first search direction
-    # already has p.Ap <= 0, so CG must give up at once instead of idling
-    # to its iteration limit.
-    grid = GridSpec(2, 16)
-    faces = [np.full((16, 15), -1.0), np.full((15, 16), -1.0)]
-    fac = ImplicitFactorization(grid, faces, dt=0.1)
-    rhs = np.random.default_rng(4).standard_normal(grid.shape)
-    with pytest.raises(SolverDiverged) as err:
-        fac.solve_batch(rhs)
-    assert err.value.iterations == 0
-
-
 def checkerboard():
     return make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
 
 
-def test_preconditioned_2d_solve_matches_dense():
-    # The DST preconditioner is inexact for oscillating faces, so CG has to
-    # iterate. I + dt A >= I, so the error of each row is at most its
-    # residual, tol * ||b||.
+def negative_checkerboard_faces(grid):
+    """2D faces of -1 and +3 in a checkerboard: I + dt A is indefinite
+    for dt = 0.1 on 16^2, though every diagonal entry is positive."""
+    signs = [np.indices(shape).sum(axis=0) % 2 for shape in
+             [(grid.cells, grid.cells - 1), (grid.cells - 1, grid.cells)]]
+    return [np.where(s == 0, -1.0, 3.0) for s in signs]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["constant", "checkerboard"])
+def test_implicit_2d_factor_refuses_an_indefinite_operator(kind):
+    # Negative faces make I + dt A indefinite. The constant faces of -1 are
+    # solved by the DST pair, whose eigenvalues 1 + dt(c_x lam + c_y mu)
+    # keep the faces' signs; the checkerboard goes through the LU factor,
+    # which must meet a non-positive pivot. Neither may return a solver
+    # for the wrong system.
     grid = GridSpec(2, 16)
-    dt, tol = 0.01, 1e-10
-    fac = ImplicitFactorization(
-        grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt)
-    dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
+    faces = ([np.full((16, 15), -1.0), np.full((15, 16), -1.0)]
+             if kind == "constant" else negative_checkerboard_faces(grid))
+    dense = np.eye(grid.dof) + 0.1 * np.array(
+        [_apply_faces(e.reshape(grid.shape), faces, grid.h).ravel()
+         for e in np.eye(grid.dof)]).T
+    assert np.min(np.linalg.eigvalsh(dense)) < 0.0
+    with pytest.raises(SolverDiverged, match="not positive definite"):
+        ImplicitFactorization(grid, faces, dt=0.1)
+
+
+def test_implicit_2d_rejects_non_finite_faces():
+    grid = GridSpec(2, 16)
+    for bad in (np.nan, np.inf):
+        for faces in (face_coefficients(checkerboard(), grid, 0.25, 0.0),
+                      [np.full((16, 15), 2.0), np.full((15, 16), 2.0)]):
+            faces[1][3, 4] = bad
+            with pytest.raises(NonFinite):
+                ImplicitFactorization(grid, faces, dt=0.01)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+def test_direct_2d_solve_matches_dense(kind):
+    # The LU factor (oscillating faces) and the DST pair (constant faces)
+    # are both direct: each path matches a dense solve to round-off.
+    grid = GridSpec(2, 16)
+    dt = 0.01
+    if kind == "checkerboard":
+        faces = face_coefficients(checkerboard(), grid, 0.25, 0.0)
+        dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
+    else:
+        tensor = np.diag([1.75, 2.5])
+        faces = _effective_faces(grid, tensor)
+        dense = _dense_tensor(grid, dt, tensor)
+    fac = ImplicitFactorization(grid, faces, dt)
     stack = np.random.default_rng(12).standard_normal((3, grid.dof))
-    out = fac.solve_batch(stack, tol=tol)
-    expected = np.linalg.solve(dense, stack.T).T
-    err = np.linalg.norm(out - expected, axis=-1)
-    assert np.all(err <= tol * np.linalg.norm(stack, axis=-1))
-    assert fac.iterations.shape == (3,)
-    assert np.all(fac.iterations > 1)
-
-
-def test_diagonal_tensor_solve_takes_one_iteration():
-    # With constant faces the DST preconditioner is the exact inverse.
-    grid = GridSpec(2, 16)
-    tensor = np.diag([1.75, 2.5])
-    fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), 0.01)
-    stack = np.random.default_rng(13).standard_normal((4, grid.dof))
-    out = fac.solve_batch(stack, tol=1e-12)
-    assert np.array_equal(fac.iterations, np.ones(4, dtype=int))
-    dense = _dense_tensor(grid, 0.01, tensor)
-    np.testing.assert_allclose(out, np.linalg.solve(dense, stack.T).T,
+    np.testing.assert_allclose(fac.solve_batch(stack),
+                               np.linalg.solve(dense, stack.T).T,
                                rtol=0.0, atol=1e-12)
 
 
-def test_implicit_2d_iterations_are_per_path():
-    # A zero row converges at once and is left out of the count; the
-    # recorded counts belong to the last call.
-    grid = GridSpec(2, 16)
-    fac = ImplicitFactorization(
-        grid, face_coefficients(checkerboard(), grid, 0.25, 0.0), dt=0.01)
-    row = np.random.default_rng(14).standard_normal(grid.dof)
-    fac.solve_batch(np.stack([row, np.zeros(grid.dof)]))
-    assert fac.iterations[0] > 0 and fac.iterations[1] == 0
-    fac.solve_batch(row)
-    assert fac.iterations.shape == (1,)
+@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+def test_implicit_2d_path_has_the_same_bits_alone_and_in_a_stack(kind):
+    # each path is solved on its own, so the stack a path comes in (a
+    # ladder block, a simulate shard's rows) cannot change its bits
+    grid = GridSpec(2, 32)
+    faces = (face_coefficients(checkerboard(), grid, 0.25, 0.0)
+             if kind == "checkerboard"
+             else _effective_faces(grid, np.diag([1.75, 2.5])))
+    fac = ImplicitFactorization(grid, faces, dt=0.01)
+    stack = np.random.default_rng(14).standard_normal((5, grid.dof))
+    out = fac.solve_batch(stack)
+    for row, expected in zip(stack, out):
+        assert np.array_equal(fac.solve_batch(row), expected)
+    assert np.array_equal(fac.solve_batch(stack[1:4]), out[1:4])
+    assert np.array_equal(
+        fac.solve_batch(stack.reshape((5,) + grid.shape)),
+        out.reshape((5,) + grid.shape))
 
 
 def test_implicit_2d_rejects_non_finite_rhs():
@@ -414,9 +427,9 @@ def test_implicit_cg_converged_zero_row_does_not_break_down():
     fac = ImplicitFactorization(
         grid, face_coefficients(coeff, grid, 0.25, 0.0), dt=0.01)
     row = np.random.default_rng(5).standard_normal(grid.dof)
-    out = fac.solve_batch(np.stack([np.zeros(grid.dof), row]), tol=1e-10)
+    out = fac.solve_batch(np.stack([np.zeros(grid.dof), row]))
     assert np.array_equal(out[0], np.zeros(grid.dof))
-    alone = fac.solve_batch(row, tol=1e-10)
+    alone = fac.solve_batch(row)
     assert np.max(np.abs(out[1] - alone)) <= 1e-8 * np.max(np.abs(alone))
 
 

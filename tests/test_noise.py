@@ -12,6 +12,7 @@ from twoscale.noise import (
     QWienerSpec,
     _philox_key,
     default_mode_count,
+    mode_synthesis,
     partial_trace,
     sample_increment,
     trace_tail_bound,
@@ -265,3 +266,32 @@ def test_2d_mode_list_is_the_first_of_all_sorted_wavevectors(cells, count):
     got = noise._mode_indices(grid, count)
     assert got.dtype == int
     assert np.array_equal(got, sorted_mode_list(grid, count))
+
+
+@pytest.mark.parametrize("cells, modes", [(16, 12), (32, 64), (128, 64)])
+def test_2d_table_synthesis_matches_the_basis_product(cells, modes):
+    # S1^T C S2 from the per-axis sine tables is sum_k c_k e_k, as the
+    # (modes, dof) basis product is, to round-off; a path's field does not
+    # depend on the paths beside it
+    spec = QWienerSpec(grid=GridSpec(dimension=2, cells=cells), modes=modes)
+    xi = np.random.default_rng(5).standard_normal((5, spec.modes))
+    coeffs = xi * np.sqrt(spec.eigenvalues * 1e-3)
+    fields = mode_synthesis(spec)(coeffs)
+    expected = coeffs @ spec.basis
+    assert fields.shape == expected.shape
+    assert np.max(np.abs(fields - expected)) <= 1e-14 * np.max(
+        np.abs(expected))
+    for row, field in zip(coeffs, fields):
+        assert np.array_equal(mode_synthesis(spec)(row[None])[0], field)
+
+
+def test_1d_synthesis_is_the_basis_product_bitwise():
+    spec = QWienerSpec(grid=GridSpec(dimension=1, cells=1024))
+    coeffs = np.random.default_rng(6).standard_normal((16, spec.modes))
+    assert np.array_equal(mode_synthesis(spec)(coeffs), coeffs @ spec.basis)
+
+
+def test_2d_synthesis_never_builds_the_basis():
+    spec = QWienerSpec(grid=GridSpec(dimension=2, cells=32))
+    mode_synthesis(spec)(np.ones((2, spec.modes)))
+    assert "basis" not in vars(spec)
