@@ -25,9 +25,7 @@ from . import (
 )
 from .errors import (
     ConfigError,
-    ContractViolation,
     CountMismatch,
-    EllipticityViolation,
     IntegrityError,
     InternalError,
     NonFinite,
@@ -51,12 +49,10 @@ __all__ = [
     "config",
     "manifest",
     "ToolkitError",
-    "EllipticityViolation",
     "SolverDiverged",
     "StepRejected",
     "NonFinite",
     "NotDivergenceFree",
-    "ContractViolation",
     "CountMismatch",
     "ConfigError",
     "ValidationError",

@@ -10,19 +10,6 @@ class ToolkitError(Exception):
     """Base class for all toolkit failures."""
 
 
-class EllipticityViolation(ToolkitError):
-    """A coefficient field dipped below its derived ellipticity constant.
-
-    Carries the offending sample point so the caller can report it.
-    """
-
-    def __init__(self, message: str, y=None, tau=None, value=None):
-        super().__init__(message)
-        self.y = y
-        self.tau = tau
-        self.value = value
-
-
 class SolverDiverged(ToolkitError):
     """A CG solve ran out of iterations or lost definiteness, or an
     implicit operator is not positive definite."""
@@ -61,16 +48,6 @@ class NotDivergenceFree(ToolkitError):
     def __init__(self, message: str, divergence_norm: float | None = None):
         super().__init__(message)
         self.divergence_norm = divergence_norm
-
-
-class ContractViolation(ToolkitError):
-    """A structural inequality on the drift or noise terms failed on a sample."""
-
-    def __init__(self, message: str, inequality: str | None = None,
-                 margin: float | None = None):
-        super().__init__(message)
-        self.inequality = inequality
-        self.margin = margin
 
 
 class CountMismatch(ToolkitError):

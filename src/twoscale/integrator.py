@@ -400,6 +400,10 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
             diss += 2.0 * config.dt * face_energy(diffs, g, faces)
             record(n + 1, t0 + (n + 1) * config.dt, U_new, diffs)
 
+    # built before the fork: the shards inherit the factor of t0, which
+    # step 0 reuses, and the modules it imported (``scipy.fft`` for 2D
+    # constant faces)
+    stepper.factorization(t0)
     parallel.run_shards(
         run_shard, shards,
         lambda rows: f"simulate shard of members {rows.start}..{rows.stop - 1}",

@@ -17,6 +17,10 @@ of each replica's members; this module holds their constants.
 LAPACK ``pttrf``/``pttrs`` for the tridiagonal 1D operator, a DST-I pair
 for constant 2D faces and a SuperLU factor of the 5-point 2D matrix
 otherwise, each refusing an operator that is not positive definite.
+``scipy.fft`` and ``scipy.sparse`` are imported where a factor or
+``leray_project`` first needs them, so a 1D run never loads them; the
+factor that needs ``scipy.fft`` imports it when it is built, which a forked
+run does before it forks (``integrator.run_ensemble``).
 
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField
@@ -171,14 +174,14 @@ class ImplicitFactorization:
         self.grid = grid
         self.dt = float(dt)
         self.faces = faces
-        self._ldl = self._inverse = self._lu = None
+        self._ldl = self._dst_pair = self._lu = None
         if grid.dimension == 1:
             self._ldl = self._factor_1d()
             return
         if not all(np.all(np.isfinite(f)) for f in faces):
             raise NonFinite("implicit operator has non-finite entries")
         if all(np.ptp(f) == 0.0 for f in faces):
-            self._inverse = self._factor_constant_2d()
+            self._dst_pair = self._factor_constant_2d()
         else:
             self._lu = self._factor_2d()
 
@@ -197,13 +200,15 @@ class ImplicitFactorization:
             raise NonFinite("implicit operator has non-finite entries")
         return d, e
 
-    def _factor_constant_2d(self) -> np.ndarray:
-        """Inverse eigenvalues of I + dt (c_x L_x + c_y L_y), scaled for the
-        unnormalized DST-I pair.
+    def _factor_constant_2d(self):
+        """The inverse of I + dt (c_x L_x + c_y L_y) on (..., *grid.shape)
+        stacks: an unnormalized DST-I pair around its inverse eigenvalues.
 
         L_d has the eigenvalues (4/h^2) sin^2(k pi h / 2), k = 1..n-1, and
         (2n)^2 is the scale of the pair. The faces keep their signs.
         """
+        from scipy.fft import dstn
+
         g = self.grid
         c = [float(f.flat[0]) for f in self.faces]
         lam = (4.0 / g.h ** 2) * np.sin(
@@ -212,7 +217,10 @@ class ImplicitFactorization:
         if not np.all(eig > 0.0):
             raise SolverDiverged("implicit operator is not positive definite "
                                  f"(eigenvalue {float(np.min(eig)):.3e})")
-        return 1.0 / ((2.0 * g.cells) ** 2 * eig)
+        inverse = 1.0 / ((2.0 * g.cells) ** 2 * eig)
+        return lambda fields: dstn(
+            dstn(fields, type=1, axes=(-2, -1)) * inverse, type=1,
+            axes=(-2, -1))
 
     def _factor_2d(self):
         """SuperLU factor of the 5-point I + dt A, assembled as CSC.
@@ -266,10 +274,9 @@ class ImplicitFactorization:
             raise NonFinite("implicit solve got a non-finite right-hand side")
         if self._ldl is not None:
             return dpttrs(*self._ldl, flat.T)[0].T.reshape(rhs.shape)
-        if self._inverse is not None:
+        if self._dst_pair is not None:
             fields = flat.reshape((-1,) + self.grid.shape)
-            return dstn(dstn(fields, type=1, axes=(-2, -1)) * self._inverse,
-                        type=1, axes=(-2, -1)).reshape(rhs.shape)
+            return self._dst_pair(fields).reshape(rhs.shape)
         out = np.empty_like(flat)
         for path, row in enumerate(flat):
             out[path] = self._lu.solve(row)
@@ -296,6 +303,8 @@ def leray_project(v: VectorField) -> VectorField:
     """
     if v.grid.dimension != 2 or len(v) != 2:
         raise ValueError("Leray projection is defined for 2D velocity fields")
+    from scipy.fft import dstn
+
     g = v.grid
     k = _wavenumbers(g)
     c = [dstn(v[m].values, type=1) for m in range(2)]

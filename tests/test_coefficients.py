@@ -6,7 +6,20 @@ import pytest
 
 from twoscale.coefficients import (FAMILIES, CoefficientField, _sharp_bound,
                                    make_coefficient)
-from twoscale.errors import EllipticityViolation, ValidationError
+from twoscale.errors import ToolkitError, ValidationError
+
+
+class EllipticityViolation(ToolkitError):
+    """A coefficient field dipped below its derived ellipticity constant.
+
+    Carries the offending sample point so the caller can report it.
+    """
+
+    def __init__(self, message: str, y=None, tau=None, value=None):
+        super().__init__(message)
+        self.y = y
+        self.tau = tau
+        self.value = value
 
 
 def verify_ellipticity(coeff: CoefficientField, samples: int = 4096,

@@ -1,0 +1,132 @@
+"""Where ``scipy.fft`` loads, checked in fresh interpreters.
+
+The toolkit imports ``scipy.fft`` (which loads ``scipy.special``) inside
+the functions that transform, so a 1D ``simulate`` never loads either. A
+run that forks imports it before the fork, so that no shard pays for the
+import on its own pages. The suite's own imports would hide both, so every
+case runs in a new process.
+"""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import twoscale
+from twoscale import parallel
+
+PACKAGE_ROOT = str(Path(twoscale.__file__).resolve().parents[1])
+
+#: Wraps ``os.fork`` to record, at every fork, whether ``scipy.fft`` is
+#: loaded; the parent prints the record at the end.
+RECORD_FORKS = """
+import os
+import sys
+
+forks = []
+_fork = os.fork
+
+
+def fork():
+    forks.append("scipy.fft" in sys.modules)
+    return _fork()
+
+
+os.fork = fork
+"""
+
+SIMULATE_1D_INI = """
+[grid]
+cells = 64
+[ensemble]
+members = 4
+[stepper]
+dt = 0.001
+horizon = 0.004
+[run]
+seed = 5
+"""
+
+#: Constant faces: the 2D steps are DST-I pairs. 16 members of 63^2 values
+#: split into two shards on two CPUs.
+CONSTANT_2D_INI = """
+[grid]
+dimension = 2
+cells = 64
+[coefficient]
+family = layered
+beta = 0.0
+[ensemble]
+members = 16
+[stepper]
+dt = 0.001
+horizon = 0.003
+[run]
+seed = 5
+"""
+
+FORKING_RUNS = {
+    # a 128^2 cell is the smallest whose two directions split in two
+    "cell_2d": """
+        from twoscale.cell import CellGrid, solve_cell_problem
+        from twoscale.coefficients import make_coefficient
+
+        solve_cell_problem(make_coefficient("checkerboard", 2),
+                           CellGrid(2, 128))
+        """,
+    "ladder_2d": """
+        from twoscale.coefficients import make_coefficient
+        from twoscale.diagnostics import StudyConfig, run_ladder
+        from twoscale.grid import GridSpec
+        from twoscale.integrator import StepperConfig
+
+        run_ladder(StudyConfig(
+            coefficient=make_coefficient("checkerboard", 2),
+            grid=GridSpec(2, 64), epsilons=(0.5, 0.25),
+            stepper=StepperConfig(dt=0.002, horizon=0.004), members=2,
+            replicas=2, noise_law="mode_modulated", cell_cells=32))
+        """,
+    "constant_2d_simulate": """
+        from twoscale.cli import main
+
+        assert main(["simulate", "-c", "constant_2d.ini", "-o", "out"]) == 0
+        """,
+}
+
+
+def run_python(code: str, cwd: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_simulate_1d_loads_neither_scipy_fft_nor_scipy_special(tmp_path):
+    (tmp_path / "simulate.ini").write_text(SIMULATE_1D_INI, encoding="utf-8")
+    loaded = run_python("""
+        import sys
+
+        import twoscale
+        import twoscale.cli
+
+        assert twoscale.cli.main(
+            ["simulate", "-c", "simulate.ini", "-o", "out"]) == 0
+        print([m for m in ("scipy.fft", "scipy.special") if m in sys.modules])
+        """, tmp_path)
+    assert loaded == "[]"
+
+
+@pytest.mark.skipif(parallel.usable_cpus() < 2,
+                    reason="a run forks only with at least 2 usable CPUs")
+@pytest.mark.parametrize("run", sorted(FORKING_RUNS))
+def test_scipy_fft_is_loaded_before_every_fork(tmp_path, run):
+    (tmp_path / "constant_2d.ini").write_text(CONSTANT_2D_INI,
+                                              encoding="utf-8")
+    forks = run_python(RECORD_FORKS + textwrap.dedent(FORKING_RUNS[run])
+                       + "print(forks)\n", tmp_path)
+    assert forks.startswith("[True") and "False" not in forks, forks

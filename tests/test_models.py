@@ -6,8 +6,8 @@ from scipy.fft import dstn
 from scipy.linalg.lapack import dpttrf
 
 from twoscale.coefficients import make_coefficient
-from twoscale.errors import (ContractViolation, NonFinite, NotDivergenceFree,
-                             SolverDiverged)
+from twoscale.errors import (NonFinite, NotDivergenceFree, SolverDiverged,
+                             ToolkitError)
 from twoscale.grid import (GridSpec, ScalarField, VectorField, inner_H,
                            norm_H, norm_V)
 from twoscale.integrator import BatchedStepper, _effective_faces
@@ -626,6 +626,16 @@ def test_drift_zero_point_mass():
 #: <= 2.5 (||u||^2 + mu(||.||^2)) with Young and Jensen, so 2.5 is sharp
 #: enough and never violated.
 F_GROWTH_CONSTANT = 2.5
+
+
+class ContractViolation(ToolkitError):
+    """A structural inequality on the drift failed on a sample."""
+
+    def __init__(self, message: str, inequality: str | None = None,
+                 margin: float | None = None):
+        super().__init__(message)
+        self.inequality = inequality
+        self.margin = margin
 
 
 def check_F_contracts(model: ModelSpec, grid: GridSpec, samples: int = 100,

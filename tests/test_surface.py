@@ -4,15 +4,16 @@ Every name in a toolkit module's ``__all__`` must be used in code by
 another module or function of the toolkit, by the benchmark under
 ``perfbench/``, or by the acceptance suite. A helper that only its own unit
 tests call belongs in ``tests/``, next to them. The package ``__init__``
-(which lists modules) and ``errors.py`` (the exported error classes) are
-exempt.
+(which lists modules) is exempt. Every error class of ``errors.py`` must be raised or caught by
+another toolkit module: a class that only tests raise tells a user about a
+failure that cannot happen, so it lives in those tests.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twoscale"
-EXEMPT = ("__init__.py", "errors.py")
+EXEMPT = ("__init__.py",)
 
 
 def parse(path: Path) -> ast.Module:
@@ -71,3 +72,27 @@ def test_every_export_is_reached_outside_the_unit_tests():
     assert not unreached, (
         "exported but called only by unit tests; move an oracle into "
         f"tests/, delete the rest: {', '.join(unreached)}")
+
+
+def raised_or_caught(tree: ast.Module) -> set[str]:
+    """Names of the classes that ``raise`` and ``except`` clauses name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out |= used_names([exc])
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            out |= used_names([node.type])
+    return out
+
+
+def test_every_error_class_is_raised_or_caught_in_src():
+    errors = SRC / "errors.py"
+    classes = [node.name for node in parse(errors).body
+               if isinstance(node, ast.ClassDef)]
+    handled = set().union(*(raised_or_caught(parse(path))
+                            for path in SRC.glob("*.py") if path != errors))
+    unhandled = [name for name in classes if name not in handled]
+    assert not unhandled, (
+        "error classes that src/ never raises or catches; move each into "
+        f"the tests that raise it: {', '.join(unhandled)}")
