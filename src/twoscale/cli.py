@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto module operations:
 
   cell       solve the periodic cell problem, write the effective tensor
-  simulate   advance one interacting ensemble, write states and ledgers
+  simulate   advance one interacting ensemble, write final_states.npy and
+             the (steps+1, members, columns) ledger table ledgers.npy
   ladder     coupled multi-resolution study with the full diagnostics
   corrector  same engine, reported through the gradient-residual lens
   report     re-render report.json and report.csv from a stored raw.npz,
@@ -41,8 +42,9 @@ from .config import RunConfig, parse_config
 from .diagnostics import reduce_raw, run_ladder, sine_initial_state
 from .ensemble import Ensemble
 from .errors import ConfigError, IntegrityError, InternalError, ToolkitError
-from .grid import ScalarField, field_to_csv
-from .integrator import STEPPED_VARIANTS, ensemble_shards, run_ensemble
+from .grid import ScalarField
+from .integrator import (LEDGER_COLUMNS, STEPPED_VARIANTS, ensemble_shards,
+                         run_ensemble)
 from .manifest import (
     verify_archive,
     write_manifest,
@@ -232,28 +234,22 @@ def _cmd_simulate(args) -> int:
                                               st["initial_mode"]))
     members = cfg.values["ensemble"]["members"]
     ens = Ensemble(members=[u0] * members, noise=spec)
-    final, ledgers = run_ensemble(ens, model, stepper_cfg)
+    final, ledger = run_ensemble(ens, model, stepper_cfg)
 
-    files = []
     np.save(out / "final_states.npy", np.stack([m.values
                                                 for m in final.members]))
-    files.append("final_states.npy")
-    for i, led in enumerate(ledgers):
-        name = f"ledger_m{i:03d}.csv"
-        led.to_csv(out / name)
-        files.append(name)
-    name = "final_member000.csv"
-    field_to_csv(final.members[0], out / name)
-    files.append(name)
+    np.save(out / "ledgers.npy", ledger.table)
     summary = {
         "epsilon": eps,
         "members": members,
         "final_time": final.time,
-        # the ledgers' last H2 rows: h^N is a power of two, so these are
+        "ledger_columns": list(LEDGER_COLUMNS),
+        # the ledger's last H2 row: h^N is a power of two, so it holds
         # the bits of the squared H norms of the final states
-        "mean_H2": float(np.mean([led.H2[-1] for led in ledgers])),
+        "mean_H2": float(np.mean(ledger.H2[-1])),
     }
-    files.append(_dump_json(out, "simulate.json", summary))
+    files = ["final_states.npy", "ledgers.npy",
+             _dump_json(out, "simulate.json", summary)]
     return _finish(out, cfg, text, "simulate", files, t0,
                    {"shards": len(ensemble_shards(members, grid.dof))})
 

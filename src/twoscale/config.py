@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .cell import CellGrid
 from .coefficients import FAMILIES, CoefficientField, make_coefficient
-from .diagnostics import StudyConfig, check_ladder
+from .diagnostics import StudyConfig, check_initial_mode, check_ladder
 from .errors import ConfigError, ValidationError
 from .grid import GridSpec
 from .integrator import STEPPED_VARIANTS, StepperConfig
@@ -282,6 +282,8 @@ def parse_config(text: str) -> RunConfig:
                                 f"not {key!r}")
     eps = cfg._build("study", check_ladder, **values["ensemble"],
                      epsilons=values["study"]["epsilons"])
+    cfg._build("study", check_initial_mode, grid=cfg.grid(),
+               initial_mode=values["study"]["initial_mode"])
     cfg.model_for(eps[-1])
     cfg.noise_spec()
     cfg.stepper()

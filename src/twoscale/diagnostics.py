@@ -37,6 +37,7 @@ from .noise import NoiseStream, QWienerSpec
 
 __all__ = [
     "sine_initial_state",
+    "check_initial_mode",
     "check_ladder",
     "StudyConfig",
     "ConvergenceReport",
@@ -57,6 +58,15 @@ def sine_initial_state(grid: GridSpec, amplitude: float,
     for c in grid.meshgrid():
         vals = vals * np.sin(mode * np.pi * c)
     return vals
+
+
+def check_initial_mode(grid: GridSpec, initial_mode: int) -> None:
+    """Reject a sine mode outside 1 ... cells - 1: sin(mode pi x) vanishes
+    at every node for mode 0 or cells, and a larger mode aliases."""
+    if not 1 <= initial_mode <= grid.cells - 1:
+        raise ValidationError(f"initial_mode must be in 1 ... {grid.cells - 1}"
+                              f" (cells - 1), got {initial_mode}",
+                              field="initial_mode")
 
 
 def check_ladder(epsilons, members: int, replicas: int) -> tuple[float, ...]:
@@ -107,6 +117,7 @@ class StudyConfig:
 
     def __post_init__(self):
         eps = check_ladder(self.epsilons, self.members, self.replicas)
+        check_initial_mode(self.grid, self.initial_mode)
         n = self.grid.cells
         for e in eps:
             if n < 16.0 / e:

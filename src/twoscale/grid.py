@@ -46,7 +46,6 @@ __all__ = [
     "sine_coefficients",
     "sine_weights_Hminus1",
     "preconditioned_cg",
-    "field_to_csv",
 ]
 
 
@@ -352,23 +351,4 @@ def preconditioned_cg(apply: StackMap, precondition: StackMap,
         rz = rz_next
         it += 1
     return x, float(np.sqrt(rr) / scale), it
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def field_to_csv(f: ScalarField, path) -> None:
-    """Write nodal values as one flat row-major column with a header.
-
-    The header records n, N and the ordering so the file round-trips
-    without out-of-band information.
-    """
-    g = f.grid
-    flat = f.values.reshape(-1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.cells} N={g.dimension} order=row-major\n")
-        fh.write("value\n")
-        for v in flat:
-            fh.write(f"{float(v)!r}\n")
 

@@ -25,8 +25,9 @@ solve against a factor built once per coefficient time: in 1D one LAPACK
 ``pttrf``; in 2D one SuperLU solve per path, or a DST-I pair for the
 effective level's constant faces (see ``models.ImplicitFactorization``).
 A time-dependent 2D coefficient refactors every step, which costs more
-than the solves of a single path. ``run_ensemble`` records every member's
-energy ledger into one (steps+1, members, columns) array. An ensemble of at least
+than the solves of a single path. ``run_ensemble`` returns the energy
+ledger of every member as one ``EnergyLedger`` over a (steps+1, members,
+columns) table. An ensemble of at least
 ``parallel.BLOCK_VALUES`` values per usable CPU (64 members on 1024 cells
 on two CPUs) is split by members into one forked shard per CPU; the
 shards step in lockstep, one barrier per step, and every output keeps the
@@ -61,8 +62,7 @@ GUARD_LIMIT = 0.5
 # the model variants BatchedStepper steps; the CLI rejects the others
 STEPPED_VARIANTS = ("allen_cahn",)
 
-LEDGER_COLUMNS = ("step", "t", "H2", "Hp", "V2", "L4",
-                  "cumulative_dissipation")
+LEDGER_COLUMNS = ("step", "t", "H2", "V2", "L4", "cumulative_dissipation")
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,15 @@ class StepperConfig:
 
 @dataclass(eq=False)
 class EnergyLedger:
-    """Per-step energy records for one member path.
+    """Per-step energy records of an ensemble, or of one member.
 
-    ``table`` has one row per step and one column per name in
-    ``LEDGER_COLUMNS``: step index, time, ||u||_H^2, the H-moment column Hp
-    (the p = 2 moment, so equal to H2), ||u||_V^2, ||u||_L4^4, and the
-    running dissipation sum 2 dt (A u^{m}, u^{m}) over completed steps.
-    ``run_ensemble`` hands out views into one table shared by all members.
-    Columns read by name (``ledger.H2``) are views too.
+    ``table`` has one row per step and, along its last axis, one column per
+    name in ``LEDGER_COLUMNS``: step index, time, ||u||_H^2, ||u||_V^2,
+    ||u||_L4^4, and the running dissipation sum 2 dt (A u^{m}, u^{m}) over
+    completed steps. ``run_ensemble`` returns one ledger over the
+    (steps+1, members, columns) table of all members; ``table[:, i]`` is
+    member i's (steps+1, columns) ledger. A column read by name
+    (``ledger.H2``) is a view: (steps+1, members) for the whole table.
     """
 
     table: np.ndarray
@@ -117,10 +118,12 @@ class EnergyLedger:
             raise ValueError("cumulative dissipation must be nondecreasing")
 
     def to_csv(self, path) -> None:
-        """Write the header and every row in one formatted pass.
+        """Write one member's ledger as CSV: the header and every row.
 
         The step column prints as an integer and every other value as
-        ``repr`` of the float, which reads back bitwise.
+        ``repr`` of the float, which reads back bitwise. ``twoscale
+        simulate`` writes no CSV; the README prints a member of its
+        ``ledgers.npy`` through this method.
         """
         row = "%d" + ",%r" * (len(LEDGER_COLUMNS) - 1) + "\n"
         body = (row * len(self.table)) % tuple(self.table.ravel().tolist())
@@ -333,11 +336,11 @@ def ensemble_shards(members: int, dof: int) -> list[slice]:
 
 
 def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
-                 ) -> tuple[Ensemble, list[EnergyLedger]]:
+                 ) -> tuple[Ensemble, EnergyLedger]:
     """Advance every member to the horizon with per-step measure refresh.
 
-    Returns the final ensemble and one energy ledger per member, each a
-    view into one (steps+1, members, columns) table. The empirical measure
+    Returns the final ensemble and one energy ledger over the
+    (steps+1, members, columns) table of all members. The empirical measure
     entering the drag is recomputed from the current members at the top of
     every step.
 
@@ -379,10 +382,10 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
         def record(n: int, t: float, U: np.ndarray, diffs=None) -> None:
             energy = stepper.energy_rows(U, diffs)
             ledger[n, :, 1] = t
-            ledger[n, :, 2] = ledger[n, :, 3] = energy["H2"]
-            ledger[n, :, 4] = energy["V2"]
-            ledger[n, :, 5] = energy["L4"]
-            ledger[n, :, 6] = diss
+            ledger[n, :, 2] = energy["H2"]
+            ledger[n, :, 3] = energy["V2"]
+            ledger[n, :, 4] = energy["L4"]
+            ledger[n, :, 5] = diss
 
         record(0, t0, states[0, rows])
         for n in range(steps):
@@ -415,8 +418,9 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
     members = [ScalarField(g, U[i].reshape(g.shape)) for i in range(size)]
     final = Ensemble(members=members, noise=spec,
                      time=t0 + steps * config.dt, streams=streams)
-    EnergyLedger(table).validate()
-    return final, [EnergyLedger(table[:, i]) for i in range(size)]
+    ledger = EnergyLedger(table)
+    ledger.validate()
+    return final, ledger
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for config parsing, content digests, manifests, and the CLI."""
 
+import dataclasses
 import json
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -758,6 +760,34 @@ def test_config_values_rejected_before_the_run(tmp_path, capsys, text,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ladder", "corrector"])
+def test_initial_mode_outside_the_grid_exits_2(tmp_path, capsys, command):
+    # on 64 cells sin(64 pi x) vanishes at every node: the run used to
+    # exit 0 with a zero initial state
+    text = LADDER_INI.replace("initial_amplitude = 0.5\n",
+                              "initial_amplitude = 0.5\ninitial_mode = 64\n")
+    cfg = write_ladder_ini(tmp_path, text)
+    out = tmp_path / "out"
+    code, _, stderr = run_cli([command, "-c", str(cfg), "-o", str(out)],
+                              capsys)
+    assert code == 2
+    payload = json.loads(stderr)
+    line = text.splitlines().index("initial_mode = 64") + 1
+    assert (payload["field"], payload["line"]) == ("study.initial_mode",
+                                                   line)
+    assert not out.exists()
+
+
+def test_study_config_bounds_the_initial_mode():
+    # 1 ... cells - 1: mode 0 vanishes too, and mode 65 aliases to 63
+    study = parse_config(LADDER_INI).study()
+    assert dataclasses.replace(study, initial_mode=63).initial_mode == 63
+    for mode in (0, 64, 65):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(study, initial_mode=mode)
+        assert err.value.field == "initial_mode"
+
+
 def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
     # A bare ValueError escaping a run is a bug, not a solver failure.
     def broken(*args, **kwargs):
@@ -1119,44 +1149,87 @@ def test_ladder_without_flag_writes_no_plot_data(tmp_path, capsys):
     assert "plot_data.csv" not in read_manifest(out)["files"]
 
 
-def test_simulate_writes_states_and_ledgers(tmp_path, capsys):
+SMALL_SIMULATE_INI = ini("""
+    [grid]
+    cells = 64
+    [stepper]
+    dt = 0.01
+    horizon = 0.02
+    [ensemble]
+    members = 2
+    [study]
+    epsilons = 0.5, 0.25
+    initial_amplitude = 0.5
+    """)
+
+
+def small_simulate(tmp_path, capsys):
+    """The run directory of a two-member, two-step ``simulate``."""
     cfg = tmp_path / "sim.ini"
-    cfg.write_text(ini("""
-        [grid]
-        cells = 64
-        [stepper]
-        dt = 0.01
-        horizon = 0.02
-        [ensemble]
-        members = 2
-        [study]
-        epsilons = 0.5, 0.25
-        initial_amplitude = 0.5
-        """), encoding="utf-8")
+    cfg.write_text(SMALL_SIMULATE_INI, encoding="utf-8")
     out = tmp_path / "out"
     code, _, _ = run_cli(["simulate", "-c", str(cfg), "-o", str(out)],
                          capsys)
     assert code == 0
+    return out
+
+
+def test_simulate_writes_states_and_ledgers(tmp_path, capsys):
+    out = small_simulate(tmp_path, capsys)
     manifest = verify_archive(out)
+    assert sorted(manifest["files"]) == ["config.snapshot.ini",
+                                         "final_states.npy", "ledgers.npy",
+                                         "simulate.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*manifest["files"], "manifest.json", "run_info.json"])
     states = np.load(out / "final_states.npy")
     assert states.shape == (2, 63)
     assert np.all(np.isfinite(states))
-    for name in ("ledger_m000.csv", "ledger_m001.csv", "final_member000.csv",
-                 "simulate.json"):
-        assert name in manifest["files"]
-    ledger = (out / "ledger_m000.csv").read_text().splitlines()
-    assert ledger[0] == "step,t,H2,Hp,V2,L4,cumulative_dissipation"
-    assert len(ledger) == 1 + 3  # header + initial row + two steps
     summary = json.loads((out / "simulate.json").read_text())
     assert summary["epsilon"] == 0.25  # the finest rung drives the run
     assert summary["members"] == 2
-    # mean_H2 is read from the ledgers' last rows, with the bits of the
+    assert summary["ledger_columns"] == ["step", "t", "H2", "V2", "L4",
+                                         "cumulative_dissipation"]
+    # one (steps + 1, members, columns) table: initial row plus two steps
+    ledgers = np.load(out / "ledgers.npy")
+    assert ledgers.dtype == np.float64
+    assert ledgers.shape == (3, 2, len(summary["ledger_columns"]))
+    assert np.array_equal(ledgers[:, :, 0], [[0, 0], [1, 1], [2, 2]])
+    # mean_H2 is read from the table's last H2 row, with the bits of the
     # final states' squared H norms (h = 1/64 is a power of two)
-    h2 = [float(ledger[-1].split(",")[2])]
-    h2.append(float((out / "ledger_m001.csv").read_text().splitlines()[-1]
-                    .split(",")[2]))
+    h2 = ledgers[-1, :, summary["ledger_columns"].index("H2")]
     assert summary["mean_H2"] == float(np.mean(h2)) == float(
         np.mean(np.sum(states ** 2, axis=-1)) / 64)
+
+
+def test_readme_one_liner_prints_a_member_ledger(tmp_path, capsys):
+    out = small_simulate(tmp_path, capsys)
+    table = np.load(out / "ledgers.npy")
+    columns = json.loads((out / "simulate.json").read_text())[
+        "ledger_columns"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [line] = [line for line in readme.splitlines()
+              if line.startswith("python3 -c") and "ledgers.npy" in line]
+    command = shlex.split(line)
+    assert command[:2] == ["python3", "-c"]
+    assert command[3:] == ["DIR/ledgers.npy", "0", "ledger_m000.csv"]
+    package_root = str(Path(twoscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    for member in range(table.shape[1]):
+        csv = tmp_path / f"ledger_m{member:03d}.csv"
+        proc = subprocess.run([sys.executable, "-c", command[2],
+                               str(out / "ledgers.npy"), str(member),
+                               str(csv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = csv.read_text().splitlines()
+        assert header == ",".join(columns)
+        assert len(rows) == table.shape[0]
+        for n, row in enumerate(rows):
+            fields = row.split(",")
+            assert fields[0] == str(n)  # the step prints as an integer
+            assert [float(f) for f in fields] == table[n, member].tolist()
 
 
 def test_simulate_rejects_velocity_variant(tmp_path, capsys):

@@ -4,11 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.errors import CountMismatch, SolverDiverged
+from twoscale.errors import SolverDiverged
 from twoscale.grid import (
     GridSpec,
     ScalarField,
-    field_to_csv,
     inner_H,
     norm_H,
     norm_V,
@@ -165,48 +164,6 @@ def test_first_eigenvalue_matches_mode():
         e1 = sine_mode(g, k)
         quotient = norm_V(e1) ** 2 / norm_H(e1) ** 2
         assert abs(quotient - first_eigenvalue(g)) < 1e-9 * first_eigenvalue(g)
-
-
-# reads back the field file that field_to_csv writes for ``simulate``
-def field_from_csv(path) -> ScalarField:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise CountMismatch(f"{path}: missing grid header")
-        meta = dict(tok.split("=") for tok in header[1:].split() if "=" in tok)
-        grid = GridSpec(dimension=int(meta["N"]), cells=int(meta["n"]))
-        column = fh.readline()
-        if column.strip() != "value":
-            raise CountMismatch(f"{path}: unexpected column header {column!r}")
-        flat = np.array([float(line) for line in fh if line.strip()])
-    if flat.size != grid.dof:
-        raise CountMismatch(
-            f"{path}: expected {grid.dof} values, found {flat.size}")
-    return ScalarField(grid, flat.reshape(grid.shape))
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    for g in (GridSpec(dimension=1, cells=16), GridSpec(dimension=2, cells=8)):
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        path = tmp_path / f"field{g.dimension}.csv"
-        field_to_csv(f, path)
-        back = field_from_csv(path)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-        header = path.read_text().splitlines()[0]
-        assert f"n={g.cells}" in header and f"N={g.dimension}" in header
-
-
-def test_csv_rejects_truncation(tmp_path):
-    g = GridSpec(dimension=1, cells=16)
-    f = ScalarField(g, np.ones(15))
-    path = tmp_path / "f.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(CountMismatch):
-        field_from_csv(path)
 
 
 def test_inner_product_consistent_with_norm():

@@ -242,14 +242,14 @@ def test_ledger_energy_identity_time_dependent_coefficient():
     model = free_model(coefficient=make_coefficient("separable_trig", 1))
     dt = 1e-3
     ens = Ensemble(members=[sin_initial(grid)], noise=noise_spec(grid))
-    final, (ledger,) = run_ensemble(ens, model,
-                                    StepperConfig(dt=dt, horizon=2 * dt))
+    final, ledger = run_ensemble(ens, model,
+                                 StepperConfig(dt=dt, horizon=2 * dt))
     u2 = final.members[0]
     au = apply_A_eps(u2, model.coefficient, model.epsilon, dt)
-    diss = ledger.cumulative_dissipation
-    balance = (ledger.H2[2] - ledger.H2[1] + (diss[2] - diss[1])
+    h2, diss = ledger.H2[:, 0], ledger.cumulative_dissipation[:, 0]
+    balance = (h2[2] - h2[1] + (diss[2] - diss[1])
                + dt ** 2 * norm_H(au) ** 2)
-    assert abs(balance) < 1e-10 * ledger.H2[1]
+    assert abs(balance) < 1e-10 * h2[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,11 @@ def run_once(mean_field, common_noise=False, members=2, seed=0, sigma0=0.3):
 
 
 def test_bitwise_reproducibility():
-    final_a, ledgers_a = run_once("stokes_drag")
-    final_b, ledgers_b = run_once("stokes_drag")
+    final_a, ledger_a = run_once("stokes_drag")
+    final_b, ledger_b = run_once("stokes_drag")
     for ma, mb in zip(final_a.members, final_b.members):
         assert np.array_equal(ma.values, mb.values)
-    for la, lb in zip(ledgers_a, ledgers_b):
-        for name in LEDGER_COLUMNS:
-            assert np.array_equal(getattr(la, name), getattr(lb, name))
+    assert np.array_equal(ledger_a.table, ledger_b.table)
 
 
 def test_single_member_drag_is_inert():
@@ -429,9 +427,9 @@ def test_non_finite_state_aborts():
 
 
 def test_ledger_validation():
-    # columns: step, t, H2, Hp, V2, L4, cumulative_dissipation
-    led = EnergyLedger(np.array([[0.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.0],
-                                 [1.0, 0.1, 0.9, 0.9, 1.9, 0.4, 0.1]]))
+    # columns: step, t, H2, V2, L4, cumulative_dissipation
+    led = EnergyLedger(np.array([[0.0, 0.0, 1.0, 2.0, 0.5, 0.0],
+                                 [1.0, 0.1, 0.9, 1.9, 0.4, 0.1]]))
     led.validate()
     led.H2[1] = float("inf")
     assert led.table[1, 2] == float("inf")  # column access is a view
@@ -442,7 +440,7 @@ def test_ledger_validation():
     with pytest.raises(ValueError):
         led.validate()
     with pytest.raises(AttributeError):
-        getattr(led, "moment_p")
+        getattr(led, "Hp")  # H2 by definition: the column was dropped
 
 
 def test_ledger_validation_of_a_whole_table():
@@ -455,7 +453,7 @@ def test_ledger_validation_of_a_whole_table():
         EnergyLedger(table).validate()
     EnergyLedger(table[:, 0]).validate()
     table[2, 1, -1] = 0.3
-    table[1, 1, 4] = np.nan
+    table[1, 1, LEDGER_COLUMNS.index("V2")] = np.nan
     with pytest.raises(NonFinite):
         EnergyLedger(table).validate()
 
@@ -470,17 +468,34 @@ def test_run_ensemble_validates_once_and_csv_only_writes(monkeypatch,
         return original(self)
 
     monkeypatch.setattr(EnergyLedger, "validate", counting)
-    _, ledgers = run_once("stokes_drag", members=3)
+    _, ledger = run_once("stokes_drag", members=3)
     assert calls == [(21, 3, len(LEDGER_COLUMNS))]
-    for i, led in enumerate(ledgers):
-        led.to_csv(tmp_path / f"ledger{i}.csv")
+    for i in range(3):
+        EnergyLedger(ledger.table[:, i]).to_csv(tmp_path / f"ledger{i}.csv")
     assert len(calls) == 1
 
 
+def test_run_ensemble_returns_one_ledger_table():
+    final, ledger = run_once("stokes_drag", members=3)
+    assert LEDGER_COLUMNS == ("step", "t", "H2", "V2", "L4",
+                              "cumulative_dissipation")
+    assert ledger.table.shape == (21, 3, len(LEDGER_COLUMNS))
+    # a column read by name is a (steps+1, members) view of the table
+    assert ledger.H2.shape == (21, 3)
+    assert np.shares_memory(ledger.H2, ledger.table)
+    assert np.array_equal(ledger.step, np.tile(np.arange(21.0)[:, None],
+                                               (1, 3)))
+    # the last H2 row holds the squared H norms of the final states
+    # (h = 1/64 is a power of two, so the bits agree)
+    states = np.stack([m.values for m in final.members])
+    assert np.array_equal(ledger.H2[-1], np.sum(states ** 2, axis=-1) / 64)
+
+
 def test_ledger_csv_schema(tmp_path):
-    _, ledgers = run_once("stokes_drag", members=1)
+    _, ledger = run_once("stokes_drag", members=1)
+    member = EnergyLedger(ledger.table[:, 0])
     path = tmp_path / "ledger.csv"
-    ledgers[0].to_csv(path)
+    member.to_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(LEDGER_COLUMNS)
     assert len(lines) == 1 + 21  # initial row plus one per step
@@ -494,13 +509,11 @@ def test_ledger_csv_schema(tmp_path):
     times = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(np.diff(times), 0.001, rtol=0.0, atol=1e-12)
     # every field reads back bitwise, and the step column is an integer
-    table = ledgers[0].table
     for n, line in enumerate(lines[1:]):
         parts = line.split(",")
         assert parts[0] == str(n)
         parsed = np.array([float(p) for p in parts])
-        assert np.array_equal(parsed, table[n])
-    assert np.array_equal(ledgers[0].Hp, ledgers[0].H2)
+        assert np.array_equal(parsed, member.table[n])
 
 
 # ---------------------------------------------------------------------------
@@ -700,14 +713,13 @@ def test_member_shards_keep_every_bit(monkeypatch, dimension, noise_law):
             runs[shards] = sharded_run(monkeypatch, shards, dimension,
                                        noise_law)
         assert_no_child_left()
-    final, ledgers = runs[1]
+    final, ledger = runs[1]
     for shards in (2, 3, 5):
-        other, other_ledgers = runs[shards]
+        other, other_ledger = runs[shards]
         assert other.time == final.time
         for a, b in zip(final.members, other.members):
             assert np.array_equal(a.values, b.values), shards
-        for a, b in zip(ledgers, other_ledgers):
-            assert np.array_equal(a.table, b.table), shards
+        assert np.array_equal(ledger.table, other_ledger.table), shards
         assert [s.counter for s in other.streams] == \
             [s.counter for s in final.streams]
 
