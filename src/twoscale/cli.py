@@ -3,10 +3,12 @@
 Subcommands map one-to-one onto module operations:
 
   cell       solve the periodic cell problem, write the effective tensor
+             and the (slices, dimension, cells[, cells]) correctors.npy
   simulate   advance one interacting ensemble, write final_states.npy and
              the (steps+1, members, columns) ledger table ledgers.npy
   ladder     coupled multi-resolution study with the full diagnostics
-  corrector  same engine, reported through the gradient-residual lens
+  corrector  the ladder under a second name: the same archive, whose
+             report holds the plain and corrected gradient residuals
   report     re-render report.json and report.csv from a stored raw.npz,
              after checking every other file the manifest lists
 
@@ -43,8 +45,7 @@ from .diagnostics import reduce_raw, run_ladder, sine_initial_state
 from .ensemble import Ensemble
 from .errors import ConfigError, IntegrityError, InternalError, ToolkitError
 from .grid import ScalarField
-from .integrator import (LEDGER_COLUMNS, STEPPED_VARIANTS, ensemble_shards,
-                         run_ensemble)
+from .integrator import LEDGER_COLUMNS, ensemble_shards, run_ensemble
 from .manifest import (
     verify_archive,
     write_manifest,
@@ -99,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, handler in (
             ("cell", "solve the periodic cell problem", _cmd_cell),
             ("simulate", "advance one interacting ensemble", _cmd_simulate),
-            ("ladder", "coupled resolution-ladder study", _cmd_ladder),
-            ("corrector", "gradient-residual study", _cmd_corrector)):
+            ("ladder", "coupled resolution-ladder study", _run_study),
+            ("corrector", "the ladder study under a second name",
+             _run_study)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-c", "--config", required=True,
                        help="path to the INI configuration")
@@ -202,27 +204,14 @@ def _cmd_cell(args) -> int:
         "iterations": np.asarray(sol.iterations).tolist(),
         "residuals": np.asarray(sol.residuals).tolist(),
     }
-    files = [_dump_json(out, "cell.json", payload)]
-    name = "correctors.csv"
-    with open(out / name, "w", encoding="utf-8") as fh:
-        fh.write(f"# m={cell_grid.cells} N={coeff.dimension} "
-                 f"S={cell_grid.tau_slices} order=row-major\n")
-        fh.write("slice,direction,index,value\n")
-        for s in range(cell_grid.tau_slices):
-            for k in range(coeff.dimension):
-                flat = sol.correctors[s, k].reshape(-1)
-                for i, v in enumerate(flat):
-                    fh.write(f"{s},{k},{i},{float(v)!r}\n")
-    files.append(name)
+    np.save(out / "correctors.npy", sol.correctors)
+    files = [_dump_json(out, "cell.json", payload), "correctors.npy"]
     return _finish(out, cfg, text, "cell", files, t0)
 
 
 def _cmd_simulate(args) -> int:
     t0 = time.time()
     cfg, text = _load_config(args)
-    if cfg.values["model"]["variant"] not in STEPPED_VARIANTS:
-        raise cfg.error("model.variant", "simulate runs the "
-                        f"{', '.join(STEPPED_VARIANTS)} variant only")
     out = _resolve_output(args, cfg, "simulate")
     grid = cfg.grid()
     st = cfg.values["study"]
@@ -254,15 +243,17 @@ def _cmd_simulate(args) -> int:
                    {"shards": len(ensemble_shards(members, grid.dof))})
 
 
-def _run_study(args, command: str, render) -> int:
+def _run_study(args) -> int:
+    """``ladder`` and ``corrector``: one study, one archive; the command
+    name sets only the default output directory and run_info.json."""
     t0 = time.time()
     cfg, text = _load_config(args)
     study = cfg.study()  # may reject the config: before any directory exists
-    out = _resolve_output(args, cfg, command)
+    out = _resolve_output(args, cfg, args.command)
     result = run_ladder(study)
     np.savez(out / "raw.npz", **result.raw)
-    files = ["raw.npz"] + render(out, result.report)
-    return _finish(out, cfg, text, command, files, t0,
+    files = ["raw.npz"] + _render_ladder(out, result.report)
+    return _finish(out, cfg, text, args.command, files, t0,
                    {"shards": result.shards})
 
 
@@ -271,27 +262,6 @@ def _render_ladder(out: Path, report) -> list[str]:
                                      encoding="utf-8")
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     return ["report.json", "report.csv"]
-
-
-def _render_corrector(out: Path, report) -> list[str]:
-    payload = {
-        "epsilons": report.epsilons,
-        "plain_gradient": report.plain_gradient,
-        "plain_stderr": report.plain_stderr,
-        "corrected_gradient": report.corrected_gradient,
-        "corrected_stderr": report.corrected_stderr,
-        "a_tilde": report.a_tilde,
-    }
-    return _render_ladder(out, report) + \
-        [_dump_json(out, "corrector.json", payload)]
-
-
-def _cmd_ladder(args) -> int:
-    return _run_study(args, "ladder", _render_ladder)
-
-
-def _cmd_corrector(args) -> int:
-    return _run_study(args, "corrector", _render_corrector)
 
 
 def _cmd_report(args) -> int:

@@ -5,7 +5,8 @@ The parser itself rejects unknown sections or keys, a [coefficient] key
 that the chosen family does not take, type mismatches and non-finite
 numbers. Every other rule lives in the constructor that owns the value:
 the parser builds each component once and re-raises its rejection with
-the line and the dotted field name of the offender.
+the line and the dotted field name of the offender. ``model_for`` adds
+the one rule of the engine, not of the model: a variant it can step.
 
 The content digest hashes the canonical JSON form of the typed values
 (defaults filled, keys sorted), so key order and comments never change
@@ -142,8 +143,15 @@ class RunConfig:
                            **params)
 
     def model_for(self, eps: float) -> ModelSpec:
-        return self._build("model", ModelSpec, coefficient=self.coefficient(),
-                           epsilon=eps, **self.values["model"])
+        """The model at ``eps``; a variant the engine cannot step is
+        rejected here, so every command rejects it at parse time."""
+        model = self._build("model", ModelSpec,
+                            coefficient=self.coefficient(), epsilon=eps,
+                            **self.values["model"])
+        if model.variant not in STEPPED_VARIANTS:
+            raise self.error("model.variant", "the engine steps the "
+                             f"{', '.join(STEPPED_VARIANTS)} variant only")
+        return model
 
     def noise_spec(self) -> QWienerSpec:
         return self._build("noise", QWienerSpec, grid=self.grid(),
@@ -161,10 +169,7 @@ class RunConfig:
 
     def study(self) -> StudyConfig:
         model = dict(self.values["model"])
-        if model.pop("variant") not in STEPPED_VARIANTS:
-            raise self.error(
-                "model.variant", "ladder and corrector studies run the "
-                f"{', '.join(STEPPED_VARIANTS)} variant only")
+        del model["variant"]  # parse_config admits only a stepped variant
         return self._build(
             "study", StudyConfig, coefficient=self.coefficient(),
             grid=self.grid(), stepper=self.stepper(), seed=self.seed,

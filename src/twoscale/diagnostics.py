@@ -13,8 +13,8 @@ accumulators then measure, per path,
 
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 51-56 s on a shared
-2-core host in two processes, against 111-112 s in one.
+on 1024 cells (the acceptance reference ladder) took 45.7 and 58.8 s in
+two runs on a shared 2-core host in two processes, against 114.2 s in one.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import pytest
 
 import twoscale
 from twoscale import parallel
+from twoscale.cell import solve_cell_problem
 from twoscale.cli import OUTPUT_ROOT_ENV, main
 from twoscale.coefficients import FAMILIES, make_coefficient
 from twoscale.config import _SCHEMA, config_digest, parse_config
@@ -351,18 +352,18 @@ def test_builders_produce_consistent_components():
 
 
 def test_study_rejects_velocity_variant():
-    cfg = parse_config(ini("""
-        [grid]
-        dimension = 2
-        cells = 32
-        [coefficient]
-        family = checkerboard
-        [model]
-        variant = navier_stokes_2d
-        """))
+    # the engine steps no velocity variant, so the parser rejects it
     with pytest.raises(ValidationError) as err:
-        cfg.study()
-    assert err.value.field == "model.variant"
+        parse_config(ini("""
+            [grid]
+            dimension = 2
+            cells = 32
+            [coefficient]
+            family = checkerboard
+            [model]
+            variant = navier_stokes_2d
+            """))
+    assert (err.value.field, err.value.line) == ("model.variant", 7)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +437,60 @@ def test_cell_on_constant_family_writes_scaled_identity(tmp_path, capsys):
 
     manifest = verify_archive(out)
     listed = set(manifest["files"])
-    assert {"cell.json", "correctors.csv", "config.snapshot.ini"} <= listed
+    assert {"cell.json", "correctors.npy", "config.snapshot.ini"} <= listed
     noise = manifest["noise"]
     assert set(noise) == {"modes", "gamma", "lambda0", "partial_trace",
                           "trace_tail_bound"}
     assert noise["partial_trace"] > 0
-    header = (out / "correctors.csv").read_text().splitlines()[1]
-    assert header == "slice,direction,index,value"
+    assert np.load(out / "correctors.npy").shape == (1, 1, 32)
+
+
+def test_cell_saves_the_bits_of_the_cell_solve(tmp_path, capsys):
+    # the constant family's correctors are all zero, and a time-independent
+    # family's slices are all equal; these are neither
+    cfg_path = tmp_path / "cell.ini"
+    cfg_path.write_text(ini("""
+        [grid]
+        dimension = 2
+        cells = 32
+        [coefficient]
+        family = separable_trig
+        [study]
+        cell_cells = 16
+        cell_tau_slices = 2
+        """), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, _ = run_cli(["cell", "-c", str(cfg_path), "-o", str(out)],
+                         capsys)
+    assert code == 0
+    assert sorted(verify_archive(out)["files"]) == [
+        "cell.json", "config.snapshot.ini", "correctors.npy"]
+    saved = np.load(out / "correctors.npy")
+    assert saved.shape == (2, 2, 16, 16) and saved.dtype == np.float64
+    cfg = parse_config(cfg_path.read_text(encoding="utf-8"))
+    expected = solve_cell_problem(cfg.coefficient(), cfg.cell_grid())
+    assert np.any(expected.correctors[0] != expected.correctors[1])
+    assert saved.tobytes() == expected.correctors.tobytes()
+
+
+def test_ladder_and_corrector_write_one_archive(tmp_path, capsys):
+    cfg = write_ladder_ini(tmp_path)
+    dirs = {}
+    for command in ("ladder", "corrector"):
+        dirs[command] = tmp_path / command
+        assert run_cli([command, "-c", str(cfg), "-o", str(dirs[command])],
+                       capsys)[0] == 0
+    names = sorted(p.name for p in dirs["ladder"].iterdir())
+    assert names == sorted(p.name for p in dirs["corrector"].iterdir())
+    assert "corrector.json" not in names
+    assert "corrector.json" not in read_manifest(dirs["corrector"])["files"]
+    for name in names:
+        if name != "run_info.json":
+            assert (dirs["ladder"] / name).read_bytes() \
+                == (dirs["corrector"] / name).read_bytes(), name
+    for command, out in dirs.items():
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["command"] == command
 
 
 def test_ladder_rerun_is_byte_identical(tmp_path, capsys):
@@ -1232,7 +1280,9 @@ def test_readme_one_liner_prints_a_member_ledger(tmp_path, capsys):
             assert [float(f) for f in fields] == table[n, member].tolist()
 
 
-def test_simulate_rejects_velocity_variant(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["cell", "simulate", "ladder",
+                                     "corrector"])
+def test_simulate_rejects_velocity_variant(tmp_path, capsys, command):
     cfg = tmp_path / "velocity.ini"
     cfg.write_text(ini("""
         [grid]
@@ -1249,7 +1299,7 @@ def test_simulate_rejects_velocity_variant(tmp_path, capsys):
         members = 1
         """), encoding="utf-8")
     out = tmp_path / "out"
-    code, _, stderr = run_cli(["simulate", "-c", str(cfg), "-o", str(out)],
+    code, _, stderr = run_cli([command, "-c", str(cfg), "-o", str(out)],
                               capsys)
     assert code == 2
     payload = json.loads(stderr)
