@@ -206,7 +206,8 @@ def _cmd_cell(args) -> int:
     }
     np.save(out / "correctors.npy", sol.correctors)
     files = [_dump_json(out, "cell.json", payload), "correctors.npy"]
-    return _finish(out, cfg, text, "cell", files, t0)
+    return _finish(out, cfg, text, "cell", files, t0,
+                   {"shards": sol.shards})
 
 
 def _cmd_simulate(args) -> int:

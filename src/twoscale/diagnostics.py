@@ -273,10 +273,15 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     contiguous runs, one shard per usable CPU and at most one per item.
     For each block it touches, a shard steps the eps levels it holds there
     plus its own copy of the block's effective level, whose rows only the
-    shard of the block's eps level 0 writes. This process steps shard 0
+    shard of the block's eps level 0 owns. This process steps shard 0
     and a forked child steps each other shard, none waiting for another;
-    the accumulators live in shared memory and every shard writes only its
-    own rows, so the shard count changes no bit either. A failure is raised as a one-shard run raises it: the first in
+    the accumulators and the final states live in shared memory and every
+    shard writes only its own rows, so the shard count changes no bit
+    either. A shard steps each level in place in the rows it owns of the
+    final states; only the effective level of a block whose eps level 0
+    another shard holds (at most the shard's first block) is stepped in a
+    private buffer, allocated after the fork. A failure is raised as a
+    one-shard run raises it: the first in
     (step, block, level) order, the effective level last in each block;
     the other shards stop at the next step. A child that ends without a
     report raises :class:`InternalError`.
@@ -324,6 +329,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
      final_states) = parallel.shared_zeros(
         [(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3 + [(n_eps + 1, P, grid.dof)])
     # every level starts from u0, so its energy sup starts at u0's
+    final_states[:] = u0
     sup_h2[:] = steppers[0].energy_rows(u0[None])["H2"]
 
     mesh = grid.meshgrid()
@@ -337,8 +343,10 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         failure rank (step, first path of the block, level)."""
         held = {li for _, levels in shard for li in levels}
         # per block, one (block paths, dof) state stack per level, the
-        # effective level last
-        states = [{li: np.tile(u0, (rows.stop - rows.start, 1))
+        # effective level last: the shard's own rows of final_states, and
+        # a private copy of an effective level that another shard owns
+        states = [{li: (final_states[li, rows] if li < n_eps or levels[0] == 0
+                        else np.tile(u0, (rows.stop - rows.start, 1)))
                    for li in [*levels, n_eps]} for rows, levels in shard]
         face_slopes = {li: _face_corrector_slopes(cell_sol, grid,
                                                   eps_list[li], 0.0)
@@ -353,10 +361,10 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                 xi = np.stack([s.draw() for s in streams[rows]])
                 for li in levels:  # left-point pairing over t_0 .. t_{N-1}
                     pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
-                for li in S:
+                for li, U in S.items():
                     yield n + 1, rows.start, li
-                    S[li] = steppers[li].advance(S[li], xi, t, n,
-                                                 first_row=rows.start)
+                    steppers[li].advance(U, xi, t, n, first_row=rows.start,
+                                         out=U)
                 # one set of face differences per level, shared by the
                 # gradient residuals and the V2 energy
                 grads = {li: stack_face_differences(U, grid)
@@ -381,10 +389,10 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             if (progress is not None and shard is shards[0]
                     and (n + 1) % max(1, steps // 10) == 0):
                 progress(n + 1, steps)
-        for (rows, levels), S in zip(shard, states):
-            for li in (S if levels[0] == 0 else levels):
-                final_states[li, rows] = S[li]
 
+    # built before the fork, so the shards inherit the modules it imported
+    # (``scipy.fft`` for a 2D ladder's constant faces)
+    steppers[-1].factorization(0.0)
     parallel.run_shards(run_shard, shards, _shard_name)
 
     raw = {

@@ -269,7 +269,8 @@ class BatchedStepper:
 
     def advance(self, U: np.ndarray, xi: np.ndarray, t: float,
                 step_index: int, first_row: int = 0,
-                rows: slice = slice(None)) -> np.ndarray:
+                rows: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
         """One semi-implicit step of ``rows`` of the stack, all by default.
 
         The guard reads max|U| of the whole stack, and the drift and noise
@@ -278,7 +279,10 @@ class BatchedStepper:
         U + dt drift + noise is checked for finite values once, by the
         solve; a finite right-hand side and a finite positive definite
         operator give a finite state, and the guard of the next step checks
-        it again.
+        it again. The right-hand side is formed in ``out`` when given (a
+        C-contiguous array of the result's shape, or U itself when every
+        row is stepped) and solved there, with the bits of a call without
+        ``out``; the new state is returned either way.
 
         Args:
             U: state stack (paths, dof).
@@ -288,18 +292,27 @@ class BatchedStepper:
             first_row: index of U's first row among all paths, added to
                 the paths a :class:`NonFinite` names.
             rows: the paths to step; the result holds only these.
+            out: where the new state goes; a new array by default.
         """
         max_abs = float(np.max(np.abs(U))) if U.size else 0.0
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
         drift, noise = self.explicit_terms(U, xi, rows)
-        rhs = self.dt * drift
-        rhs += U[rows]
-        rhs += noise
+        drift *= self.dt
+        # float addition commutes exactly: U + dt drift has the bits of
+        # dt drift + U
+        if out is None:
+            out = drift
+            out += U[rows]
+        else:
+            if out is not U:
+                out[...] = U[rows]
+            out += drift
+        out += noise
         fac = self.factorization(t)
         try:
-            return fac.solve_batch(rhs)
+            return fac.solve_batch(out, out=out)
         except NonFinite:
-            bad = np.where(~np.all(np.isfinite(rhs), axis=-1))[0] \
+            bad = np.where(~np.all(np.isfinite(out), axis=-1))[0] \
                 + first_row + (rows.start or 0)
             raise NonFinite(
                 f"non-finite explicit update at step {step_index} "
@@ -392,9 +405,9 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
             draws[n % 2, rows] = [s.draw() for s in streams[rows]]
             yield (n,)
             t_frozen = t0 + n * config.dt
-            U_new = stepper.advance(states[n % 2], draws[n % 2], t_frozen, n,
-                                    rows=rows)
-            states[(n + 1) % 2, rows] = U_new
+            U_new = states[(n + 1) % 2, rows]
+            stepper.advance(states[n % 2], draws[n % 2], t_frozen, n,
+                            rows=rows, out=U_new)
             # dissipation pairs the new state with the faces of the implicit
             # solve (frozen at t_n), so the energy identity is exact; the V2
             # energy reuses the same face differences

@@ -20,7 +20,9 @@ otherwise, each refusing an operator that is not positive definite.
 ``scipy.fft`` and ``scipy.sparse`` are imported where a factor or
 ``leray_project`` first needs them, so a 1D run never loads them; the
 factor that needs ``scipy.fft`` imports it when it is built, which a forked
-run does before it forks (``integrator.run_ensemble``).
+run does before it forks (``integrator.run_ensemble`` and
+``diagnostics.run_ladder`` build their first factor there). ``solve_batch``
+can solve in place, into the caller's next state buffer.
 
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
@@ -262,25 +264,37 @@ class ImplicitFactorization:
                                  "(SuperLU: a non-positive pivot)")
         return lu
 
-    def solve_batch(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_batch(self, rhs: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Solve for a stack of right-hand sides, shape (paths, dof...).
 
         A single right-hand side (dof...) is a stack of one, and a
-        non-finite right-hand side raises :class:`NonFinite`. A path's
-        solution has the same bits alone and inside any stack.
+        non-finite right-hand side raises :class:`NonFinite` before
+        anything is written. A path's solution has the same bits alone and
+        inside any stack. The solution goes into ``out`` when given (a
+        C-contiguous array of rhs's shape, which may be rhs itself) and is
+        returned. With ``out`` the right-hand side itself, the 1D ``pttrs``
+        solves in place, without a copy.
         """
         flat = rhs.reshape(-1, self.grid.dof)
         if not np.all(np.isfinite(flat)):
             raise NonFinite("implicit solve got a non-finite right-hand side")
+        if out is None:
+            out = np.empty(rhs.shape)
+        solved = out.reshape(flat.shape)  # a view: out is C-contiguous
         if self._ldl is not None:
-            return dpttrs(*self._ldl, flat.T)[0].T.reshape(rhs.shape)
-        if self._dst_pair is not None:
-            fields = flat.reshape((-1,) + self.grid.shape)
-            return self._dst_pair(fields).reshape(rhs.shape)
-        out = np.empty_like(flat)
-        for path, row in enumerate(flat):
-            out[path] = self._lu.solve(row)
-        return out.reshape(rhs.shape)
+            if out is not rhs:
+                solved[...] = flat
+            x = dpttrs(*self._ldl, solved.T, overwrite_b=True)[0]
+            if not np.may_share_memory(x, solved):
+                solved[...] = x.T
+        elif self._dst_pair is not None:
+            solved[...] = self._dst_pair(
+                flat.reshape((-1,) + self.grid.shape)).reshape(flat.shape)
+        else:
+            for path, row in enumerate(flat):
+                solved[path] = self._lu.solve(row)
+        return out
 
 
 # ---------------------------------------------------------------------------

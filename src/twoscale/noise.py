@@ -195,19 +195,21 @@ class NoiseStream:
     counter counts consumed mode draws. Reconstructing a stream with the
     same key and counter reproduces the continuation bitwise. The key words
     are computed once, when the stream is built, and kept in the fresh
-    generator state that every draw restores.
+    generator state that every draw restores; a draw sets only word 0 of
+    that state's counter array.
     """
 
     spec: QWienerSpec
     stream_id: int
     counter: int = 0
+    _bits: Philox = field(init=False, repr=False, compare=False)
     _state: dict = field(init=False, repr=False, compare=False)
     _normal: Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = Philox(key=_philox_key(self.spec.seed, self.stream_id))
-        self._state = bits.state
-        self._normal = Generator(bits)
+        self._bits = Philox(key=_philox_key(self.spec.seed, self.stream_id))
+        self._state = self._bits.state
+        self._normal = Generator(self._bits)
 
     @classmethod
     def derive(cls, spec: QWienerSpec, *indices: int) -> "NoiseStream":
@@ -225,12 +227,10 @@ class NoiseStream:
         is bitwise that of a fresh build.
         """
         count = self.spec.modes if count is None else int(count)
-        # the rest of the fresh build's state (key, empty buffer, no spare
-        # 32-bit word) is set again as it was
-        state = self._state
-        state["state"]["counter"] = np.array(
-            [self.counter & _MASK64, 0, 0, 0], dtype=np.uint64)
-        self._normal.bit_generator.state = state
+        # the rest of the fresh build's state (key, counter words 1-3, empty
+        # buffer, no spare 32-bit word) is set again as it was
+        self._state["state"]["counter"][0] = self.counter & _MASK64
+        self._bits.state = self._state
         xi = self._normal.standard_normal(count)
         self.counter += count
         return xi

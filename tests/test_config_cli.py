@@ -294,15 +294,15 @@ def test_semantic_guards(text, field):
     ("[stepper]\ndt = 0.003\n# pad\nhorizon = 0.01\n", "stepper.horizon", 4),
     ("[study]\ncell_tau_slices = 0\n", "study.cell_tau_slices", 2),
     ("[ensemble]\nmembers = 1\nreplicas = 0\n", "ensemble.replicas", 3),
+    ("[ensemble]\nmembers = 0\n", "ensemble.members", 2),
+    ("[grid]\ndimension = 2\ncells = 32\n[coefficient]\n"
+     "family = checkerboard\n[model]\nvariant = navier_stokes_2d\n",
+     "model.variant", 7),
     # the rules only a ladder study checks, reached through study()
     ("[grid]\ncells = 64\n[study]\n# pad\nepsilons = 0.125\n",
      "study.epsilons", 5),
     ("[grid]\ncells = 256\n[stepper]\ndt = 0.02\nhorizon = 0.1\n"
      "[study]\nepsilons = 0.125\n", "stepper.dt", 4),
-    ("[ensemble]\nmembers = 0\n", "ensemble.members", 2),
-    ("[grid]\ndimension = 2\ncells = 32\n[coefficient]\n"
-     "family = checkerboard\n[model]\nvariant = navier_stokes_2d\n",
-     "model.variant", 7),
     # a key absent from the text has no line
     ("[grid]\ncells = 64\n", "study.epsilons", None),
 ])
@@ -471,6 +471,27 @@ def test_cell_saves_the_bits_of_the_cell_solve(tmp_path, capsys):
     expected = solve_cell_problem(cfg.coefficient(), cfg.cell_grid())
     assert np.any(expected.correctors[0] != expected.correctors[1])
     assert saved.tobytes() == expected.correctors.tobytes()
+
+
+def test_cell_records_its_shard_count(tmp_path, monkeypatch, capsys):
+    # a 128^2 cell's two directions split into two processes on two CPUs
+    cfg_path = tmp_path / "cell.ini"
+    cfg_path.write_text(ini("""
+        [grid]
+        dimension = 2
+        [coefficient]
+        family = checkerboard
+        [study]
+        cell_cells = 128
+        """), encoding="utf-8")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with deadline(60):
+        code, _, _ = run_cli(["cell", "-c", str(cfg_path), "-o", str(out)],
+                             capsys)
+    assert code == 0
+    assert json.loads((out / "run_info.json").read_text())["shards"] == 2
+    assert "shards" not in (out / "manifest.json").read_text()
 
 
 def test_ladder_and_corrector_write_one_archive(tmp_path, capsys):

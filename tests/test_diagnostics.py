@@ -4,6 +4,7 @@ import io
 import json
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -747,6 +748,50 @@ def test_block_split_between_shards_keeps_raw_arrays(monkeypatch):
         for key in results[1].raw:
             assert np.array_equal(results[cpus].raw[key],
                                   results[1].raw[key]), (cpus, key)
+
+
+def test_private_effective_copies_keep_the_raw_arrays(monkeypatch):
+    # two one-replica blocks of three eps levels on three CPUs: shard 1
+    # steps eps level 2 of block 0 and level 0 of block 1, shard 2 levels
+    # 1 and 2 of block 1; each steps a private copy of the effective level
+    # of a block whose rows another shard owns
+    cfg = three_level_study()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    whole = run_ladder(cfg)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    assert len(diagnostics._replica_blocks(
+        cfg.replicas, cfg.members, cfg.grid.dof)) == 2
+    split = run_ladder(cfg)
+    assert split.shards == 3
+    assert_no_child_left()
+    assert whole.raw.keys() == split.raw.keys()
+    for key in whole.raw:
+        assert np.array_equal(whole.raw[key], split.raw[key]), key
+
+
+def test_ladder_steps_its_states_in_the_shared_rows(monkeypatch):
+    # every level is stepped in its rows of the shared final states, so
+    # numpy allocates less than one (levels, paths, dof) copy of them;
+    # blocks of 64 paths keep each block's temporaries below that too
+    cfg = StudyConfig(
+        coefficient=make_coefficient("layered", 1, alpha=2.0, beta=1.0),
+        grid=GridSpec(1, 256), epsilons=(1 / 8, 1 / 16),
+        stepper=StepperConfig(dt=1e-3, horizon=5e-3), members=8,
+        replicas=64, cell_cells=32)
+    assert len(diagnostics._replica_blocks(
+        cfg.replicas, cfg.members, cfg.grid.dof)) == 8
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    run_ladder(cfg)  # the first run's imports and caches are not counted
+    tracemalloc.start()
+    try:
+        result = run_ladder(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = result.raw["final_states"]
+    assert states.shape == (3, 512, 255)
+    assert peak < states.nbytes, (peak, states.nbytes)
 
 
 def test_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(

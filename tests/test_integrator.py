@@ -633,6 +633,40 @@ def test_engine_accepts_a_cell_solved_tensor():
                                rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["1d", "2d_lu", "2d_dst"])
+def test_advance_into_out_keeps_the_bits(kind):
+    # the right-hand side is formed in out and solved there: a new array,
+    # U itself and a run of rows written into the next state buffer (as
+    # run_ensemble steps its shard's members) all hold the bits of a call
+    # without out
+    dimension = 1 if kind == "1d" else 2
+    grid = GridSpec(dimension, 64 if dimension == 1 else 16)
+    coeff = layered() if dimension == 1 else make_coefficient(
+        "checkerboard", 2)
+    model = ModelSpec(variant="allen_cahn", coefficient=coeff, epsilon=0.25,
+                      noise_law="mode_modulated", sigma0=0.5)
+    spec = noise_spec(grid)
+    tensor = np.diag([1.75, 2.5]) if kind == "2d_dst" else None
+    stepper = BatchedStepper(grid, model, spec, members=2, dt=1e-3,
+                             homogenized_tensor=tensor)
+    rng = np.random.default_rng(17)
+    U = 0.3 * rng.standard_normal((4, grid.dof))
+    xi = rng.standard_normal((4, spec.modes))
+    expected = stepper.advance(U, xi, 0.0, 0)
+    out = np.full_like(U, np.nan)
+    assert stepper.advance(U, xi, 0.0, 0, out=out) is out
+    assert np.array_equal(out, expected)
+    V = U.copy()
+    stepper.advance(V, xi, 0.0, 0, out=V)
+    assert np.array_equal(V, expected)
+    states = np.zeros((2, 4, grid.dof))
+    states[0] = U
+    stepper.advance(states[0], xi, 0.0, 0, rows=slice(2, 4),
+                    out=states[1, 2:4])
+    assert np.array_equal(states[1, 2:4], expected[2:4])
+    assert np.array_equal(states[0], U) and not states[1, :2].any()
+
+
 def test_2d_mode_modulated_stepper_holds_no_basis():
     # the noise is synthesized from per-axis sine tables, so no stepper
     # holds the (modes, dof) basis

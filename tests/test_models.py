@@ -409,6 +409,50 @@ def test_implicit_2d_path_has_the_same_bits_alone_and_in_a_stack(kind):
         out.reshape((5,) + grid.shape))
 
 
+@pytest.mark.parametrize("kind", ["tridiagonal", "checkerboard", "constant"])
+def test_solve_into_out_keeps_the_bits(kind):
+    # pttrs solving in place, the per-path LU solves and the DST pair all
+    # write into out the bits of a call without it: a new array, the
+    # right-hand side itself, or a block of rows of a larger array
+    if kind == "tridiagonal":
+        grid = GridSpec(1, 64)
+        faces = face_coefficients(layered(), grid, 0.125, 0.0)
+    else:
+        grid = GridSpec(2, 32)
+        faces = (face_coefficients(checkerboard(), grid, 0.25, 0.0)
+                 if kind == "checkerboard"
+                 else _effective_faces(grid, np.diag([1.75, 2.5])))
+    fac = ImplicitFactorization(grid, faces, dt=0.01)
+    stack = np.random.default_rng(15).standard_normal((5, grid.dof))
+    expected = fac.solve_batch(stack)
+    out = np.full_like(stack, np.nan)
+    assert fac.solve_batch(stack, out=out) is out
+    assert np.array_equal(out, expected)
+    rhs = stack.copy()
+    assert fac.solve_batch(rhs, out=rhs) is rhs
+    assert np.array_equal(rhs, expected)
+    states = np.zeros((2, 7, grid.dof))
+    block = states[1, 1:6]
+    block[...] = stack
+    fac.solve_batch(block, out=block)
+    assert np.array_equal(states[1, 1:6], expected)
+    assert not states[0].any() and not states[1, [0, 6]].any()
+
+
+def test_non_finite_rhs_is_left_as_it_was():
+    # the check comes before the solve, so an in-place solve that raises
+    # leaves the right-hand side for the caller to name the bad paths
+    grid = GridSpec(1, 64)
+    fac = ImplicitFactorization(
+        grid, face_coefficients(layered(), grid, 0.125, 0.0), dt=0.01)
+    rhs = np.random.default_rng(16).standard_normal((3, grid.dof))
+    rhs[1, 5] = np.nan
+    before = rhs.copy()
+    with pytest.raises(NonFinite):
+        fac.solve_batch(rhs, out=rhs)
+    assert np.array_equal(rhs, before, equal_nan=True)
+
+
 def test_implicit_2d_rejects_non_finite_rhs():
     grid = GridSpec(2, 16)
     fac = ImplicitFactorization(
