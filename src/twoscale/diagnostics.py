@@ -303,14 +303,12 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     dt = cfg.stepper.dt
     hN = grid.h ** dim
 
-    steppers = []
-    for e in eps_list:
-        steppers.append(BatchedStepper(grid, cfg.model_for(e), spec,
-                                       members=cfg.members, dt=dt))
-    # the effective level reuses the smallest-eps model constants
-    steppers.append(BatchedStepper(grid, cfg.model_for(eps_list[-1]), spec,
-                                   members=cfg.members, dt=dt,
-                                   homogenized_tensor=a_tilde))
+    # the effective level, last, reuses the smallest-eps model constants
+    steppers = [BatchedStepper(grid, cfg.model_for(e), spec,
+                               members=cfg.members, dt=dt,
+                               homogenized_tensor=tensor)
+                for e, tensor in [*zip(eps_list, [None] * n_eps),
+                                  (eps_list[-1], a_tilde)]]
 
     streams = [NoiseStream.derive(spec, m, r)
                for r in range(cfg.replicas) for m in range(cfg.members)]
@@ -348,14 +346,12 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         states = [{li: (final_states[li, rows] if li < n_eps or levels[0] == 0
                         else np.tile(u0, (rows.stop - rows.start, 1)))
                    for li in [*levels, n_eps]} for rows, levels in shard]
-        face_slopes = {li: _face_corrector_slopes(cell_sol, grid,
-                                                  eps_list[li], 0.0)
-                       for li in held}
         for n in range(steps):
             t = n * dt
-            if slopes_move:
+            if n == 0 or slopes_move:
                 face_slopes = {li: _face_corrector_slopes(
-                    cell_sol, grid, eps_list[li], (t + dt) / eps_list[li])
+                    cell_sol, grid, eps_list[li],
+                    (t + dt) / eps_list[li] if slopes_move else 0.0)
                     for li in held}
             for (rows, levels), S in zip(shard, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
@@ -434,8 +430,8 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
     sup_h2 = raw["sup_h2"]
     energy, energy_se = _level_stats(sup_h2 + raw["int_v2"] + raw["int_l4"],
                                      R, M)
-    sup_p2 = [float(np.mean(row)) for row in sup_h2]
-    sup_p4 = [float(np.mean(row ** 2)) for row in sup_h2]
+    sup_p2 = _level_stats(sup_h2, R, M)[0]
+    sup_p4 = _level_stats(sup_h2 ** 2, R, M)[0]
     # final H norms, one level at a time: no (levels, paths, dof) square
     norms = [np.sqrt(hN * np.sum(states ** 2, axis=-1))
              for states in raw["final_states"]]

@@ -201,7 +201,6 @@ class BatchedStepper:
         self.spec = spec
         self.members = members
         self.dt = float(dt)
-        self.tensor = homogenized_tensor
         self._faces = (None if homogenized_tensor is None
                        else _effective_faces(grid, homogenized_tensor))
         self._g_weights = (np.sqrt(spec.eigenvalues * self.dt)
@@ -279,10 +278,10 @@ class BatchedStepper:
         U + dt drift + noise is checked for finite values once, by the
         solve; a finite right-hand side and a finite positive definite
         operator give a finite state, and the guard of the next step checks
-        it again. The right-hand side is formed in ``out`` when given (a
-        C-contiguous array of the result's shape, or U itself when every
-        row is stepped) and solved there, with the bits of a call without
-        ``out``; the new state is returned either way.
+        it again. The right-hand side is formed in ``out`` and solved there:
+        a new array when ``out`` is None, else a C-contiguous array of the
+        result's shape, or U itself when every row is stepped. The new state
+        is returned.
 
         Args:
             U: state stack (paths, dof).
@@ -298,15 +297,11 @@ class BatchedStepper:
         check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
         drift, noise = self.explicit_terms(U, xi, rows)
         drift *= self.dt
-        # float addition commutes exactly: U + dt drift has the bits of
-        # dt drift + U
         if out is None:
-            out = drift
-            out += U[rows]
-        else:
-            if out is not U:
-                out[...] = U[rows]
-            out += drift
+            out = np.empty_like(drift)
+        if out is not U:
+            out[...] = U[rows]
+        out += drift
         out += noise
         fac = self.factorization(t)
         try:

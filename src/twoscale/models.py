@@ -21,8 +21,10 @@ otherwise, each refusing an operator that is not positive definite.
 ``leray_project`` first needs them, so a 1D run never loads them; the
 factor that needs ``scipy.fft`` imports it when it is built, which a forked
 run does before it forks (``integrator.run_ensemble`` and
-``diagnostics.run_ladder`` build their first factor there). ``solve_batch``
-can solve in place, into the caller's next state buffer.
+``diagnostics.run_ladder`` build their first factor there). Each factor
+returns its own solve, which overwrites a (paths, dof) stack in place;
+``solve_batch`` copies the right-hand side into the caller's buffer (the
+next state buffer, say) and solves it there.
 
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
@@ -155,18 +157,20 @@ class ImplicitFactorization:
     A is -div(s grad u) with one face array per axis, laid out as
     :func:`face_coefficients` returns them, on every ladder level; the
     effective level's faces are the constants a~[d, d]. The operator is
-    factored once, when this object is built, and a stack of right-hand
-    sides is solved in one call:
+    factored once, when this object is built, and the factor's solve
+    overwrites a stack of right-hand sides in place:
 
     - 1D: the tridiagonal operator's LDL^T factor from LAPACK ``pttrf``;
-      each solve is one ``pttrs`` call on the whole stack, O(n) per path.
+      each solve is one in-place ``pttrs`` call on the whole stack, O(n)
+      per path.
     - 2D, constant faces c_d: the exact inverse of I + dt (c_x L_x + c_y
       L_y) by a DST-I pair, whose eigenvalues 1 + dt (c_x lam + c_y mu)
       must all be positive.
-    - 2D, other faces: the 5-point matrix as CSC, factored by SuperLU
-      ``splu`` with a symmetric minimum-degree ordering and diagonal
-      pivots. Each path is solved on its own, since SuperLU's multi-column
-      solve changes bits with the column count.
+    - 2D, other faces: the 5-point matrix, built as CSC from its five
+      diagonals, factored by SuperLU ``splu`` with a symmetric
+      minimum-degree ordering and diagonal pivots. Each path is solved on
+      its own, since SuperLU's multi-column solve changes bits with the
+      column count.
 
     A factor that is not positive definite raises :class:`SolverDiverged`,
     and non-finite faces or right-hand sides raise :class:`NonFinite`.
@@ -176,18 +180,17 @@ class ImplicitFactorization:
         self.grid = grid
         self.dt = float(dt)
         self.faces = faces
-        self._ldl = self._dst_pair = self._lu = None
         if grid.dimension == 1:
-            self._ldl = self._factor_1d()
+            self._solve = self._factor_1d()
             return
         if not all(np.all(np.isfinite(f)) for f in faces):
             raise NonFinite("implicit operator has non-finite entries")
         if all(np.ptp(f) == 0.0 for f in faces):
-            self._dst_pair = self._factor_constant_2d()
+            self._solve = self._factor_constant_2d()
         else:
-            self._lu = self._factor_2d()
+            self._solve = self._factor_2d()
 
-    def _factor_1d(self) -> tuple[np.ndarray, np.ndarray]:
+    def _factor_1d(self):
         s = self.faces[0]
         h2 = self.grid.h ** 2
         d, e, info = dpttrf(1.0 + self.dt * (s[:-1] + s[1:]) / h2,
@@ -200,11 +203,16 @@ class ImplicitFactorization:
         # operator reaches the factor's diagonal
         if not np.all(np.isfinite(d)):
             raise NonFinite("implicit operator has non-finite entries")
-        return d, e
+
+        def solve(x):
+            solved = dpttrs(d, e, x.T, overwrite_b=True)[0]
+            if not np.may_share_memory(solved, x):  # LAPACK made a copy
+                x[...] = solved.T
+        return solve
 
     def _factor_constant_2d(self):
-        """The inverse of I + dt (c_x L_x + c_y L_y) on (..., *grid.shape)
-        stacks: an unnormalized DST-I pair around its inverse eigenvalues.
+        """The inverse of I + dt (c_x L_x + c_y L_y): an unnormalized DST-I
+        pair around its inverse eigenvalues.
 
         L_d has the eigenvalues (4/h^2) sin^2(k pi h / 2), k = 1..n-1, and
         (2n)^2 is the scale of the pair. The faces keep their signs.
@@ -220,34 +228,30 @@ class ImplicitFactorization:
             raise SolverDiverged("implicit operator is not positive definite "
                                  f"(eigenvalue {float(np.min(eig)):.3e})")
         inverse = 1.0 / ((2.0 * g.cells) ** 2 * eig)
-        return lambda fields: dstn(
-            dstn(fields, type=1, axes=(-2, -1)) * inverse, type=1,
-            axes=(-2, -1))
+
+        def solve(x):
+            fields = x.reshape((-1,) + g.shape)
+            x[...] = dstn(dstn(fields, type=1, axes=(-2, -1)) * inverse,
+                          type=1, axes=(-2, -1)).reshape(x.shape)
+        return solve
 
     def _factor_2d(self):
-        """SuperLU factor of the 5-point I + dt A, assembled as CSC.
-
-        Column (i, j) holds its neighbours (i-1, j), (i, j-1), itself,
-        (i, j+1) and (i+1, j), in row order, where they are interior.
-        """
+        """SuperLU factor of the 5-point I + dt A, built from its five
+        diagonals in the row-major order of the interior nodes."""
         # imported here: a module-level import costs every 1D run memory
-        from scipy.sparse import csc_matrix
+        from scipy.sparse import diags
         from scipy.sparse.linalg import splu
 
         sx, sy = self.faces
         m = self.grid.cells - 1
         k = self.dt / self.grid.h ** 2
-        values = np.stack([
-            -k * sx[:-1], -k * sy[:, :-1],
-            1.0 + k * ((sx[:-1] + sx[1:]) + (sy[:, :-1] + sy[:, 1:])),
-            -k * sy[:, 1:], -k * sx[1:]], axis=-1)
-        rows = np.arange(m * m).reshape(m, m, 1) + np.array([-m, -1, 0, 1, m])
-        present = np.ones(values.shape, dtype=bool)
-        present[0, :, 0] = present[:, 0, 1] = False
-        present[:, -1, 3] = present[-1, :, 4] = False
-        starts = np.concatenate([[0], np.cumsum(present.sum(axis=-1))])
-        matrix = csc_matrix((values[present], rows[present], starts),
-                            shape=(m * m, m * m))
+        across = (-k * sx[1:-1]).ravel()
+        along = -k * sy[:, 1:]
+        along[:, -1] = 0.0  # (i, m-1) and (i+1, 0) are no neighbours
+        along = along.ravel()[:-1]
+        main = 1.0 + k * ((sx[:-1] + sx[1:]) + (sy[:, :-1] + sy[:, 1:]))
+        matrix = diags([across, along, main.ravel(), along, across],
+                       [-m, -1, 0, 1, m], format="csc")
         try:
             lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       relax=1, panel_size=1)
@@ -262,7 +266,11 @@ class ImplicitFactorization:
                 and np.all(lu.U.diagonal() > 0.0)):
             raise SolverDiverged("implicit operator is not positive definite "
                                  "(SuperLU: a non-positive pivot)")
-        return lu
+
+        def solve(x):
+            for path, row in enumerate(x):
+                x[path] = lu.solve(row)
+        return solve
 
     def solve_batch(self, rhs: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -271,10 +279,10 @@ class ImplicitFactorization:
         A single right-hand side (dof...) is a stack of one, and a
         non-finite right-hand side raises :class:`NonFinite` before
         anything is written. A path's solution has the same bits alone and
-        inside any stack. The solution goes into ``out`` when given (a
-        C-contiguous array of rhs's shape, which may be rhs itself) and is
-        returned. With ``out`` the right-hand side itself, the 1D ``pttrs``
-        solves in place, without a copy.
+        inside any stack. The right-hand side is copied into ``out`` (a
+        new array by default, or a C-contiguous array of rhs's shape, which
+        may be rhs itself so that nothing is copied), solved there in place
+        by the factor's own solve, and returned.
         """
         flat = rhs.reshape(-1, self.grid.dof)
         if not np.all(np.isfinite(flat)):
@@ -282,18 +290,9 @@ class ImplicitFactorization:
         if out is None:
             out = np.empty(rhs.shape)
         solved = out.reshape(flat.shape)  # a view: out is C-contiguous
-        if self._ldl is not None:
-            if out is not rhs:
-                solved[...] = flat
-            x = dpttrs(*self._ldl, solved.T, overwrite_b=True)[0]
-            if not np.may_share_memory(x, solved):
-                solved[...] = x.T
-        elif self._dst_pair is not None:
-            solved[...] = self._dst_pair(
-                flat.reshape((-1,) + self.grid.shape)).reshape(flat.shape)
-        else:
-            for path, row in enumerate(flat):
-                solved[path] = self._lu.solve(row)
+        if out is not rhs:
+            solved[...] = flat
+        self._solve(solved)
         return out
 
 

@@ -355,16 +355,22 @@ def test_static_2d_ladder_factors_each_level_once(monkeypatch):
                       members=2, replicas=2, noise_law="mode_modulated",
                       cell_cells=32)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    factors = []
+    builds, lu_factors = [], []
     init = ImplicitFactorization.__init__
+    factor_2d = ImplicitFactorization._factor_2d
 
-    def recording(self, *args, **kwargs):
+    def counting(self, *args, **kwargs):
+        builds.append(1)
         init(self, *args, **kwargs)
-        factors.append(self._lu is None)
 
-    monkeypatch.setattr(ImplicitFactorization, "__init__", recording)
+    def counting_lu(self):
+        lu_factors.append(1)
+        return factor_2d(self)
+
+    monkeypatch.setattr(ImplicitFactorization, "__init__", counting)
+    monkeypatch.setattr(ImplicitFactorization, "_factor_2d", counting_lu)
     run_ladder(cfg)
-    assert sorted(factors) == [False, False, True]
+    assert (len(builds), len(lu_factors)) == (3, 2)
 
 
 def block_study(family="layered", members=4, replicas=8,
@@ -614,7 +620,7 @@ def level_failure(monkeypatch, cpus, plan):
     advance = BatchedStepper.advance
 
     def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
-        level = 3 if self.tensor is not None else \
+        level = 3 if self._faces is not None else \
             cfg.epsilons.index(self.model.epsilon)
         if plan.get(level) == step_index:
             raise NonFinite(f"level {level} fails", step=step_index)
@@ -825,7 +831,7 @@ def test_split_block_failures_rank_as_one_shard(monkeypatch):
     advance = BatchedStepper.advance
 
     def failing_advance(self, U, xi, t, step_index, *args, **kwargs):
-        level = "effective" if self.tensor is not None else \
+        level = "effective" if self._faces is not None else \
             cfg.epsilons.index(self.model.epsilon)
         if (kwargs.get("first_row") == 16 and step_index == 2
                 and level in (1, "effective")):
@@ -963,6 +969,40 @@ def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
                 stack_face_differences(hom[:, n + 1], grid), slopes, grid)
             corr2 += dt * c2
         assert np.array_equal(corr2, result.raw["corr2"][li]), eps
+
+
+def test_moving_corrector_slopes_keep_the_raw_arrays(monkeypatch):
+    # With several tau slices a time-dependent ladder moves its corrector
+    # slopes: each step n reads them at tau = (n + 1) dt / eps, and the raw
+    # arrays have the same bits on one shard and on three. One CPU keeps
+    # every level in this process, where the slopes' times are seen.
+    cfg = StudyConfig(coefficient=make_coefficient("separable_trig", 1),
+                      grid=GridSpec(1, 64), epsilons=(0.5, 0.25),
+                      stepper=StepperConfig(dt=0.002, horizon=0.01),
+                      members=2, replicas=4, cell_cells=32,
+                      cell_tau_slices=3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    seen = set()
+    original = diagnostics._face_corrector_slopes
+
+    def recording(cell, grid, eps, tau):
+        seen.add((eps, tau))
+        return original(cell, grid, eps, tau)
+
+    monkeypatch.setattr(diagnostics, "_face_corrector_slopes", recording)
+    whole = run_ladder(cfg)
+    dt = cfg.stepper.dt
+    assert {(eps, (n * dt + dt) / eps) for eps in cfg.epsilons
+            for n in range(cfg.stepper.steps)} <= seen
+    monkeypatch.setattr(diagnostics, "_face_corrector_slopes", original)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    split = run_ladder(cfg)
+    assert split.shards == 3
+    assert_no_child_left()
+    assert whole.raw.keys() == split.raw.keys()
+    for key in whole.raw:
+        assert np.array_equal(whole.raw[key], split.raw[key]), key
 
 
 def test_ladder_seed_changes_output():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.fft import dstn
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse import csc_matrix
 
 from twoscale.coefficients import make_coefficient
 from twoscale.errors import (NonFinite, NotDivergenceFree, SolverDiverged,
@@ -177,13 +179,15 @@ def test_constant_faces_apply_the_tensor_operator_bitwise(dimension):
 def test_constant_faces_give_the_tensor_tridiagonal_factor_bitwise():
     grid = GridSpec(1, 128)
     dt = 0.01
+    stack = np.random.default_rng(22).standard_normal((4, grid.dof))
     for value in DIAGONALS[1]:
         tensor = np.array([[value]])
         fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), dt)
         d, e, info = dpttrf(*tensor_tridiagonal_oracle(grid, dt, tensor))
         assert info == 0
-        assert np.array_equal(fac._ldl[0], d)
-        assert np.array_equal(fac._ldl[1], e)
+        expected, info = dpttrs(d, e, stack.T)
+        assert info == 0
+        assert np.array_equal(fac.solve_batch(stack), expected.T)
 
 
 def test_constant_faces_give_the_tensor_2d_inverse_bitwise():
@@ -368,6 +372,60 @@ def test_implicit_2d_rejects_non_finite_faces():
             faces[1][3, 4] = bad
             with pytest.raises(NonFinite):
                 ImplicitFactorization(grid, faces, dt=0.01)
+
+
+def five_point_csc_oracle(grid, faces, dt):
+    """The 5-point I + dt A as CSC, assembled column by column.
+
+    Column (i, j) holds its neighbours (i-1, j), (i, j-1), itself,
+    (i, j+1) and (i+1, j), in row order, where they are interior.
+    """
+    sx, sy = faces
+    m = grid.cells - 1
+    k = dt / grid.h ** 2
+    values = np.stack([
+        -k * sx[:-1], -k * sy[:, :-1],
+        1.0 + k * ((sx[:-1] + sx[1:]) + (sy[:, :-1] + sy[:, 1:])),
+        -k * sy[:, 1:], -k * sx[1:]], axis=-1)
+    rows = np.arange(m * m).reshape(m, m, 1) + np.array([-m, -1, 0, 1, m])
+    present = np.ones(values.shape, dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = False
+    present[:, -1, 3] = present[-1, :, 4] = False
+    starts = np.concatenate([[0], np.cumsum(present.sum(axis=-1))])
+    return csc_matrix((values[present], rows[present], starts),
+                      shape=(m * m, m * m))
+
+
+@pytest.mark.parametrize("cells", [64, 128])
+@pytest.mark.parametrize("kind", ["checkerboard", "random"])
+def test_2d_factor_assembles_the_five_point_matrix_bitwise(monkeypatch, kind,
+                                                          cells):
+    # the matrix built from five diagonals has the column-by-column
+    # assembly's exact CSC arrays, so SuperLU factors the same bits; random
+    # signed faces with a small step keep the operator positive definite
+    grid = GridSpec(2, cells)
+    if kind == "checkerboard":
+        faces = face_coefficients(checkerboard(), grid, 0.25, 0.0)
+        dt = 0.01
+    else:
+        rng = np.random.default_rng(cells)
+        faces = [rng.standard_normal((cells, cells - 1)),
+                 rng.standard_normal((cells - 1, cells))]
+        dt = 1e-6
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(matrix, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    ImplicitFactorization(grid, faces, dt)
+    expected = five_point_csc_oracle(grid, faces, dt)
+    [matrix] = factored
+    assert matrix.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, name), getattr(expected, name))
 
 
 @pytest.mark.parametrize("kind", ["checkerboard", "constant"])
