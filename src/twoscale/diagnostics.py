@@ -387,7 +387,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                 progress(n + 1, steps)
 
     # built before the fork, so the shards inherit the modules it imported
-    # (``scipy.fft`` for a 2D ladder's constant faces)
+    # (``scipy.fft`` for a 2D ladder's effective level)
     steppers[-1].factorization(0.0)
     parallel.run_shards(run_shard, shards, _shard_name)
 

@@ -20,18 +20,18 @@ which the tests assert to solver tolerance.
 ``BatchedStepper`` is the one stepping engine: members (and, in coupled
 studies, whole replica blocks) advance as one (paths, dof) array per level,
 so the per-step cost is a few vectorized array passes plus one direct
-solve against a factor built once per coefficient time: in 1D one LAPACK
-``pttrs`` call on the whole stack against the LDL^T factor from
-``pttrf``; in 2D one SuperLU solve per path, or a DST-I pair for the
-effective level's constant faces (see ``models.ImplicitFactorization``).
-A time-dependent 2D coefficient refactors every step, which costs more
-than the solves of a single path. ``run_ensemble`` returns the energy
-ledger of every member as one ``EnergyLedger`` over a (steps+1, members,
-columns) table. An ensemble of at least
-``parallel.BLOCK_VALUES`` values per usable CPU (64 members on 1024 cells
-on two CPUs) is split by members into one forked shard per CPU; the
-shards step in lockstep, one barrier per step, and every output keeps the
-bits of a one-process run. Smaller ensembles run in this process.
+solve against a factor built once per coefficient time: one LAPACK
+``pttrs`` call on the whole stack, between a DST-I along axis 1 and its
+inverse in 2D, or for checkerboard faces one SuperLU solve per path (see
+``models.ImplicitFactorization``). A time-dependent coefficient refactors
+every step; at 128^2 that factor took 0.3-0.4 ms, about one path's solve
+(a shared 2-core host, one BLAS thread).
+``run_ensemble`` returns the energy ledger of every member as one
+``EnergyLedger`` over a (steps+1, members, columns) table. An ensemble of
+at least ``parallel.BLOCK_VALUES`` values per usable CPU (64 members on
+1024 cells on two CPUs) is split by members into one forked shard per CPU;
+the shards step in lockstep, one barrier per step, and every output keeps
+the bits of a one-process run. Smaller ensembles run in this process.
 """
 from __future__ import annotations
 
@@ -413,7 +413,7 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
 
     # built before the fork: the shards inherit the factor of t0, which
     # step 0 reuses, and the modules it imported (``scipy.fft`` for 2D
-    # constant faces)
+    # faces that vary along axis 0 only)
     stepper.factorization(t0)
     parallel.run_shards(
         run_shard, shards,

@@ -13,18 +13,19 @@ spectral modes. F and G are evaluated on whole (paths, dof) stacks by
 ``integrator.BatchedStepper.explicit_terms``, where mu is the empirical law
 of each replica's members; this module holds their constants.
 
-``ImplicitFactorization`` solves (I + dt A_eps) directly in 1D and 2D:
-LAPACK ``pttrf``/``pttrs`` for the tridiagonal 1D operator, a DST-I pair
-for constant 2D faces and a SuperLU factor of the 5-point 2D matrix
-otherwise, each refusing an operator that is not positive definite.
+``ImplicitFactorization`` solves (I + dt A_eps) directly. Faces that vary
+along axis 0 only (1D, the effective level and every 2D family but the
+checkerboard) get one LAPACK ``pttrf`` factor of the tridiagonal systems
+left by a DST-I along axis 1 (Hockney 1965; Buzbee, Golub and Nielson
+1970); faces that vary along axis 1 get a SuperLU factor of the 5-point
+matrix. Each refuses an operator that is not positive definite.
 ``scipy.fft`` and ``scipy.sparse`` are imported where a factor or
-``leray_project`` first needs them, so a 1D run never loads them; the
-factor that needs ``scipy.fft`` imports it when it is built, which a forked
+``leray_project`` first needs them, so a 1D run never loads them; the 2D
+tridiagonal factor imports ``scipy.fft`` when it is built, which a forked
 run does before it forks (``integrator.run_ensemble`` and
 ``diagnostics.run_ladder`` build their first factor there). Each factor
-returns its own solve, which overwrites a (paths, dof) stack in place;
-``solve_batch`` copies the right-hand side into the caller's buffer (the
-next state buffer, say) and solves it there.
+returns its own solve, which overwrites a (paths, dof) stack in place, and
+``solve_batch`` copies the right-hand side into the caller's buffer.
 
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
@@ -158,19 +159,20 @@ class ImplicitFactorization:
     :func:`face_coefficients` returns them, on every ladder level; the
     effective level's faces are the constants a~[d, d]. The operator is
     factored once, when this object is built, and the factor's solve
-    overwrites a stack of right-hand sides in place:
+    overwrites a stack of right-hand sides in place. The factor is chosen
+    from the faces:
 
-    - 1D: the tridiagonal operator's LDL^T factor from LAPACK ``pttrf``;
-      each solve is one in-place ``pttrs`` call on the whole stack, O(n)
-      per path.
-    - 2D, constant faces c_d: the exact inverse of I + dt (c_x L_x + c_y
-      L_y) by a DST-I pair, whose eigenvalues 1 + dt (c_x lam + c_y mu)
-      must all be positive.
-    - 2D, other faces: the 5-point matrix, built as CSC from its five
-      diagonals, factored by SuperLU ``splu`` with a symmetric
-      minimum-degree ordering and diagonal pivots. Each path is solved on
-      its own, since SuperLU's multi-column solve changes bits with the
-      column count.
+    - 1D, or 2D faces constant along axis 1 (``constant``, ``layered``,
+      ``separable_trig`` and the effective level): a DST-I along axis 1
+      leaves one SPD tridiagonal system along axis 0 per sine mode. LAPACK
+      ``pttrf`` factors them all at once, and one in-place ``pttrs`` call
+      solves the whole stack, before the inverse DST-I. 1D is one mode and
+      no transform.
+    - Other 2D faces (``checkerboard``): the 5-point matrix, built as CSC
+      from its five diagonals, factored by SuperLU ``splu`` with a
+      symmetric minimum-degree ordering and diagonal pivots. Each path is
+      solved on its own, since SuperLU's multi-column solve changes bits
+      with the column count.
 
     A factor that is not positive definite raises :class:`SolverDiverged`,
     and non-finite faces or right-hand sides raise :class:`NonFinite`.
@@ -180,59 +182,55 @@ class ImplicitFactorization:
         self.grid = grid
         self.dt = float(dt)
         self.faces = faces
-        if grid.dimension == 1:
-            self._solve = self._factor_1d()
-            return
         if not all(np.all(np.isfinite(f)) for f in faces):
             raise NonFinite("implicit operator has non-finite entries")
-        if all(np.ptp(f) == 0.0 for f in faces):
-            self._solve = self._factor_constant_2d()
+        if grid.dimension == 1 or not any(np.ptp(f, axis=1).any()
+                                          for f in faces):
+            self._solve = self._factor_tridiagonal()
         else:
             self._solve = self._factor_2d()
 
-    def _factor_1d(self):
-        s = self.faces[0]
-        h2 = self.grid.h ** 2
-        d, e, info = dpttrf(1.0 + self.dt * (s[:-1] + s[1:]) / h2,
-                            -self.dt * s[1:-1] / h2)
+    def _factor_tridiagonal(self):
+        """The tridiagonal systems along axis 0, one per sine mode k of a
+        DST-I along axis 1, with 1 + dt (a_{i-1/2} + a_{i+1/2} + mu_k c_i)
+        / h^2 on the diagonal, faces a along axis 0 and c across it, and
+        mu_k = 4 sin^2(k pi h / 2) (Hockney 1965; Buzbee, Golub and
+        Nielson 1970). They are factored and solved end to end as one
+        system, in which a zero off-diagonal entry between two modes
+        uncouples them exactly."""
+        g = self.grid
+        a = self.faces[0].reshape(g.cells, -1)[:, 0]
+        h2 = g.h ** 2
+        sums = (a[:-1] + a[1:])[None]
+        if g.dimension == 2:
+            from scipy.fft import dst
+            mu = 4.0 * np.sin(np.arange(1, g.cells) * np.pi * g.h / 2.0) ** 2
+            sums = sums + mu[:, None] * self.faces[1][:, 0]
+        off = np.zeros(sums.shape)
+        off[:, :-1] = -self.dt * a[1:-1] / h2
+        d, e, info = dpttrf((1.0 + self.dt * sums / h2).ravel(),
+                            off.ravel()[:-1])
         if info > 0:
             raise SolverDiverged(
                 "implicit operator is not positive definite (LAPACK pttrf: "
-                f"leading minor {info})")
-        # a NaN passes pttrf's d > 0 test; any non-finite entry of the
-        # operator reaches the factor's diagonal
-        if not np.all(np.isfinite(d)):
-            raise NonFinite("implicit operator has non-finite entries")
+                f"mode {(info - 1) // (g.cells - 1) + 1}, leading minor "
+                f"{info})")
+
+        def solve_modes(b):  # (paths, modes x axis-0 nodes)
+            solved = dpttrs(d, e, b.T, overwrite_b=True)[0]
+            if not np.may_share_memory(solved, b):  # LAPACK made a copy
+                b[...] = solved.T
+
+        if g.dimension == 1:
+            return solve_modes
+        scale = 1.0 / (2.0 * g.cells)  # the DST-I is its own inverse up to 2n
 
         def solve(x):
-            solved = dpttrs(d, e, x.T, overwrite_b=True)[0]
-            if not np.may_share_memory(solved, x):  # LAPACK made a copy
-                x[...] = solved.T
-        return solve
-
-    def _factor_constant_2d(self):
-        """The inverse of I + dt (c_x L_x + c_y L_y): an unnormalized DST-I
-        pair around its inverse eigenvalues.
-
-        L_d has the eigenvalues (4/h^2) sin^2(k pi h / 2), k = 1..n-1, and
-        (2n)^2 is the scale of the pair. The faces keep their signs.
-        """
-        from scipy.fft import dstn
-
-        g = self.grid
-        c = [float(f.flat[0]) for f in self.faces]
-        lam = (4.0 / g.h ** 2) * np.sin(
-            np.arange(1, g.cells) * np.pi * g.h / 2.0) ** 2
-        eig = 1.0 + self.dt * (c[0] * lam[:, None] + c[1] * lam[None, :])
-        if not np.all(eig > 0.0):
-            raise SolverDiverged("implicit operator is not positive definite "
-                                 f"(eigenvalue {float(np.min(eig)):.3e})")
-        inverse = 1.0 / ((2.0 * g.cells) ** 2 * eig)
-
-        def solve(x):
-            fields = x.reshape((-1,) + g.shape)
-            x[...] = dstn(dstn(fields, type=1, axes=(-2, -1)) * inverse,
-                          type=1, axes=(-2, -1)).reshape(x.shape)
+            fields = x.reshape((-1,) + g.shape).transpose(0, 2, 1)
+            modes = dst(fields, type=1, axis=1)  # (paths, k, i)
+            solve_modes(modes.reshape(len(x), -1))
+            np.multiply(dst(modes, type=1, axis=1, overwrite_x=True), scale,
+                        out=fields)
         return solve
 
     def _factor_2d(self):

@@ -347,7 +347,8 @@ def test_ladder_2d_runs_many_paths():
 def test_static_2d_ladder_factors_each_level_once(monkeypatch):
     # a checkerboard does not depend on the fast time, so each level is
     # factored once for the whole run: the eps levels by LU, the effective
-    # level, whose faces are the constants a~[d, d], by the DST pair
+    # level, whose faces are the constants a~[d, d], by the tridiagonal
+    # factor
     coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
     cfg = StudyConfig(coefficient=coeff, grid=GridSpec(2, 64),
                       epsilons=(0.5, 0.25),
@@ -800,17 +801,14 @@ def test_ladder_steps_its_states_in_the_shared_rows(monkeypatch):
     assert peak < states.nbytes, (peak, states.nbytes)
 
 
-def test_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(
-        monkeypatch):
-    # three eps levels of one block give one shard per CPU up to three;
-    # LU solves, the DST pair of the effective level and the table noise
-    # synthesis all keep their bits
-    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
-    cfg = StudyConfig(coefficient=coeff, grid=GridSpec(2, 128),
-                      epsilons=(0.5, 0.25, 0.125),
+def assert_2d_ladder_shard_count_free(monkeypatch, family, tau_slices):
+    """Raw arrays of a three-level 128^2 ladder, bitwise at 1, 2 and 3
+    shards: three eps levels of one block give one shard per CPU."""
+    cfg = StudyConfig(coefficient=make_coefficient(family, 2),
+                      grid=GridSpec(2, 128), epsilons=(0.5, 0.25, 0.125),
                       stepper=StepperConfig(dt=0.002, horizon=0.01),
                       members=2, replicas=2, noise_law="mode_modulated",
-                      sigma0=0.5, cell_cells=32)
+                      sigma0=0.5, cell_cells=32, cell_tau_slices=tau_slices)
     results = {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
@@ -821,6 +819,20 @@ def test_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(
         for key in results[1].raw:
             assert np.array_equal(results[cpus].raw[key],
                                   results[1].raw[key]), (cpus, key)
+
+
+def test_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(
+        monkeypatch):
+    # LU solves, the tridiagonal factor of the effective level and the
+    # table noise synthesis all keep their bits
+    assert_2d_ladder_shard_count_free(monkeypatch, "checkerboard", 1)
+
+
+def test_time_dependent_2d_ladder_raw_arrays_do_not_depend_on_the_shard_count(
+        monkeypatch):
+    # every separable_trig level goes through the tridiagonal factor, and
+    # the eps levels refactor it every step
+    assert_2d_ladder_shard_count_free(monkeypatch, "separable_trig", 2)
 
 
 def test_split_block_failures_rank_as_one_shard(monkeypatch):

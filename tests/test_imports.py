@@ -3,11 +3,12 @@
 The toolkit imports ``scipy.fft`` (which loads ``scipy.special``) inside
 the functions that transform, so a 1D ``simulate`` never loads either. The
 cell solve transforms with ``numpy.fft``, so a 1D ``ladder`` never loads
-them either; a 2D ladder's effective level and a constant-face 2D
-``simulate`` step with ``scipy.fft``. A run that forks imports the module
-its shards transform with before the fork, so that no shard pays for the
-import on its own pages. The suite's own imports would hide all of this,
-so every case runs in a new process.
+them either. A 2D ladder's effective level, and a 2D ``simulate`` whose
+faces vary along axis 0 only, step with ``scipy.fft`` (a DST-I along axis
+1 before the tridiagonal solves) and never load ``scipy.sparse``. A run
+that forks imports the module its shards transform with before the fork,
+so that no shard pays for the import on its own pages. The suite's own
+imports would hide all of this, so every case runs in a new process.
 """
 import os
 import subprocess
@@ -67,8 +68,9 @@ horizon = 0.004
 seed = 5
 """
 
-#: Constant faces: the 2D steps are DST-I pairs. 16 members of 63^2 values
-#: split into two shards on two CPUs.
+#: Constant faces: each 2D step is a DST-I, one tridiagonal solve per sine
+#: mode and the inverse DST-I. 16 members of 63^2 values split into two
+#: shards on two CPUs.
 CONSTANT_2D_INI = """
 [grid]
 dimension = 2
@@ -84,6 +86,11 @@ horizon = 0.003
 [run]
 seed = 5
 """
+
+#: Faces that vary along axis 0 and in time: every step refactors the
+#: tridiagonal systems. Split in two like ``CONSTANT_2D_INI``.
+SEPARABLE_2D_INI = CONSTANT_2D_INI.replace("family = layered\nbeta = 0.0",
+                                           "family = separable_trig")
 
 #: eps 1/4 and 1/8 on 128 cells: one block of two eps levels, which split
 #: into two shards on two CPUs.
@@ -130,6 +137,12 @@ FORKING_RUNS = {
 
         assert main(["simulate", "-c", "constant_2d.ini", "-o", "out"]) == 0
         """),
+    "separable_2d_simulate": ("scipy.fft", """
+        from twoscale.cli import main
+
+        assert main(["simulate", "-c", "separable_2d.ini", "-o", "out"]) == 0
+        assert "scipy.sparse" not in sys.modules
+        """),
 }
 
 
@@ -174,8 +187,9 @@ def test_ladder_1d_never_loads_scipy_fft_or_scipy_special(tmp_path):
 @pytest.mark.parametrize("run", sorted(FORKING_RUNS))
 def test_the_shards_transform_module_is_loaded_before_every_fork(tmp_path,
                                                                   run):
-    (tmp_path / "constant_2d.ini").write_text(CONSTANT_2D_INI,
-                                              encoding="utf-8")
+    for name, ini in [("constant_2d", CONSTANT_2D_INI),
+                      ("separable_2d", SEPARABLE_2D_INI)]:
+        (tmp_path / f"{name}.ini").write_text(ini, encoding="utf-8")
     transform, code = FORKING_RUNS[run]
     forks = run_python(f"TRANSFORM = {transform!r}\n" + RECORD_FORKS
                        + textwrap.dedent(code) + "print(forks)\n", tmp_path)

@@ -131,6 +131,12 @@ def tensor_tridiagonal_oracle(grid, dt, tensor):
             np.full(n - 2, -dt * t00 / h2))
 
 
+def assert_relative(actual, expected, rtol):
+    """Every entry within rtol of the largest entry of ``expected``."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
 def tensor_solve_oracle(grid, dt, tensor, rhs):
     """I + dt A for a diagonal 2D tensor, inverted by a DST-I pair."""
     c = [float(tensor[d, d]) for d in range(2)]
@@ -190,17 +196,18 @@ def test_constant_faces_give_the_tensor_tridiagonal_factor_bitwise():
         assert np.array_equal(fac.solve_batch(stack), expected.T)
 
 
-def test_constant_faces_give_the_tensor_2d_inverse_bitwise():
-    # the effective level's constant faces a~[d, d] are solved by the DST
-    # pair of the tensor's own diagonal
+def test_constant_faces_match_the_tensor_2d_inverse():
+    # the effective level's constant faces a~[d, d] go through the
+    # tridiagonal factor, which matches the DST pair of the tensor's own
+    # diagonal to round-off, not in every bit
     grid = GridSpec(2, 32)
     dt = 0.001
     stack = np.random.default_rng(23).standard_normal((3, grid.dof))
     for diagonal in DIAGONALS[2]:
         tensor = np.diag(diagonal)
         fac = ImplicitFactorization(grid, _effective_faces(grid, tensor), dt)
-        assert np.array_equal(fac.solve_batch(stack),
-                              tensor_solve_oracle(grid, dt, tensor, stack))
+        assert_relative(fac.solve_batch(stack),
+                        tensor_solve_oracle(grid, dt, tensor, stack), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +344,26 @@ def checkerboard():
     return make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
 
 
+def faces_2d(kind, grid):
+    """2D faces that vary along both axes (the checkerboard), along axis 0
+    only (separable_trig at a time between its extremes) or nowhere (the
+    effective level's a~[d, d])."""
+    if kind == "checkerboard":
+        return face_coefficients(checkerboard(), grid, 0.25, 0.0)
+    if kind == "separable_trig":
+        return face_coefficients(make_coefficient("separable_trig", 2), grid,
+                                 0.25, 0.37)
+    return _effective_faces(grid, np.diag([1.75, 2.5]))
+
+
+def superlu_oracle(grid, faces, dt):
+    """The SuperLU factor of the 5-point matrix, whatever the faces."""
+    oracle = object.__new__(ImplicitFactorization)
+    oracle.grid, oracle.faces, oracle.dt = grid, faces, dt
+    oracle._solve = oracle._factor_2d()
+    return oracle
+
+
 def negative_checkerboard_faces(grid):
     """2D faces of -1 and +3 in a checkerboard: I + dt A is indefinite
     for dt = 0.1 on 16^2, though every diagonal entry is positive."""
@@ -346,16 +373,21 @@ def negative_checkerboard_faces(grid):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind", ["constant", "checkerboard"])
+@pytest.mark.parametrize("kind", ["constant", "layers", "checkerboard"])
 def test_implicit_2d_factor_refuses_an_indefinite_operator(kind):
-    # Negative faces make I + dt A indefinite. The constant faces of -1 are
-    # solved by the DST pair, whose eigenvalues 1 + dt(c_x lam + c_y mu)
-    # keep the faces' signs; the checkerboard goes through the LU factor,
-    # which must meet a non-positive pivot. Neither may return a solver
-    # for the wrong system.
+    # Negative faces make I + dt A indefinite. Constant faces of -1, and
+    # layers of -1 and +3 along axis 0, go through one tridiagonal system
+    # per sine mode, and some mode's pttrf must meet a non-positive pivot;
+    # the checkerboard goes through the LU factor, which must meet one
+    # too. None may return a solver for the wrong system.
     grid = GridSpec(2, 16)
-    faces = ([np.full((16, 15), -1.0), np.full((15, 16), -1.0)]
-             if kind == "constant" else negative_checkerboard_faces(grid))
+    if kind == "constant":
+        faces = [np.full((16, 15), -1.0), np.full((15, 16), -1.0)]
+    elif kind == "layers":
+        faces = [np.repeat(np.where(np.arange(n) % 2, 3.0, -1.0)[:, None],
+                           m, axis=1) for n, m in [(16, 15), (15, 16)]]
+    else:
+        faces = negative_checkerboard_faces(grid)
     dense = np.eye(grid.dof) + 0.1 * np.array(
         [_apply_faces(e.reshape(grid.shape), faces, grid.h).ravel()
          for e in np.eye(grid.dof)]).T
@@ -428,19 +460,75 @@ def test_2d_factor_assembles_the_five_point_matrix_bitwise(monkeypatch, kind,
         assert np.array_equal(getattr(matrix, name), getattr(expected, name))
 
 
-@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+def axis_0_faces(kind, grid):
+    """2D faces of every kind that varies along axis 0 only."""
+    if kind == "random":  # positive, one value per row
+        rng = np.random.default_rng(grid.cells)
+        return [np.repeat(rng.uniform(0.5, 3.0, (n, 1)), m, axis=1)
+                for n, m in [(grid.cells, grid.cells - 1),
+                             (grid.cells - 1, grid.cells)]]
+    if kind in ("constant", "layered"):
+        coeff = (make_coefficient("constant", 2, value=1.5)
+                 if kind == "constant" else make_coefficient("layered", 2))
+        return face_coefficients(coeff, grid, 0.125, 0.0)
+    return faces_2d(kind, grid)
+
+
+@pytest.mark.parametrize("cells", [64, 128])
+@pytest.mark.parametrize("kind", ["constant", "layered", "separable_trig",
+                                  "effective", "random"])
+def test_tridiagonal_2d_factor_matches_the_superlu_oracle(kind, cells):
+    grid = GridSpec(2, cells)
+    faces = axis_0_faces(kind, grid)
+    stack = np.random.default_rng(24).standard_normal((8, grid.dof))
+    for dt in (1e-3, 1e-2):
+        assert_relative(ImplicitFactorization(grid, faces, dt).solve_batch(
+            stack), superlu_oracle(grid, faces, dt).solve_batch(stack), 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "constant", "layered",
+                                  "separable_trig", "effective", "random"])
+def test_the_2d_factor_is_chosen_from_the_faces(monkeypatch, kind):
+    # only faces that vary along axis 1 reach SuperLU
+    grid = GridSpec(2, 32)
+    faces = (faces_2d(kind, grid) if kind == "checkerboard"
+             else axis_0_faces(kind, grid))
+    factored = []
+
+    def recording(name):
+        method = getattr(ImplicitFactorization, name)
+
+        def factor(self):
+            factored.append(name)
+            return method(self)
+        return factor
+
+    for name in ("_factor_2d", "_factor_tridiagonal"):
+        monkeypatch.setattr(ImplicitFactorization, name, recording(name))
+    ImplicitFactorization(grid, faces, dt=0.01)
+    assert factored == (["_factor_2d"] if kind == "checkerboard"
+                        else ["_factor_tridiagonal"])
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "constant",
+                                  "separable_trig"])
 def test_direct_2d_solve_matches_dense(kind):
-    # The LU factor (oscillating faces) and the DST pair (constant faces)
-    # are both direct: each path matches a dense solve to round-off.
+    # The LU factor (the checkerboard) and the tridiagonal factor (faces
+    # that vary along axis 0 only) are both direct: each path matches a
+    # dense solve to round-off.
     grid = GridSpec(2, 16)
     dt = 0.01
     if kind == "checkerboard":
         faces = face_coefficients(checkerboard(), grid, 0.25, 0.0)
         dense = _dense_implicit(grid, checkerboard(), 0.25, dt)
-    else:
+    elif kind == "constant":
         tensor = np.diag([1.75, 2.5])
         faces = _effective_faces(grid, tensor)
         dense = _dense_tensor(grid, dt, tensor)
+    else:
+        faces = faces_2d(kind, grid)
+        dense = _dense(grid, dt, lambda u: ScalarField(
+            grid, _apply_faces(u.values, faces, grid.h)))
     fac = ImplicitFactorization(grid, faces, dt)
     stack = np.random.default_rng(12).standard_normal((3, grid.dof))
     np.testing.assert_allclose(fac.solve_batch(stack),
@@ -448,15 +536,14 @@ def test_direct_2d_solve_matches_dense(kind):
                                rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+@pytest.mark.parametrize("kind", ["checkerboard", "constant",
+                                  "separable_trig"])
 def test_implicit_2d_path_has_the_same_bits_alone_and_in_a_stack(kind):
-    # each path is solved on its own, so the stack a path comes in (a
-    # ladder block, a simulate shard's rows) cannot change its bits
+    # each path is transformed and solved on its own, so the stack a path
+    # comes in (a ladder block, a simulate shard's rows) cannot change its
+    # bits
     grid = GridSpec(2, 32)
-    faces = (face_coefficients(checkerboard(), grid, 0.25, 0.0)
-             if kind == "checkerboard"
-             else _effective_faces(grid, np.diag([1.75, 2.5])))
-    fac = ImplicitFactorization(grid, faces, dt=0.01)
+    fac = ImplicitFactorization(grid, faces_2d(kind, grid), dt=0.01)
     stack = np.random.default_rng(14).standard_normal((5, grid.dof))
     out = fac.solve_batch(stack)
     for row, expected in zip(stack, out):
@@ -467,19 +554,19 @@ def test_implicit_2d_path_has_the_same_bits_alone_and_in_a_stack(kind):
         out.reshape((5,) + grid.shape))
 
 
-@pytest.mark.parametrize("kind", ["tridiagonal", "checkerboard", "constant"])
+@pytest.mark.parametrize("kind", ["tridiagonal", "checkerboard", "constant",
+                                  "separable_trig"])
 def test_solve_into_out_keeps_the_bits(kind):
-    # pttrs solving in place, the per-path LU solves and the DST pair all
-    # write into out the bits of a call without it: a new array, the
-    # right-hand side itself, or a block of rows of a larger array
+    # pttrs solving in place, with or without a DST on either side, and
+    # the per-path LU solves all write into out the bits of a call without
+    # it: a new array, the right-hand side itself, or a block of rows of a
+    # larger array
     if kind == "tridiagonal":
         grid = GridSpec(1, 64)
         faces = face_coefficients(layered(), grid, 0.125, 0.0)
     else:
         grid = GridSpec(2, 32)
-        faces = (face_coefficients(checkerboard(), grid, 0.25, 0.0)
-                 if kind == "checkerboard"
-                 else _effective_faces(grid, np.diag([1.75, 2.5])))
+        faces = faces_2d(kind, grid)
     fac = ImplicitFactorization(grid, faces, dt=0.01)
     stack = np.random.default_rng(15).standard_normal((5, grid.dof))
     expected = fac.solve_batch(stack)
@@ -521,18 +608,16 @@ def test_implicit_2d_rejects_non_finite_rhs():
         fac.solve_batch(rhs)
 
 
-def test_implicit_cg_converged_zero_row_does_not_break_down():
-    # A zero right-hand side is converged from the start (p = 0, p.Ap = 0)
-    # and must not stop the other paths of the stack.
+@pytest.mark.parametrize("kind", ["checkerboard", "separable_trig"])
+def test_implicit_2d_zero_row_stays_zero_in_a_stack(kind):
+    # a zero right-hand side solves to zero, and the path beside it keeps
+    # the bits of its lone solve
     grid = GridSpec(2, 16)
-    coeff = make_coefficient("checkerboard", 2, low=1.0, high=3.0, width=0.05)
-    fac = ImplicitFactorization(
-        grid, face_coefficients(coeff, grid, 0.25, 0.0), dt=0.01)
+    fac = ImplicitFactorization(grid, faces_2d(kind, grid), dt=0.01)
     row = np.random.default_rng(5).standard_normal(grid.dof)
     out = fac.solve_batch(np.stack([np.zeros(grid.dof), row]))
     assert np.array_equal(out[0], np.zeros(grid.dof))
-    alone = fac.solve_batch(row)
-    assert np.max(np.abs(out[1] - alone)) <= 1e-8 * np.max(np.abs(alone))
+    assert np.array_equal(out[1], fac.solve_batch(row))
 
 
 # ---------------------------------------------------------------------------
