@@ -110,7 +110,7 @@ class CoefficientField:
         if self.family == "constant":
             shape = np.broadcast_shapes(*(np.shape(c) for c in y))
             base = np.broadcast_to(p["value"], shape).astype(float)
-            return base.copy() if base.shape else float(p["value"])
+            return base if base.shape else float(p["value"])
         y1 = _frac(y[0])
         if self.family == "layered":
             return p["alpha"] + p["beta"] * np.sin(2.0 * np.pi * y1)

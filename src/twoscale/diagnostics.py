@@ -13,8 +13,9 @@ accumulators then measure, per path,
 
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 45.7 and 58.8 s in
-two runs on a shared 2-core host in two processes, against 114.2 s in one.
+on 1024 cells (the acceptance reference ladder) took 34.7 and 37.8 s in
+two runs on a shared 2-core host in two processes, against 69.6 and
+70.4 s in one.
 """
 from __future__ import annotations
 
@@ -387,7 +388,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                 progress(n + 1, steps)
 
     # built before the fork, so the shards inherit the modules it imported
-    # (``scipy.fft`` for a 2D ladder's effective level)
+    # (``scipy.linalg``, and ``scipy.fft`` for a 2D ladder's effective level)
     steppers[-1].factorization(0.0)
     parallel.run_shards(run_shard, shards, _shard_name)
 

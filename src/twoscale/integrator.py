@@ -412,8 +412,8 @@ def run_ensemble(ensemble: Ensemble, model: ModelSpec, config: StepperConfig,
             record(n + 1, t0 + (n + 1) * config.dt, U_new, diffs)
 
     # built before the fork: the shards inherit the factor of t0, which
-    # step 0 reuses, and the modules it imported (``scipy.fft`` for 2D
-    # faces that vary along axis 0 only)
+    # step 0 reuses, and the modules it imported (``scipy.linalg``, with
+    # ``scipy.fft`` or ``scipy.sparse`` in 2D)
     stepper.factorization(t0)
     parallel.run_shards(
         run_shard, shards,

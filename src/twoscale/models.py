@@ -19,13 +19,16 @@ checkerboard) get one LAPACK ``pttrf`` factor of the tridiagonal systems
 left by a DST-I along axis 1 (Hockney 1965; Buzbee, Golub and Nielson
 1970); faces that vary along axis 1 get a SuperLU factor of the 5-point
 matrix. Each refuses an operator that is not positive definite.
-``scipy.fft`` and ``scipy.sparse`` are imported where a factor or
-``leray_project`` first needs them, so a 1D run never loads them; the 2D
-tridiagonal factor imports ``scipy.fft`` when it is built, which a forked
-run does before it forks (``integrator.run_ensemble`` and
-``diagnostics.run_ladder`` build their first factor there). Each factor
-returns its own solve, which overwrites a (paths, dof) stack in place, and
-``solve_batch`` copies the right-hand side into the caller's buffer.
+No ``scipy`` module is imported with this module. The tridiagonal factor
+imports ``scipy.linalg`` (and ``scipy.fft`` in 2D) when it is built, the
+SuperLU factor ``scipy.sparse``, and ``leray_project`` ``scipy.fft``, so a
+1D run never loads ``scipy.fft`` or ``scipy.sparse``, and a run that builds
+no factor (``cell``, ``report``) loads none of them. A forked run builds
+its first factor before it forks (``integrator.run_ensemble`` and
+``diagnostics.run_ladder``), so no shard imports them for itself. Each
+factor returns its own solve, which overwrites a (paths, dof) stack in
+place, and ``solve_batch`` copies the right-hand side into the caller's
+buffer.
 
 ``check_B_local_monotonicity`` fits the constant of the advection
 local-monotonicity bound. The other structural assumptions of the analysis
@@ -38,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientField
 from .errors import (NonFinite, NotDivergenceFree, SolverDiverged,
@@ -198,6 +200,8 @@ class ImplicitFactorization:
         Nielson 1970). They are factored and solved end to end as one
         system, in which a zero off-diagonal entry between two modes
         uncouples them exactly."""
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         g = self.grid
         a = self.faces[0].reshape(g.cells, -1)[:, 0]
         h2 = g.h ** 2

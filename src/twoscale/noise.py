@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .grid import GridSpec
+from .grid import GridSpec, ScalarField
 
 __all__ = [
     "QWienerSpec",
@@ -242,8 +242,6 @@ def sample_increment(stream: NoiseStream, dt: float):
     Synthesis: sum_k sqrt(lambda_k * dt) * xi_k * e_k. Advances the stream
     counter by the mode count.
     """
-    from .grid import ScalarField
-
     if not dt > 0:
         raise ValueError("dt must be positive")
     spec = stream.spec

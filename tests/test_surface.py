@@ -3,17 +3,17 @@
 Every name in a toolkit module's ``__all__`` must be used in code by
 another module or function of the toolkit, by the benchmark under
 ``perfbench/``, or by the acceptance suite. A helper that only its own unit
-tests call belongs in ``tests/``, next to them. The package ``__init__``
-(which lists modules) is exempt. Every error class of ``errors.py`` must be raised or caught by
-another toolkit module: a class that only tests raise tells a user about a
-failure that cannot happen, so it lives in those tests.
+tests call belongs in ``tests/``, next to them. The rule covers every
+module, since the package ``__init__`` exports nothing. Every error class
+of ``errors.py`` must be raised or caught by another toolkit module: a
+class that only tests raise tells a user about a failure that cannot
+happen, so it lives in those tests.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twoscale"
-EXEMPT = ("__init__.py",)
 
 
 def parse(path: Path) -> ast.Module:
@@ -62,8 +62,6 @@ def test_every_export_is_reached_outside_the_unit_tests():
     reached = used_names(parse(path) for path in outside)
     unreached = []
     for path, tree in trees.items():
-        if path.name in EXEMPT:
-            continue
         others = used_names(t for p, t in trees.items() if p != path)
         for name in exports(tree):
             own = used_names(n for n in tree.body if not defines(n, name))
