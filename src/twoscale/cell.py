@@ -17,16 +17,17 @@ collapses to the harmonic mean of a, which is the classical sharp answer,
 and the discrete correctors satisfy eta'(y) = a_eff/a(y) - 1 up to solver
 tolerance.
 
-The solver is conjugate gradients on the singular but consistent system
-(constants span the kernel), preconditioned by the exact FFT inverse of the
-constant-coefficient periodic operator whose per-axis coefficient is the
-mean of that axis's absolute faces (Moulinec & Suquet 1998). Each (slice,
-direction) item is its own solve, and the items are split over
-forked processes when each gets at least ``parallel.BLOCK_VALUES`` values
-(a 256^2 cell's two directions run in two processes), with results in
-shared memory, so the process count changes no bit. The constant mode is
-projected out of the residual at every iteration and the final corrector
-is recentred to zero mean.
+The solver is this module's conjugate gradients, to a relative residual
+of ``CG_TOL``, on the singular but consistent system (constants span the
+kernel), preconditioned by the exact FFT inverse of the constant-coefficient
+periodic operator whose per-axis coefficient is the mean of that axis's
+absolute faces (Moulinec & Suquet 1998). Each (slice, direction) item is
+its own solve, and the items are split over forked processes when each
+gets at least ``parallel.BLOCK_VALUES`` values (a 256^2 cell's two
+directions run in two processes), with results in shared memory, so the
+process count changes no bit. The constant mode is projected out of the
+residual at every iteration and the final corrector is recentred to zero
+mean.
 
 The preconditioner's transforms are ``numpy.fft``'s, which hold the bits
 of ``scipy.fft``'s on numpy 2.4 and scipy 1.17 (measured, not promised),
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import parallel
 from .coefficients import CoefficientField, fast_axes
-from .errors import ValidationError
-from .grid import is_power_of_two, preconditioned_cg
+from .errors import NonFinite, SolverDiverged, ValidationError
+from .grid import is_power_of_two
 
 __all__ = [
     "CellGrid",
@@ -54,6 +55,8 @@ __all__ = [
     "solve_cell_problem",
     "corrector_slopes",
 ]
+
+CG_TOL = 1e-10  # relative residual at which the cell CG stops
 
 
 @dataclass(frozen=True)
@@ -194,8 +197,59 @@ def _flux_averages(faces: list[np.ndarray], eta: np.ndarray, k: int,
     return out
 
 
-def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
-                       tol: float = 1e-10) -> CellSolution:
+def _preconditioned_cg(apply, precondition, project, b: np.ndarray,
+                       limit: int) -> tuple[np.ndarray, float, int]:
+    """(x, relative residual, iterations) of the cell CG on b, stopped at
+    ||b - A x|| <= ``CG_TOL`` ||b||; a zero b takes no iteration.
+
+    ``project`` is applied to b and to every residual. Raises
+    :class:`NonFinite` on a non-finite b and :class:`SolverDiverged` when
+    r.z <= 0 or p.Ap <= 0 or when ``limit`` iterations pass.
+    """
+    def dot(u: np.ndarray, v: np.ndarray) -> float:
+        # einsum's row sum: another summation order moves the correctors' bits
+        return np.einsum("ij,ij->i", u.reshape(1, -1), v.reshape(1, -1))[0]
+
+    def diverged(why: str) -> SolverDiverged:
+        worst = float(np.sqrt(rr) / scale)
+        return SolverDiverged(f"cell CG {why} (relative residual "
+                              f"{worst:.3e})", iterations=it, residual=worst)
+
+    b = project(b)
+    b_norm = np.sqrt(dot(b, b))
+    if not np.isfinite(b_norm):
+        raise NonFinite("cell CG got a non-finite right-hand side")
+    scale = b_norm if b_norm > 0 else 1.0
+    x = np.zeros_like(b)
+    r = b.copy()
+    rr = dot(r, r)
+    p = z = precondition(r)
+    rz = dot(r, z)
+    it = 0
+    while np.sqrt(rr) > CG_TOL * b_norm:
+        if it >= limit:
+            raise diverged(f"exceeded {limit} iterations")
+        if not rz > 0:
+            raise diverged("has an indefinite preconditioner (r.z <= 0)")
+        ap = apply(p)
+        pap = dot(p, ap)
+        if not pap > 0:
+            raise diverged("lost positive definiteness (p.Ap <= 0)")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        r = project(r)
+        rr = dot(r, r)
+        z = precondition(r)
+        rz_next = dot(r, z)
+        p = z + rz_next / rz * p
+        rz = rz_next
+        it += 1
+    return x, float(np.sqrt(rr) / scale), it
+
+
+def solve_cell_problem(coeff: CoefficientField,
+                       grid: CellGrid) -> CellSolution:
     """Solve the periodic cell problems on every tau slice.
 
     The (tau slice, direction) items are split into contiguous runs, one
@@ -206,7 +260,6 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
     Args:
         coeff: the oscillating coefficient field (diagonal-scalar).
         grid: cell discretization; grid.dimension must match the field.
-        tol: relative CG residual target.
 
     Returns:
         A :class:`CellSolution` with zero-mean correctors, per-slice
@@ -238,11 +291,11 @@ def solve_cell_problem(coeff: CoefficientField, grid: CellGrid,
             faces = [_face_coefficients(s_cells, axis) for axis in range(dim)]
             inverse = _periodic_inverse(faces, grid.h)
             b = (faces[k] - np.roll(faces[k], 1, axis=k)) / grid.h
-            eta, residuals[s, k], iterations[s, k] = preconditioned_cg(
+            eta, residuals[s, k], iterations[s, k] = _preconditioned_cg(
                 lambda v: _apply_periodic_operator(v, faces, grid.h),
                 lambda v: irfftn(rfftn(v, axes=axes) * inverse, s=grid.shape,
                                  axes=axes),
-                b, tol, max_iter, "cell CG", project=mean_free)
+                mean_free, b, max_iter)
             correctors[s, k] = mean_free(eta)
             slice_tensors[s, :, k] = _flux_averages(faces, correctors[s, k],
                                                     k, grid.h)

@@ -10,7 +10,8 @@ Subcommands map one-to-one onto module operations:
   corrector  the ladder under a second name: the same archive, whose
              report holds the plain and corrected gradient residuals
   report     re-render report.json and report.csv from a stored raw.npz,
-             after checking every other file the manifest lists
+             which ``diagnostics.load_raw`` checks, after checking every
+             other file the manifest lists
 
 Every run directory receives a deterministic manifest.json (config
 digest, seed, per-file sha256) and a volatile run_info.json (wall clock,
@@ -33,7 +34,6 @@ import json
 import os
 import sys
 import time
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,8 @@ import numpy as np
 from . import __version__
 from .cell import solve_cell_problem
 from .config import RunConfig, parse_config
-from .diagnostics import reduce_raw, run_ladder, sine_initial_state
+from .diagnostics import (load_raw, reduce_raw, run_ladder,
+                          sine_initial_state)
 from .ensemble import Ensemble
 from .errors import ConfigError, IntegrityError, InternalError, ToolkitError
 from .grid import ScalarField
@@ -272,7 +273,7 @@ def _cmd_report(args) -> int:
     if "raw.npz" not in manifest["files"]:
         raise IntegrityError("archive has no digest entry for 'raw.npz'",
                              path=str(out / "raw.npz"))
-    report = reduce_raw(_load_raw(out / "raw.npz"))
+    report = reduce_raw(load_raw(out / "raw.npz"))
     written = _render_ladder(out, report)
     refreshed = sorted(set(manifest["files"]) | set(written))
     carried = {k: v for k, v in manifest.items()
@@ -282,64 +283,6 @@ def _cmd_report(args) -> int:
                    refreshed, extra=carried)
     print(str(out))
     return 0
-
-
-_ACCUMULATORS = ("err2", "plain2", "corr2", "pairing")
-_LEVEL_ROWS = ("sup_h2", "int_v2", "int_l4")
-_RAW_KEYS = (("epsilons", "shape", "dt", "grid_scale", "a_tilde",
-              "final_states") + _ACCUMULATORS + _LEVEL_ROWS)
-
-
-def _load_raw(path: Path) -> dict:
-    """The arrays of a stored ladder archive, laid out as ``run_ladder``
-    writes them. Raises :class:`IntegrityError` when the file is not an npz
-    archive, or naming the first array that is missing, is not real and
-    finite, is misshapen, or has a sign that ``run_ladder`` cannot write."""
-    def bad(key: str, why: str) -> IntegrityError:
-        return IntegrityError(f"{path}: array {key!r} {why}", path=str(path))
-
-    try:
-        with np.load(path) as archive:
-            raw = {k: archive[k] for k in archive.files}
-    except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise IntegrityError(f"{path}: not a readable npz archive ({exc})",
-                             path=str(path)) from None
-    for key in _RAW_KEYS:
-        if key not in raw:
-            raise bad(key, "is missing")
-        if raw[key].dtype.kind not in "fiu":
-            raise bad(key, f"has dtype {raw[key].dtype}, not real numbers")
-        if not np.all(np.isfinite(raw[key])):
-            raise bad(key, "has non-finite values")
-    eps, shape, states = raw["epsilons"], raw["shape"], raw["final_states"]
-    if (eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0)
-            or np.any(np.diff(eps) >= 0)):
-        raise bad("epsilons", "is not a strictly decreasing list of "
-                              "positive values")
-    if (shape.shape != (3,) or shape.dtype.kind not in "iu"
-            or not np.all(shape >= 1)):
-        raise bad("shape", "is not three counts >= 1 (replicas, members, "
-                           "steps)")
-    levels, paths = eps.size, int(shape[0]) * int(shape[1])
-    expected = {
-        "dt": (1,), "grid_scale": (1,),
-        "a_tilde": raw["a_tilde"].shape[:1] * 2,
-        **dict.fromkeys(_ACCUMULATORS, (levels, paths)),
-        **dict.fromkeys(_LEVEL_ROWS, (levels + 1, paths)),
-        "final_states": (levels + 1, paths,
-                         states.shape[-1] if states.ndim == 3 else "dof"),
-    }
-    for key, want in expected.items():
-        if raw[key].shape != want:
-            raise bad(key, f"has shape {raw[key].shape}, but 'epsilons' and "
-                           f"'shape' ask for {want}")
-    for key in ("dt", "grid_scale"):
-        if not raw[key][0] > 0:
-            raise bad(key, "is not positive")
-    for key in ("err2", "plain2", "corr2", *_LEVEL_ROWS):  # squared norms
-        if np.any(raw[key] < 0):
-            raise bad(key, "has negative values")
-    return raw
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from . import parallel
 from .cell import CellGrid, CellSolution, corrector_slopes, solve_cell_problem
 from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 from .grid import (GridSpec, adjacent_pairs, face_energy, face_sums,
-                   stack_face_differences)
+                   is_power_of_two, stack_face_differences)
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -43,7 +45,9 @@ __all__ = [
     "StudyConfig",
     "ConvergenceReport",
     "LadderResult",
+    "ACCUMULATORS",
     "run_ladder",
+    "load_raw",
     "reduce_raw",
 ]
 
@@ -144,6 +148,16 @@ class StudyConfig:
     def initial_values(self) -> np.ndarray:
         return sine_initial_state(self.grid, self.initial_amplitude,
                                   self.initial_mode).reshape(-1)
+
+
+# The per-path accumulators that open raw.npz, in its order, before
+# "final_states": (name, whether a last row holds the effective level,
+# whether it sums squares, so that no entry is negative). A row holds one
+# number per path, and the other rows are the eps levels.
+ACCUMULATORS = (("err2", False, True), ("plain2", False, True),
+                ("corr2", False, True), ("pairing", False, False),
+                ("sup_h2", True, True), ("int_v2", True, True),
+                ("int_l4", True, True))
 
 
 @dataclass
@@ -322,11 +336,12 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                   items, min(parallel.usable_cpus(), len(items)))]
     u0 = cfg.initial_values()
 
-    # streaming accumulators, all shaped (levels, paths), and the final
-    # states, shared with the forked shards
-    (err2, plain2, corr2, pairing, sup_h2, int_v2, int_l4,
-     final_states) = parallel.shared_zeros(
-        [(n_eps, P)] * 4 + [(n_eps + 1, P)] * 3 + [(n_eps + 1, P, grid.dof)])
+    # streaming accumulators and the final states, shared with the forked
+    # shards
+    *accumulators, final_states = parallel.shared_zeros(
+        [(n_eps + effective, P) for _, effective, _ in ACCUMULATORS]
+        + [(n_eps + 1, P, grid.dof)])
+    err2, plain2, corr2, pairing, sup_h2, int_v2, int_l4 = accumulators
     # every level starts from u0, so its energy sup starts at u0's
     final_states[:] = u0
     sup_h2[:] = steppers[0].energy_rows(u0[None])["H2"]
@@ -393,8 +408,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     parallel.run_shards(run_shard, shards, _shard_name)
 
     raw = {
-        "err2": err2, "plain2": plain2, "corr2": corr2, "pairing": pairing,
-        "sup_h2": sup_h2, "int_v2": int_v2, "int_l4": int_l4,
+        **{name: acc for (name, *_), acc in zip(ACCUMULATORS, accumulators)},
         "final_states": final_states,
         "epsilons": np.array(eps_list), "a_tilde": np.atleast_2d(a_tilde),
         "grid_scale": np.array([hN]),
@@ -411,6 +425,64 @@ def _shard_name(shard: list) -> str:
     return (f"ladder shard of paths {shard[0][0].start}.."
             f"{shard[-1][0].stop - 1}, eps levels {min(levels)}.."
             f"{max(levels)}")
+
+
+def load_raw(path: Path) -> dict:
+    """The arrays of a stored ladder archive, laid out as ``run_ladder``
+    writes them. Raises :class:`IntegrityError` when the file is not an npz
+    archive, or naming the first array that is missing, is not real and
+    finite, is misshapen, or has a sign that ``run_ladder`` cannot write."""
+    def bad(key: str, why: str) -> IntegrityError:
+        return IntegrityError(f"{path}: array {key!r} {why}", path=str(path))
+
+    try:
+        with np.load(path) as archive:
+            raw = {k: archive[k] for k in archive.files}
+    except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise IntegrityError(f"{path}: not a readable npz archive ({exc})",
+                             path=str(path)) from None
+    for key in ("epsilons", "shape", "dt", "grid_scale", "a_tilde",
+                "final_states", *(name for name, *_ in ACCUMULATORS)):
+        if key not in raw:
+            raise bad(key, "is missing")
+        if raw[key].dtype.kind not in "fiu":
+            raise bad(key, f"has dtype {raw[key].dtype}, not real numbers")
+        if not np.all(np.isfinite(raw[key])):
+            raise bad(key, "has non-finite values")
+    eps, shape, states = raw["epsilons"], raw["shape"], raw["final_states"]
+    if (eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0)
+            or np.any(np.diff(eps) >= 0)):
+        raise bad("epsilons", "is not a strictly decreasing list of "
+                              "positive values")
+    if (shape.shape != (3,) or shape.dtype.kind not in "iu"
+            or not np.all(shape >= 1)):
+        raise bad("shape", "is not three counts >= 1 (replicas, members, "
+                           "steps)")
+    levels, paths = eps.size, int(shape[0]) * int(shape[1])
+    dof = states.shape[-1] if states.ndim == 3 else "dof"
+    # N x N for the final states' (cells - 1)^N nodes, as no (2^k - 1)^2
+    # is 2^j - 1 for k > 1; any square passes with misshapen states
+    side = ((1 if is_power_of_two(dof + 1) else 2,) if states.ndim == 3
+            else raw["a_tilde"].shape[:1])
+    expected = {
+        "dt": (1,), "grid_scale": (1,), "a_tilde": side * 2,
+        **{name: (levels + effective, paths)
+           for name, effective, _ in ACCUMULATORS},
+        "final_states": (levels + 1, paths, dof),
+    }
+    for key, want in expected.items():
+        if raw[key].shape != want:
+            asks = ("'final_states' asks" if key == "a_tilde"
+                    else "'epsilons' and 'shape' ask")
+            raise bad(key, f"has shape {raw[key].shape}, but {asks} for "
+                           f"{want}")
+    for key in ("dt", "grid_scale"):
+        if not raw[key][0] > 0:
+            raise bad(key, "is not positive")
+    for name, _, squares in ACCUMULATORS:
+        if squares and np.any(raw[name] < 0):
+            raise bad(name, "has negative values")
+    return raw
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:

@@ -24,11 +24,11 @@ transforms (``twoscale simulate`` in 1D) would pay at start-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import NonFinite, SolverDiverged, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "is_power_of_two",
@@ -45,7 +45,6 @@ __all__ = [
     "inner_H",
     "sine_coefficients",
     "sine_weights_Hminus1",
-    "preconditioned_cg",
 ]
 
 
@@ -115,10 +114,6 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_grid(other)
@@ -280,75 +275,3 @@ def sine_weights_Hminus1(grid: GridSpec) -> np.ndarray:
     k2 = np.arange(1, grid.cells) ** 2
     ksq = sum(np.meshgrid(*[k2] * grid.dimension, indexing="ij", sparse=True))
     return 1.0 / (1.0 + np.pi ** 2 * ksq.astype(float))
-
-
-# ---------------------------------------------------------------------------
-# linear solves
-
-
-StackMap = Callable[[np.ndarray], np.ndarray]
-
-
-def preconditioned_cg(apply: StackMap, precondition: StackMap,
-                      b: np.ndarray, tol: float, limit: int, what: str,
-                      project: StackMap | None = None,
-                      ) -> tuple[np.ndarray, float, int]:
-    """Preconditioned conjugate gradients on one right-hand side b.
-
-    ``apply`` is the symmetric operator and ``precondition`` a symmetric
-    positive definite approximation of its inverse, both acting on arrays
-    shaped like b. ``project``, when given, removes the operator's kernel
-    (the constant mode of a periodic problem) from the right-hand side and
-    from the residual at every iteration.
-
-    The iteration stops once the residual r = b - A x meets
-    ||r|| <= tol ||b||; a zero b takes no iteration. Raises
-    :class:`NonFinite` on a non-finite right-hand side and
-    :class:`SolverDiverged`, naming the solve ``what``, when r.z <= 0 or
-    p.Ap <= 0 or when ``limit`` iterations pass.
-
-    Returns (x, relative residual, iterations).
-    """
-    def dot(u: np.ndarray, v: np.ndarray) -> float:
-        # einsum's row sum: another summation order moves the correctors' bits
-        return np.einsum("ij,ij->i", u.reshape(1, -1), v.reshape(1, -1))[0]
-
-    def diverged(why: str) -> SolverDiverged:
-        worst = float(np.sqrt(rr) / scale)
-        return SolverDiverged(f"{what} {why} (relative residual {worst:.3e})",
-                              iterations=it, residual=worst)
-
-    if project is not None:
-        b = project(b)
-    b_norm = np.sqrt(dot(b, b))
-    if not np.isfinite(b_norm):
-        raise NonFinite(f"{what} got a non-finite right-hand side")
-    scale = b_norm if b_norm > 0 else 1.0
-    x = np.zeros_like(b)
-    r = b.copy()
-    rr = dot(r, r)
-    p = z = precondition(r)
-    rz = dot(r, z)
-    it = 0
-    while np.sqrt(rr) > tol * b_norm:
-        if it >= limit:
-            raise diverged(f"exceeded {limit} iterations")
-        if not rz > 0:
-            raise diverged("has an indefinite preconditioner (r.z <= 0)")
-        ap = apply(p)
-        pap = dot(p, ap)
-        if not pap > 0:
-            raise diverged("lost positive definiteness (p.Ap <= 0)")
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if project is not None:
-            r = project(r)
-        rr = dot(r, r)
-        z = precondition(r)
-        rz_next = dot(r, z)
-        p = z + rz_next / rz * p
-        rz = rz_next
-        it += 1
-    return x, float(np.sqrt(rr) / scale), it
-

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from twoscale import parallel
-from twoscale.cell import CellGrid, corrector_slopes, solve_cell_problem
+from twoscale.cell import (CG_TOL, CellGrid, _preconditioned_cg,
+                           corrector_slopes, solve_cell_problem)
 from twoscale.coefficients import FAMILIES, CoefficientField, make_coefficient
 from twoscale.errors import SolverDiverged
 
@@ -82,7 +83,7 @@ def test_zero_mean_normalization_per_slice():
 
 def test_residuals_below_tolerance():
     c = make_coefficient("layered", dimension=2, alpha=2.0, beta=1.0)
-    sol = solve_cell_problem(c, CellGrid(dimension=2, cells=32), tol=1e-10)
+    sol = solve_cell_problem(c, CellGrid(dimension=2, cells=32))
     assert np.all(np.asarray(sol.residuals) <= 1e-10)
 
 
@@ -256,3 +257,54 @@ def test_slopes_interpolate_periodically():
     s = corrector_slopes(sol, y)
     assert abs(s[0, 0, 0] - s[1, 0, 0]) <= 1e-12
     assert abs(s[0, 0, 0] - s[2, 0, 0]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the cell's preconditioned conjugate gradients, on dense systems with no
+# kernel to project out
+
+
+def _spd_matrix(n, rng):
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n)
+
+
+def _identity(v):
+    return v
+
+
+def test_pcg_solves_one_right_hand_side():
+    rng = np.random.default_rng(21)
+    a = _spd_matrix(12, rng)
+    diag = np.diag(a)
+    b = rng.standard_normal(12)
+    x, res, its = _preconditioned_cg(lambda v: a @ v, lambda v: v / diag,
+                                     _identity, b, 100)
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-10)
+    assert res <= CG_TOL and its > 0
+
+
+def test_pcg_takes_no_iteration_on_a_zero_right_hand_side():
+    a = _spd_matrix(12, np.random.default_rng(21))
+    x, res, its = _preconditioned_cg(lambda v: a @ v, _identity, _identity,
+                                     np.zeros(12), 100)
+    assert its == 0 and res == 0.0 and not np.any(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pcg_stops_at_indefinite_preconditioner():
+    rng = np.random.default_rng(22)
+    a = _spd_matrix(8, rng)
+    with pytest.raises(SolverDiverged, match=r"r\.z") as err:
+        _preconditioned_cg(lambda v: a @ v, lambda v: -v, _identity,
+                           rng.standard_normal(8), 50)
+    assert err.value.iterations == 0
+
+
+def test_pcg_reports_exhausted_iteration_limit():
+    rng = np.random.default_rng(23)
+    a = _spd_matrix(16, rng)
+    with pytest.raises(SolverDiverged, match="exceeded 2 iterations") as err:
+        _preconditioned_cg(lambda v: a @ v, _identity, _identity,
+                           rng.standard_normal(16), 2)
+    assert err.value.iterations == 2 and err.value.residual > CG_TOL

@@ -20,6 +20,7 @@ from twoscale.cell import solve_cell_problem
 from twoscale.cli import OUTPUT_ROOT_ENV, main
 from twoscale.coefficients import FAMILIES, make_coefficient
 from twoscale.config import _SCHEMA, config_digest, parse_config
+from twoscale.diagnostics import ACCUMULATORS
 from twoscale.errors import ConfigError, IntegrityError, ValidationError
 from twoscale.integrator import ensemble_shards
 from twoscale.manifest import (file_digest, read_manifest, verify_archive,
@@ -666,10 +667,25 @@ def _set_first(key, value):
     return lambda path: _edit_arrays(path, edit)
 
 
+def _drop(key):
+    """A rewrite of raw.npz without the array ``key``."""
+    return lambda path: _edit_arrays(path, lambda raw: raw.pop(key))
+
+
+def _set(key, value):
+    """A rewrite of raw.npz whose array ``key`` is ``value``."""
+    return lambda path: _edit_arrays(path, lambda raw: raw.update(
+        {key: np.asarray(value)}))
+
+
 # case -> (rewrite of raw.npz, text the error message must contain)
 MALFORMED_ARCHIVES = {
-    "missing-dt": (lambda path: _edit_arrays(
-        path, lambda raw: raw.pop("dt")), "'dt'"),
+    "missing-dt": (_drop("dt"), "'dt'"),
+    **{f"missing-{name}": (_drop(name), f"'{name}'")
+       for name, *_ in ACCUMULATORS},
+    # the ladder is 1D, so its tensor is 1 x 1
+    "scalar-a-tilde": (_set("a_tilde", 7.0), "'a_tilde'"),
+    "2x2-a-tilde-in-1d": (_set("a_tilde", 1.5 * np.eye(2)), "'a_tilde'"),
     "shape-mismatch": (lambda path: _edit_arrays(
         path, lambda raw: raw.update(shape=raw["shape"] + [1, 0, 0])),
         "'err2'"),

@@ -307,8 +307,7 @@ def test_ladder_replica_relabeling_invariance():
     res = run_ladder(small_study(replicas=4))
     raw = dict(res.raw)
     perm = np.array([2, 0, 3, 1])
-    for key in ("err2", "plain2", "corr2", "pairing", "sup_h2", "int_v2",
-                "int_l4"):
+    for key, *_ in diagnostics.ACCUMULATORS:
         arr = raw[key]
         levels = arr.shape[0]
         raw[key] = arr.reshape(levels, 4, 2)[:, perm].reshape(levels, 8)

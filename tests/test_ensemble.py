@@ -235,7 +235,9 @@ def test_ensemble_validation():
     grid = grid1d()
     with pytest.raises(ValueError):
         Ensemble(members=[], noise=noise_spec(grid))
-    mixed = [ScalarField.zeros(grid), ScalarField.zeros(GridSpec(1, 64))]
+    other = GridSpec(1, 64)
+    mixed = [ScalarField(grid, np.zeros(grid.shape)),
+             ScalarField(other, np.zeros(other.shape))]
     with pytest.raises(ValueError):
         Ensemble(members=mixed, noise=noise_spec(grid))
     members = random_members(grid, 3, seed=2)

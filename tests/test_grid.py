@@ -4,14 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.errors import SolverDiverged
 from twoscale.grid import (
     GridSpec,
     ScalarField,
     inner_H,
     norm_H,
     norm_V,
-    preconditioned_cg,
     sine_coefficients,
 )
 from twoscale.integrator import increment_scaling
@@ -47,7 +45,7 @@ def test_fields_are_immutable_values():
 
 def test_norm_H_zero_field():
     g = GridSpec(dimension=2, cells=16)
-    assert norm_H(ScalarField.zeros(g)) == 0.0
+    assert norm_H(ScalarField(g, np.zeros(g.shape))) == 0.0
 
 
 def test_norm_H_constant_field_closed_form():
@@ -171,49 +169,3 @@ def test_inner_product_consistent_with_norm():
     g = GridSpec(dimension=1, cells=32)
     f = ScalarField(g, rng.standard_normal(g.shape))
     assert abs(inner_H(f, f) - norm_H(f) ** 2) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# preconditioned conjugate gradients
-
-
-def _spd_matrix(n, rng):
-    q = rng.standard_normal((n, n))
-    return q @ q.T + n * np.eye(n)
-
-
-def test_pcg_solves_one_right_hand_side():
-    rng = np.random.default_rng(21)
-    a = _spd_matrix(12, rng)
-    diag = np.diag(a)
-    b = rng.standard_normal(12)
-    x, res, its = preconditioned_cg(lambda v: a @ v, lambda v: v / diag,
-                                    b, 1e-12, 100, "test CG")
-    np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-10)
-    assert res <= 1e-12 and its > 0
-
-
-def test_pcg_takes_no_iteration_on_a_zero_right_hand_side():
-    a = _spd_matrix(12, np.random.default_rng(21))
-    x, res, its = preconditioned_cg(lambda v: a @ v, lambda v: v,
-                                    np.zeros(12), 1e-12, 100, "test CG")
-    assert its == 0 and res == 0.0 and not np.any(x)
-
-
-@pytest.mark.filterwarnings("error")
-def test_pcg_stops_at_indefinite_preconditioner():
-    rng = np.random.default_rng(22)
-    a = _spd_matrix(8, rng)
-    with pytest.raises(SolverDiverged, match=r"r\.z") as err:
-        preconditioned_cg(lambda v: a @ v, lambda v: -v,
-                          rng.standard_normal(8), 1e-10, 50, "test CG")
-    assert err.value.iterations == 0
-
-
-def test_pcg_reports_exhausted_iteration_limit():
-    rng = np.random.default_rng(23)
-    a = _spd_matrix(16, rng)
-    with pytest.raises(SolverDiverged, match="exceeded 2 iterations") as err:
-        preconditioned_cg(lambda v: a @ v, lambda v: v,
-                          rng.standard_normal(16), 1e-14, 2, "test CG")
-    assert err.value.iterations == 2 and err.value.residual > 1e-14

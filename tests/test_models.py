@@ -27,6 +27,10 @@ def layered():
     return make_coefficient("layered", 1, alpha=2.0, beta=1.0)
 
 
+def zero_field(grid):
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
 def constant(value=1.0, dimension=1):
     return make_coefficient("constant", dimension, value=value)
 
@@ -47,7 +51,7 @@ def projected_pair(grid, rng):
 
 def test_operator_zero_field():
     grid = GridSpec(1, 64)
-    out = apply_A_eps(ScalarField.zeros(grid), layered(), 0.125, 0.0)
+    out = apply_A_eps(zero_field(grid), layered(), 0.125, 0.0)
     assert np.all(out.values == 0.0)
 
 
@@ -643,7 +647,7 @@ def test_advection_zero_advected_field():
     rng = np.random.default_rng(4)
     grid = GridSpec(2, 32)
     u, _ = projected_pair(grid, rng)
-    zero = VectorField(ScalarField.zeros(grid) for _ in range(2))
+    zero = VectorField(zero_field(grid) for _ in range(2))
     out = apply_B(u, zero)
     assert all(np.all(out[m].values == 0.0) for m in range(2))
 
@@ -665,7 +669,7 @@ def test_advection_rejects_divergent_field():
     x, y = grid.meshgrid()
     u = VectorField((
         ScalarField(grid, np.sin(np.pi * x) * np.sin(np.pi * y)),
-        ScalarField.zeros(grid),
+        zero_field(grid),
     ))
     assert spectral_divergence_norm(u) > 1e-8
     with pytest.raises(NotDivergenceFree) as err:
@@ -676,8 +680,8 @@ def test_advection_rejects_divergent_field():
 def test_advection_dimension_and_grid_guards():
     grid = GridSpec(2, 16)
     other = GridSpec(2, 32)
-    u = VectorField(ScalarField.zeros(grid) for _ in range(2))
-    w = VectorField(ScalarField.zeros(other) for _ in range(2))
+    u = VectorField(zero_field(grid) for _ in range(2))
+    w = VectorField(zero_field(other) for _ in range(2))
     with pytest.raises(ValueError):
         apply_B(u, w)
 
