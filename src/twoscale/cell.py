@@ -97,7 +97,8 @@ class CellGrid:
     def centers(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates (i + 1/2)/m as broadcastable arrays."""
         ax = (np.arange(self.cells) + 0.5) * self.h
-        return np.meshgrid(*([ax] * self.dimension), indexing="ij")
+        return np.meshgrid(*([ax] * self.dimension), indexing="ij",
+                           sparse=True)
 
     def tau_values(self) -> np.ndarray:
         return np.arange(self.tau_slices) / self.tau_slices

@@ -11,11 +11,12 @@ accumulators then measure, per path,
   * the two-scale pairing against an oscillating test function,
   * the energy functionals that must stay bounded uniformly in eps.
 
+Each per-path sum of squares (or, for the pairing, of products) is taken
+by ``einsum`` in one pass over its operand.
 Everything is reduced to means with replica-level standard errors. No
 trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 34.7 and 37.8 s in
-two runs on a shared 2-core host in two processes, against 69.6 and
-70.4 s in one.
+on 1024 cells (the acceptance reference ladder) took 33.0 and 33.6 s in
+two runs on a shared 2-core host in two processes.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import IntegrityError, ValidationError
 from .grid import (GridSpec, adjacent_pairs, face_energy, face_sums,
-                   is_power_of_two, stack_face_differences)
+                   node_energy, stack_face_differences)
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -362,12 +363,15 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         states = [{li: (final_states[li, rows] if li < n_eps or levels[0] == 0
                         else np.tile(u0, (rows.stop - rows.start, 1)))
                    for li in [*levels, n_eps]} for rows, levels in shard]
+        # each eps level's difference from the effective level, for err2
+        scratch = np.empty((max(rows.stop - rows.start for rows, _ in shard),
+                            grid.dof))
         for n in range(steps):
             t = n * dt
             if n == 0 or slopes_move:
-                face_slopes = {li: _face_corrector_slopes(
+                factors = {li: _slope_factors(_face_corrector_slopes(
                     cell_sol, grid, eps_list[li],
-                    (t + dt) / eps_list[li] if slopes_move else 0.0)
+                    (t + dt) / eps_list[li] if slopes_move else 0.0))
                     for li in held}
             for (rows, levels), S in zip(shard, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
@@ -381,13 +385,14 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                 # gradient residuals and the V2 energy
                 grads = {li: stack_face_differences(U, grid)
                          for li, U in S.items()}
-                hom = S[n_eps]
+                hom_grad = grads[n_eps]
+                transverse = _transverse_averages(hom_grad, dim)
+                diff = scratch[:rows.stop - rows.start]
                 for li in levels:
-                    diff = S[li] - hom
-                    diff *= diff
-                    err2[li, rows] += dt * hN * np.sum(diff, axis=-1)
-                    p2, c2 = _gradient_residuals(grads[li], grads[n_eps],
-                                                 face_slopes[li], grid)
+                    np.subtract(S[li], S[n_eps], out=diff)
+                    err2[li, rows] += dt * node_energy(diff, grid)
+                    p2, c2 = _residual_energies(grads[li], hom_grad,
+                                                transverse, factors[li], grid)
                     plain2[li, rows] += dt * p2
                     corr2[li, rows] += dt * c2
                 # the shard of the block's eps level 0 owns its effective
@@ -461,9 +466,16 @@ def load_raw(path: Path) -> dict:
     levels, paths = eps.size, int(shape[0]) * int(shape[1])
     dof = states.shape[-1] if states.ndim == 3 else "dof"
     # N x N for the final states' (cells - 1)^N nodes, as no (2^k - 1)^2
-    # is 2^j - 1 for k > 1; any square passes with misshapen states
-    side = ((1 if is_power_of_two(dof + 1) else 2,) if states.ndim == 3
-            else raw["a_tilde"].shape[:1])
+    # is 2^j - 1 for k > 1; final states of another rank fail their shape
+    # check below, and any square a_tilde passes until then
+    side = raw["a_tilde"].shape[:1]
+    if states.ndim == 3:
+        side = {(2 ** k - 1) ** n: (n,)
+                for k in range(3, 31) for n in (1, 2)}.get(dof)
+        if side is None:
+            raise bad("final_states", f"has {dof} values per path, not "
+                                      f"(cells - 1)^N for a power-of-two "
+                                      f"cells >= 8 and N = 1 or 2")
     expected = {
         "dt": (1,), "grid_scale": (1,), "a_tilde": side * 2,
         **{name: (levels + effective, paths)
@@ -537,37 +549,49 @@ def _face_corrector_slopes(sol: CellSolution, grid: GridSpec, eps: float,
     out = []
     for axis in range(grid.dimension):
         mesh = np.meshgrid(*[mids if d == axis else nodes
-                             for d in range(grid.dimension)], indexing="ij")
+                             for d in range(grid.dimension)], indexing="ij",
+                           sparse=True)
         out.append(corrector_slopes(sol, tuple(c / eps for c in mesh), tau))
     return out
 
 
-def _gradient_residuals(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
-                        face_slopes: list[np.ndarray], grid: GridSpec,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path squared H norms of plain and corrected gradient residuals.
+def _slope_factors(face_slopes: list[np.ndarray],
+                   ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Per axis j, the factors the corrected residual reads from the face
+    slope matrices s: 1 + s_jj and, for each axis i != j in order, s_ij."""
+    dim = len(face_slopes)
+    return [(1.0 + s[..., j, j], [np.ascontiguousarray(s[..., i, j])
+                                  for i in range(dim) if i != j])
+            for j, s in enumerate(face_slopes)]
 
-    Gradients arrive as raw face differences; the reconstruction adds the
-    corrector slope contribution at the face midpoints of each axis. In
-    2D the cross contribution uses the same-axis face differences of the
-    transverse component, which share the face layout to O(h). Both
-    residuals are face arrays per axis, summed by ``grid.face_energy``.
+
+def _transverse_averages(hom_grad: list[np.ndarray],
+                         dim: int) -> list[list[np.ndarray]]:
+    """Per axis j, each transverse component i != j of the gradient: its
+    axis-i face differences averaged onto the nodes, then onto the axis-j
+    faces, which share the face layout to O(h); the two halvings are one
+    exact scaling by 1/4."""
+    return [[0.25 * face_sums(np.add(*adjacent_pairs(d, i, dim)), j, dim)
+             for i, d in enumerate(hom_grad) if i != j] for j in range(dim)]
+
+
+def _residual_energies(eps_grad: list[np.ndarray], hom_grad: list[np.ndarray],
+                       transverse: list[list[np.ndarray]],
+                       factors: list[tuple[np.ndarray, list[np.ndarray]]],
+                       grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path squared H norms of the plain and the corrected gradient
+    residuals from face differences per axis j: de - dh, and
+    de - dh (1 + s_jj) - sum_{i != j} avg_i s_ij with the corrector slopes
+    at the face midpoints. ``transverse`` and ``factors`` come from
+    :func:`_transverse_averages` and :func:`_slope_factors`; each residual
+    is formed in one buffer per axis and summed by ``grid.face_energy``.
     """
-    dim = grid.dimension
-    plain, corrected = [], []
-    for j, (de, dh) in enumerate(zip(eps_grad, hom_grad)):
-        plain.append(de - dh)
-        # a transverse component is averaged from its axis-i faces onto
-        # the nodes, then from the nodes onto the axis-j faces
-        terms = []
-        for i, d in enumerate(hom_grad):
-            if i != j:
-                d = 0.5 * face_sums(0.5 * np.add(*adjacent_pairs(d, i, dim)),
-                                    j, dim)
-            terms.append(d * face_slopes[j][..., i, j][None])
-        rec = terms[0]
-        rec += dh  # dh + each slope term, in axis order
-        for term in terms[1:]:
-            rec += term
-        corrected.append(np.subtract(de, rec, out=rec))
-    return face_energy(plain, grid), face_energy(corrected, grid)
+    res = [np.subtract(de, dh) for de, dh in zip(eps_grad, hom_grad)]
+    plain = face_energy(res, grid)
+    for r, de, dh, avgs, (diag, cross) in zip(res, eps_grad, hom_grad,
+                                              transverse, factors):
+        np.multiply(dh, diag, out=r)
+        np.subtract(de, r, out=r)
+        for avg, s in zip(avgs, cross):
+            r -= avg * s
+    return plain, face_energy(res, grid)

@@ -42,6 +42,7 @@ __all__ = [
     "adjacent_pairs",
     "stack_face_differences",
     "face_energy",
+    "node_energy",
     "inner_H",
     "sine_coefficients",
     "sine_weights_Hminus1",
@@ -235,14 +236,23 @@ def face_energy(diffs: list[np.ndarray], grid: GridSpec,
     ``diffs`` are the face differences of a stack per grid axis and the
     result has the stack's leading shape. ``faces`` holds one weight array
     per axis, laid out like the differences; None means unit weights,
-    which gives the squared V norm.
+    which gives the squared V norm. Each axis's sum runs over its
+    flattened faces in one ``einsum`` pass, with no squared temporary.
     """
-    grid_axes = tuple(range(-grid.dimension, 0))
     total = 0.0
     for axis, d in enumerate(diffs):
-        w = d * d if faces is None else faces[axis] * d * d
-        total = total + np.sum(w, axis=grid_axes)
+        d = d.reshape(d.shape[:d.ndim - grid.dimension] + (-1,))
+        total = total + (np.einsum("...f,...f->...", d, d) if faces is None
+                         else np.einsum("...f,...f,f->...", d, d,
+                                        faces[axis].reshape(-1)))
     return total * (grid.h ** grid.dimension / grid.h ** 2)
+
+
+def node_energy(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """h^N * sum of squares of each row of a (..., dof) stack, the squared
+    H norm, in one ``einsum`` pass with no squared temporary."""
+    return grid.h ** grid.dimension * np.einsum("...d,...d->...", values,
+                                                values)
 
 
 def norm_V(f: ScalarField) -> float:

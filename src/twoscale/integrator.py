@@ -42,8 +42,9 @@ import numpy as np
 from . import parallel
 from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected, ValidationError
-from .grid import (GridSpec, ScalarField, face_energy, sine_coefficients,
-                   sine_weights_Hminus1, stack_face_differences)
+from .grid import (GridSpec, ScalarField, face_energy, node_energy,
+                   sine_coefficients, sine_weights_Hminus1,
+                   stack_face_differences)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
 from .noise import QWienerSpec, mode_synthesis
 
@@ -129,6 +130,12 @@ class EnergyLedger:
         body = (row * len(self.table)) % tuple(self.table.ravel().tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\n" + body)
+
+
+def _max_abs(U: np.ndarray) -> float:
+    """max|U| from the two extremes, without an |U| temporary; 0 for an
+    empty stack. A NaN anywhere gives NaN, an infinity inf."""
+    return float(np.maximum(U.max(), -U.min())) if U.size else 0.0
 
 
 def _reaction_bound(max_abs: float, model: ModelSpec) -> float:
@@ -246,8 +253,8 @@ class BatchedStepper:
         """
         model = self.model
         part = U[rows]
-        drift = np.zeros_like(part)
         if model.mean_field == "stokes_drag":
+            drift = np.empty_like(part)
             groups = U.reshape(-1, self.members, U.shape[-1])
             mean = groups.mean(axis=1, keepdims=True)
             if part.shape == U.shape:
@@ -255,6 +262,8 @@ class BatchedStepper:
             else:  # each row less the mean of its own replica
                 replica = np.arange(len(U))[rows] // self.members
                 np.subtract(part, mean[replica, 0], out=drift)
+        else:
+            drift = np.zeros_like(part)
         if model.cubic:
             cubic = part * part
             cubic *= part
@@ -293,8 +302,7 @@ class BatchedStepper:
             rows: the paths to step; the result holds only these.
             out: where the new state goes; a new array by default.
         """
-        max_abs = float(np.max(np.abs(U))) if U.size else 0.0
-        check_guard(max_abs, self.model, self.dt, self.grid.h, step_index)
+        check_guard(_max_abs(U), self.model, self.dt, self.grid.h, step_index)
         drift, noise = self.explicit_terms(U, xi, rows)
         drift *= self.dt
         if out is None:
@@ -326,14 +334,10 @@ class BatchedStepper:
         (paths, *faces), when the caller has them already.
         """
         g = self.grid
-        hN = g.h ** g.dimension
-        U2 = U * U
-        h2 = hN * np.sum(U2, axis=-1)
         v2 = face_energy(stack_face_differences(U, g) if diffs is None
                          else diffs, g)
-        U2 *= U2
-        l4 = hN * np.sum(U2, axis=-1)
-        return {"H2": h2, "V2": v2, "L4": l4}
+        return {"H2": node_energy(U, g), "V2": v2,
+                "L4": node_energy(U * U, g)}
 
 
 def ensemble_shards(members: int, dof: int) -> list[slice]:

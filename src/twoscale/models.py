@@ -114,8 +114,10 @@ def face_coefficients(coeff: CoefficientField, grid: GridSpec, eps: float,
     coefficient at the two adjacent node positions.
     """
     full_ax = grid.h * np.arange(0, grid.cells + 1)  # nodes incl. boundary
-    s = coeff.scalar_scaled(
-        np.meshgrid(*[full_ax] * grid.dimension, indexing="ij"), t, eps)
+    # evaluated once per axis value, then broadcast over the nodes
+    s = np.broadcast_to(coeff.scalar_scaled(
+        np.meshgrid(*[full_ax] * grid.dimension, indexing="ij", sparse=True),
+        t, eps), (grid.cells + 1,) * grid.dimension)
     out = []
     for axis in range(grid.dimension):
         # along the axis every node, across it the interior ones

@@ -4,7 +4,7 @@ Running ``pytest -v tests/test_acceptance.py`` prints one pass/fail line
 per criterion. Thresholds appear literally in the asserts; values frozen
 from the seeded reference runs guard against silent numerical drift.
 The shared reference ladder (criteria 6 to 8) dominates the runtime: its
-fixture took 33.5 and 33.9 s in two runs of the whole suite on a shared
+fixture took 34.8 and 42.0 s in two runs of the whole suite on a shared
 2-core host, stepped by two processes (1024 cells, 4 levels, 256 paths,
 2500 steps); everything else finishes in seconds.
 """

@@ -4,13 +4,15 @@ The tool runs one set of ``twoscale`` commands in two trees and names
 every output file whose bytes differ. Here the run set is tiny: a tree
 against itself must be identical, and a copy with a looser cell CG
 tolerance must differ in the files that the cell solve reaches, and in no
-other.
+other. Within a file, the tool names each array that differs.
 """
 import importlib.util
 import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bits",
@@ -67,3 +69,18 @@ def test_bits_names_the_files_a_changed_constant_reaches(tmp_path):
             "ladder/raw.npz"} <= differing
     assert {name.split("/")[0] for name in differing} == {"cell", "ladder"}
     assert "largest relative difference" in changed["cell/correctors.npy"]
+
+
+def test_bits_names_the_arrays_that_moved_in_an_npz(tmp_path):
+    rng = np.random.default_rng(1)
+    kept, moved = rng.standard_normal(8), rng.standard_normal((2, 3))
+    np.savez(tmp_path / "a.npz", kept=kept, moved=moved)
+    np.savez(tmp_path / "same.npz", kept=kept, moved=moved)
+    bumped = moved.copy()
+    bumped[1, 2] += 1e-3 * np.max(np.abs(moved))
+    np.savez(tmp_path / "b.npz", kept=kept, moved=bumped)
+    assert bits.compare_file(tmp_path / "a.npz",
+                             tmp_path / "same.npz") == "identical"
+    verdict = bits.compare_file(tmp_path / "a.npz", tmp_path / "b.npz")
+    assert verdict == ("differs: largest relative difference in "
+                       "'moved' 1.000e-03")

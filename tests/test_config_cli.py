@@ -678,6 +678,15 @@ def _set(key, value):
         {key: np.asarray(value)}))
 
 
+def _off_grid_states(**arrays):
+    """A rewrite of raw.npz with zero final states of 100 values per path,
+    and ``arrays`` in place of their namesakes."""
+    def edit(raw):
+        raw["final_states"] = np.zeros(raw["final_states"].shape[:2] + (100,))
+        raw.update(arrays)
+    return lambda path: _edit_arrays(path, edit)
+
+
 # case -> (rewrite of raw.npz, text the error message must contain)
 MALFORMED_ARCHIVES = {
     "missing-dt": (_drop("dt"), "'dt'"),
@@ -686,6 +695,11 @@ MALFORMED_ARCHIVES = {
     # the ladder is 1D, so its tensor is 1 x 1
     "scalar-a-tilde": (_set("a_tilde", 7.0), "'a_tilde'"),
     "2x2-a-tilde-in-1d": (_set("a_tilde", 1.5 * np.eye(2)), "'a_tilde'"),
+    # 100 values per path lie on no grid: the fault is in final_states,
+    # whatever a_tilde holds
+    "off-grid-final-states": (_off_grid_states(), "array 'final_states'"),
+    "off-grid-final-states-2x2-a-tilde": (
+        _off_grid_states(a_tilde=np.eye(2)), "array 'final_states'"),
     "shape-mismatch": (lambda path: _edit_arrays(
         path, lambda raw: raw.update(shape=raw["shape"] + [1, 0, 0])),
         "'err2'"),

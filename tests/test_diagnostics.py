@@ -14,7 +14,8 @@ from twoscale.cell import CellGrid, CellSolution, solve_cell_problem
 from twoscale.coefficients import make_coefficient
 from twoscale.ensemble import wasserstein2_1d
 from twoscale.diagnostics import (ConvergenceReport, StudyConfig,
-                                  _face_corrector_slopes, _gradient_residuals,
+                                  _face_corrector_slopes, _residual_energies,
+                                  _slope_factors, _transverse_averages,
                                   reduce_raw, run_ladder)
 from twoscale.errors import InternalError, NonFinite, ValidationError
 from twoscale.grid import GridSpec, ScalarField, stack_face_differences
@@ -23,6 +24,7 @@ from twoscale.models import ImplicitFactorization, face_coefficients
 from twoscale.noise import NoiseStream
 
 from forks import assert_no_child_left, deadline
+from residuals import gradient_residuals_loop
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +89,20 @@ def _as_state_array(trajectory, grid: GridSpec) -> np.ndarray:
                      for s in trajectory])
 
 
+def ladder_residuals(states_eps, states_hom, solution: CellSolution,
+                     grid: GridSpec, eps: float, tau: float,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path squared plain and corrected gradient residuals of two
+    (paths, dof...) stacks at one time, as the ladder's accumulators take
+    them."""
+    hom_grad = stack_face_differences(states_hom, grid)
+    return _residual_energies(
+        stack_face_differences(states_eps, grid), hom_grad,
+        _transverse_averages(hom_grad, grid.dimension),
+        _slope_factors(_face_corrector_slopes(solution, grid, eps, tau)),
+        grid)
+
+
 def corrector_residual(trajectory_eps, trajectory_hom, solution: CellSolution,
                        grid: GridSpec, dt: float, eps: float,
                        ) -> tuple[float, float]:
@@ -109,10 +125,8 @@ def corrector_residual(trajectory_eps, trajectory_hom, solution: CellSolution,
     plain2 = 0.0
     corr2 = 0.0
     for n in range(1, ue.shape[0]):
-        slopes = _face_corrector_slopes(solution, grid, eps, n * dt / eps)
-        p2, c2 = _gradient_residuals(
-            stack_face_differences(ue[n:n + 1], grid),
-            stack_face_differences(uh[n:n + 1], grid), slopes, grid)
+        p2, c2 = ladder_residuals(ue[n:n + 1], uh[n:n + 1], solution, grid,
+                                  eps, n * dt / eps)
         plain2 += dt * float(p2[0])
         corr2 += dt * float(c2[0])
     return float(np.sqrt(plain2)), float(np.sqrt(corr2))
@@ -973,13 +987,38 @@ def test_one_slice_ladder_computes_corrector_slopes_once(monkeypatch):
     for li, eps in enumerate(cfg.epsilons):
         corr2 = np.zeros(hom.shape[0])
         for n in range(cfg.stepper.steps):
-            slopes = diagnostics._face_corrector_slopes(
-                result.cell, grid, eps, (n * dt + dt) / eps)
-            _, c2 = diagnostics._gradient_residuals(
-                stack_face_differences(paths[li][:, n + 1], grid),
-                stack_face_differences(hom[:, n + 1], grid), slopes, grid)
+            _, c2 = ladder_residuals(paths[li][:, n + 1], hom[:, n + 1],
+                                     result.cell, grid, eps,
+                                     (n * dt + dt) / eps)
             corr2 += dt * c2
         assert np.array_equal(corr2, result.raw["corr2"][li]), eps
+
+
+def test_2d_ladder_residuals_match_the_loop_oracle():
+    # The fused residuals of a 2D ladder, with its transverse averages,
+    # agree with the earlier loop over the slope terms to round-off.
+    cfg = StudyConfig(coefficient=make_coefficient("checkerboard", 2),
+                      grid=GridSpec(2, 64), epsilons=(0.5, 0.25),
+                      stepper=StepperConfig(dt=0.004, horizon=0.02),
+                      members=2, replicas=2, sigma0=0.2, cell_cells=32,
+                      initial_amplitude=0.5)
+    result = run_ladder(cfg)
+    grid, dt = cfg.grid, cfg.stepper.dt
+    paths = stored_ladder_paths(cfg, result)
+    hom = paths[-1]
+    for li, eps in enumerate(cfg.epsilons):
+        plain2, corr2 = np.zeros(hom.shape[0]), np.zeros(hom.shape[0])
+        slopes = _face_corrector_slopes(result.cell, grid, eps, 0.0)
+        for n in range(cfg.stepper.steps):
+            p2, c2 = gradient_residuals_loop(
+                stack_face_differences(paths[li][:, n + 1], grid),
+                stack_face_differences(hom[:, n + 1], grid), slopes, grid)
+            plain2 += dt * p2
+            corr2 += dt * c2
+        np.testing.assert_allclose(result.raw["plain2"][li], plain2,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(result.raw["corr2"][li], corr2,
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_moving_corrector_slopes_keep_the_raw_arrays(monkeypatch):

@@ -15,9 +15,9 @@ from twoscale.errors import (InternalError, NonFinite, StepRejected,
                              ValidationError)
 from twoscale.grid import GridSpec, ScalarField, VectorField, inner_H, norm_H
 from twoscale.integrator import (LEDGER_COLUMNS, BatchedStepper, EnergyLedger,
-                                 IncrementFit, StepperConfig, check_guard,
-                                 ensemble_shards, increment_scaling,
-                                 run_ensemble)
+                                 IncrementFit, StepperConfig, _max_abs,
+                                 check_guard, ensemble_shards,
+                                 increment_scaling, run_ensemble)
 from twoscale.models import (ImplicitFactorization, ModelSpec, apply_A_eps,
                              apply_B, face_coefficients, leray_project)
 from twoscale.noise import NoiseStream, QWienerSpec
@@ -154,7 +154,7 @@ def test_guard_value_and_rejection():
     assert err.value.guard_value > 0.5
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_guard_rejects_non_finite_state(bad):
     # NaN compares false against the limit; the guard must not let it pass
     model = ModelSpec(variant="allen_cahn", coefficient=layered(),
@@ -169,6 +169,30 @@ def test_guard_rejects_non_finite_state(bad):
     U[1, 3] = bad
     with pytest.raises(NonFinite):
         stepper.advance(U, np.zeros((2, 8)), 0.0, 0)
+
+
+def test_guard_reads_max_abs_from_the_two_extremes():
+    # max(U.max(), -U.min()) is max|U| exactly, and a NaN or an infinity
+    # in the stack reaches check_guard as itself
+    model = ModelSpec(variant="allen_cahn", coefficient=layered(),
+                      epsilon=0.125, mean_field="stokes_drag", cubic=True)
+    rng = np.random.default_rng(3)
+    stacks = [rng.standard_normal((4, 31)),
+              -np.abs(rng.standard_normal((3, 31))),
+              np.abs(rng.standard_normal((1, 31))),
+              np.zeros((2, 31)), -np.zeros((2, 31)),
+              np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[-0.0]])]
+    for U in stacks:
+        assert _max_abs(U) == float(np.max(np.abs(U)))
+        assert (check_guard(_max_abs(U), model, 1e-4, 1.0 / 32)
+                == check_guard(float(np.max(np.abs(U))), model, 1e-4,
+                               1.0 / 32))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        U = rng.standard_normal((3, 31))
+        U[2, 7] = bad
+        assert np.array_equal(_max_abs(U), np.max(np.abs(U)), equal_nan=True)
+        with pytest.raises(NonFinite):
+            check_guard(_max_abs(U), model, 1e-4, 1.0 / 32)
 
 
 def test_step_rejects_oversized_state():
@@ -485,10 +509,12 @@ def test_run_ensemble_returns_one_ledger_table():
     assert np.shares_memory(ledger.H2, ledger.table)
     assert np.array_equal(ledger.step, np.tile(np.arange(21.0)[:, None],
                                                (1, 3)))
-    # the last H2 row holds the squared H norms of the final states
-    # (h = 1/64 is a power of two, so the bits agree)
+    # the last H2 row holds the squared H norms of the final states,
+    # summed in einsum's order rather than np.sum's
     states = np.stack([m.values for m in final.members])
-    assert np.array_equal(ledger.H2[-1], np.sum(states ** 2, axis=-1) / 64)
+    np.testing.assert_allclose(ledger.H2[-1],
+                               np.sum(states ** 2, axis=-1) / 64,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_ledger_csv_schema(tmp_path):

@@ -6,7 +6,8 @@ earlier per-module stencils: ``np.take``/``np.pad`` face averaging, a
 ``moveaxis`` central difference, ``np.diff`` fluxes, and per-dimension face
 coefficients, corrector slopes, periodic interpolation and gradient
 residuals. Each must match its replacement bit for bit on random stacks
-with a leading path axis.
+with a leading path axis, except the gradient residuals: their fused sums
+match the earlier loop (``tests/residuals.py``) to 1e-13 relative.
 """
 from __future__ import annotations
 
@@ -16,11 +17,14 @@ import pytest
 from twoscale.cell import (CellGrid, _interp_periodic, corrector_slopes,
                            solve_cell_problem)
 from twoscale.coefficients import FAMILIES, make_coefficient
-from twoscale.diagnostics import _face_corrector_slopes, _gradient_residuals
+from twoscale.diagnostics import (_face_corrector_slopes, _residual_energies,
+                                  _slope_factors, _transverse_averages)
 from twoscale.grid import (GridSpec, adjacent_pairs, face_differences,
                            face_sums, sine_weights_Hminus1,
                            stack_face_differences)
 from twoscale.models import _apply_faces, _central, face_coefficients
+
+from residuals import gradient_residuals_loop
 
 SHAPES = [(1, 31), (5, 31), (3, 15, 15), (2, 4, 7, 7)]  # (..., *grid)
 DIMENSIONS = [1, 1, 2, 2]
@@ -261,20 +265,30 @@ def test_periodic_interpolation_matches_the_per_dimension_oracle(dimension):
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_gradient_residuals_match_the_to_faces_oracle(dimension):
     grid = GridSpec(dimension, 64 if dimension == 1 else 32)
-    coeff = make_coefficient("separable_trig", dimension)
-    sol = solve_cell_problem(coeff, CellGrid(dimension, 16, tau_slices=2))
     rng = np.random.default_rng(6)
     eps_grad = stack_face_differences(rng.standard_normal((4, grid.dof)),
                                       grid)
     hom_grad = stack_face_differences(rng.standard_normal((4, grid.dof)),
                                       grid)
-    slopes = _face_corrector_slopes(sol, grid, 0.25, 0.3)
-    for a, b in zip(slopes, face_corrector_slopes_oracle(sol, grid, 0.25,
-                                                         0.3)):
-        assert np.array_equal(a, b)
-    new = _gradient_residuals(eps_grad, hom_grad, slopes, grid)
-    old = gradient_residuals_oracle(eps_grad, hom_grad, slopes, grid)
-    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    # separable_trig's slopes move with tau; in 2D only the checkerboard's
+    # transverse slopes s_ij, i != j, are not zero
+    for family in ("separable_trig", "checkerboard"):
+        coeff = make_coefficient(family, dimension)
+        sol = solve_cell_problem(coeff, CellGrid(dimension, 16, tau_slices=2))
+        slopes = _face_corrector_slopes(sol, grid, 0.25, 0.3)
+        for a, b in zip(slopes, face_corrector_slopes_oracle(sol, grid, 0.25,
+                                                             0.3)):
+            assert np.array_equal(a, b)
+        # the loop oracle of the earlier residuals keeps the bits of the
+        # pad-and-take oracle; the fused residuals reorder its sums
+        loop = gradient_residuals_loop(eps_grad, hom_grad, slopes, grid)
+        old = gradient_residuals_oracle(eps_grad, hom_grad, slopes, grid)
+        assert all(np.array_equal(a, b) for a, b in zip(loop, old))
+        fused = _residual_energies(eps_grad, hom_grad,
+                                   _transverse_averages(hom_grad, dimension),
+                                   _slope_factors(slopes), grid)
+        for a, b in zip(fused, loop):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
 
 
 def test_one_dimensional_coordinates_may_come_bare_or_as_a_tuple():
