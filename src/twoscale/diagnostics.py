@@ -12,16 +12,18 @@ accumulators then measure, per path,
   * the energy functionals that must stay bounded uniformly in eps.
 
 Each per-path sum of squares (or, for the pairing, of products) is taken
-by ``einsum`` in one pass over its operand.
-Everything is reduced to means with replica-level standard errors. No
-trajectory is ever stored; a ladder over 4 levels x 256 paths x 2500 steps
-on 1024 cells (the acceptance reference ladder) took 33.0 and 33.6 s in
-two runs on a shared 2-core host in two processes.
+in one ``einsum`` pass over its operand: ``grid.node_inner`` over nodes,
+``grid.face_energy`` over faces. Everything is reduced to means with
+replica-level standard errors. No trajectory is ever stored; a ladder over
+4 levels x 256 paths x 2500 steps on 1024 cells (the acceptance reference
+ladder) took 35.6 and 32.6 s in two runs on a shared 2-core host in two
+processes.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +36,7 @@ from .coefficients import CoefficientField
 from .ensemble import wasserstein2_1d
 from .errors import IntegrityError, ValidationError
 from .grid import (GridSpec, adjacent_pairs, face_energy, face_sums,
-                   node_energy, stack_face_differences)
+                   is_power_of_two, node_inner, stack_face_differences)
 from .integrator import BatchedStepper, StepperConfig
 from .models import ModelSpec
 from .noise import NoiseStream, QWienerSpec
@@ -317,7 +319,6 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
     P = cfg.replicas * cfg.members
     steps = cfg.stepper.steps
     dt = cfg.stepper.dt
-    hN = grid.h ** dim
 
     # the effective level, last, reuses the smallest-eps model constants
     steppers = [BatchedStepper(grid, cfg.model_for(e), spec,
@@ -376,7 +377,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
             for (rows, levels), S in zip(shard, states):
                 xi = np.stack([s.draw() for s in streams[rows]])
                 for li in levels:  # left-point pairing over t_0 .. t_{N-1}
-                    pairing[li, rows] += dt * hN * _pair(S[li], osc[li])
+                    pairing[li, rows] += dt * node_inner(S[li], osc[li], grid)
                 for li, U in S.items():
                     yield n + 1, rows.start, li
                     steppers[li].advance(U, xi, t, n, first_row=rows.start,
@@ -390,7 +391,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
                 diff = scratch[:rows.stop - rows.start]
                 for li in levels:
                     np.subtract(S[li], S[n_eps], out=diff)
-                    err2[li, rows] += dt * node_energy(diff, grid)
+                    err2[li, rows] += dt * node_inner(diff, diff, grid)
                     p2, c2 = _residual_energies(grads[li], hom_grad,
                                                 transverse, factors[li], grid)
                     plain2[li, rows] += dt * p2
@@ -416,7 +417,7 @@ def run_ladder(cfg: StudyConfig, progress=None) -> LadderResult:
         **{name: acc for (name, *_), acc in zip(ACCUMULATORS, accumulators)},
         "final_states": final_states,
         "epsilons": np.array(eps_list), "a_tilde": np.atleast_2d(a_tilde),
-        "grid_scale": np.array([hN]),
+        "grid_scale": np.array([grid.h ** dim]),
         "shape": np.array([cfg.replicas, cfg.members, steps]),
         "dt": np.array([dt]),
     }
@@ -436,7 +437,7 @@ def load_raw(path: Path) -> dict:
     """The arrays of a stored ladder archive, laid out as ``run_ladder``
     writes them. Raises :class:`IntegrityError` when the file is not an npz
     archive, or naming the first array that is missing, is not real and
-    finite, is misshapen, or has a sign that ``run_ladder`` cannot write."""
+    finite, is misshapen, or has a value that ``run_ladder`` cannot write."""
     def bad(key: str, why: str) -> IntegrityError:
         return IntegrityError(f"{path}: array {key!r} {why}", path=str(path))
 
@@ -464,37 +465,43 @@ def load_raw(path: Path) -> dict:
         raise bad("shape", "is not three counts >= 1 (replicas, members, "
                            "steps)")
     levels, paths = eps.size, int(shape[0]) * int(shape[1])
-    dof = states.shape[-1] if states.ndim == 3 else "dof"
-    # N x N for the final states' (cells - 1)^N nodes, as no (2^k - 1)^2
-    # is 2^j - 1 for k > 1; final states of another rank fail their shape
-    # check below, and any square a_tilde passes until then
-    side = raw["a_tilde"].shape[:1]
-    if states.ndim == 3:
-        side = {(2 ** k - 1) ** n: (n,)
-                for k in range(3, 31) for n in (1, 2)}.get(dof)
-        if side is None:
-            raise bad("final_states", f"has {dof} values per path, not "
-                                      f"(cells - 1)^N for a power-of-two "
-                                      f"cells >= 8 and N = 1 or 2")
     expected = {
-        "dt": (1,), "grid_scale": (1,), "a_tilde": side * 2,
+        "dt": (1,), "grid_scale": (1,),
         **{name: (levels + effective, paths)
            for name, effective, _ in ACCUMULATORS},
-        "final_states": (levels + 1, paths, dof),
+        "final_states": (levels + 1, paths, *states.shape[-1:]),
     }
     for key, want in expected.items():
         if raw[key].shape != want:
-            asks = ("'final_states' asks" if key == "a_tilde"
-                    else "'epsilons' and 'shape' ask")
-            raise bad(key, f"has shape {raw[key].shape}, but {asks} for "
-                           f"{want}")
-    for key in ("dt", "grid_scale"):
-        if not raw[key][0] > 0:
-            raise bad(key, "is not positive")
+            raise bad(key, f"has shape {raw[key].shape}, but 'epsilons' and "
+                           f"'shape' ask for {want}")
+    grid = _archive_grid(states.shape[-1])
+    if grid is None:
+        raise bad("final_states", f"has {states.shape[-1]} values per path,"
+                  " not (cells - 1)^N, N = 1 or 2, cells a power of two >= 8")
+    if raw["a_tilde"].shape != (grid.dimension,) * 2:
+        raise bad("a_tilde", f"has shape {raw['a_tilde'].shape}, not the "
+                             f"{(grid.dimension,) * 2} of 'final_states'")
+    if not raw["dt"][0] > 0:
+        raise bad("dt", "is not positive")
+    hN = grid.h ** grid.dimension
+    if raw["grid_scale"][0] != hN:
+        raise bad("grid_scale", f"is not the h^N = {hN!r} of 'final_states'")
     for name, _, squares in ACCUMULATORS:
         if squares and np.any(raw[name] < 0):
             raise bad(name, "has negative values")
     return raw
+
+
+def _archive_grid(dof: int) -> GridSpec | None:
+    """The grid whose (cells - 1)^N interior nodes are the ``dof`` values
+    of a stored path, for a power-of-two cells >= 8 and N = 1 or 2, or
+    None. At most one grid fits, as no (2^k - 1)^2 is 2^j - 1 for k > 1."""
+    for dimension, side in ((1, dof), (2, math.isqrt(dof))):
+        cells = side + 1
+        if side ** dimension == dof and cells >= 8 and is_power_of_two(cells):
+            return GridSpec(dimension, cells)
+    return None
 
 
 def reduce_raw(raw: dict) -> ConvergenceReport:
@@ -506,7 +513,6 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
     eps_list = [float(e) for e in np.asarray(raw["epsilons"]).reshape(-1)]
     R, M, steps = (int(v) for v in np.asarray(raw["shape"]).reshape(-1))
     dt = float(np.asarray(raw["dt"]).reshape(-1)[0])
-    hN = float(np.asarray(raw["grid_scale"]).reshape(-1)[0])
     a_tilde = np.atleast_2d(np.asarray(raw["a_tilde"], dtype=float))
     errors, error_se = _level_stats(raw["err2"], R, M, root=True)
     plain, plain_se = _level_stats(raw["plain2"], R, M, root=True)
@@ -517,8 +523,8 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
                                      R, M)
     sup_p2 = _level_stats(sup_h2, R, M)[0]
     sup_p4 = _level_stats(sup_h2 ** 2, R, M)[0]
-    # final H norms, one level at a time: no (levels, paths, dof) square
-    norms = [np.sqrt(hN * np.sum(states ** 2, axis=-1))
+    grid = _archive_grid(raw["final_states"].shape[-1])
+    norms = [np.sqrt(node_inner(states, states, grid))
              for states in raw["final_states"]]
     w2 = [wasserstein2_1d(obs, norms[-1]) for obs in norms[:-1]]
 
@@ -533,12 +539,6 @@ def reduce_raw(raw: dict) -> ConvergenceReport:
         wasserstein_final=w2, replicas=R, members=M, steps=steps, dt=dt,
         a_tilde=[[float(v) for v in row] for row in a_tilde],
         levels=[f"eps={e:g}" for e in eps_list] + ["effective"])
-
-
-def _pair(U: np.ndarray, osc: np.ndarray) -> np.ndarray:
-    """Per-path sums of U * osc in a fixed order: the bits of a BLAS
-    product ``U @ osc`` depend on the BLAS thread count."""
-    return np.einsum("pd,d->p", U, osc)
 
 
 def _face_corrector_slopes(sol: CellSolution, grid: GridSpec, eps: float,

@@ -10,7 +10,8 @@ quadrature weight h^N on nodal values, so the discrete sine modes
 are exactly orthonormal in the discrete H inner product. That exactness is
 what makes the noise expansion and the spectral H^-1 proxy of the increment
 fit (``sine_coefficients`` damped by ``sine_weights_Hminus1``) cheap and
-stable.
+stable. Every H inner product and norm, of one field or of a (..., dof)
+stack of them, is ``node_inner``.
 
 Every zero-ghost face stencil of the toolkit, in 1D and 2D alike, is built
 from three maps of (..., *grid.shape) stacks here: ``face_differences`` and
@@ -42,7 +43,7 @@ __all__ = [
     "adjacent_pairs",
     "stack_face_differences",
     "face_energy",
-    "node_energy",
+    "node_inner",
     "inner_H",
     "sine_coefficients",
     "sine_weights_Hminus1",
@@ -161,18 +162,24 @@ class VectorField:
 # norms
 
 
+def node_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """H inner products h^N * sum a b of the row pairs of two broadcasting
+    (..., dof) stacks; a stack passed twice gives its squared H norms. One
+    fixed-order ``einsum`` pass with no product temporary: the bits of a
+    BLAS product ``a @ b`` depend on the BLAS thread count."""
+    return grid.h ** grid.dimension * np.einsum("...d,...d->...", a, b)
+
+
 def norm_H(f: ScalarField) -> float:
     """Discrete L2 norm: sqrt(h^N * sum f^2)."""
-    g = f.grid
-    return float(np.sqrt(g.h ** g.dimension * np.sum(f.values ** 2)))
+    return float(np.sqrt(inner_H(f, f)))
 
 
 def inner_H(f: ScalarField, g: ScalarField) -> float:
     """Discrete L2 inner product with the h^N midpoint weight."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    d = f.grid
-    return float(d.h ** d.dimension * np.sum(f.values * g.values))
+    f._check_same_grid(g)
+    return float(node_inner(f.values.reshape(1, -1), g.values.reshape(1, -1),
+                            f.grid)[0])
 
 
 def _zero_ghost_faces(op, values: np.ndarray, axis: int,
@@ -246,13 +253,6 @@ def face_energy(diffs: list[np.ndarray], grid: GridSpec,
                          else np.einsum("...f,...f,f->...", d, d,
                                         faces[axis].reshape(-1)))
     return total * (grid.h ** grid.dimension / grid.h ** 2)
-
-
-def node_energy(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """h^N * sum of squares of each row of a (..., dof) stack, the squared
-    H norm, in one ``einsum`` pass with no squared temporary."""
-    return grid.h ** grid.dimension * np.einsum("...d,...d->...", values,
-                                                values)
 
 
 def norm_V(f: ScalarField) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 from . import parallel
 from .ensemble import Ensemble
 from .errors import NonFinite, StepRejected, ValidationError
-from .grid import (GridSpec, ScalarField, face_energy, node_energy,
+from .grid import (GridSpec, ScalarField, face_energy, node_inner,
                    sine_coefficients, sine_weights_Hminus1,
                    stack_face_differences)
 from .models import ImplicitFactorization, ModelSpec, face_coefficients
@@ -336,8 +336,9 @@ class BatchedStepper:
         g = self.grid
         v2 = face_energy(stack_face_differences(U, g) if diffs is None
                          else diffs, g)
-        return {"H2": node_energy(U, g), "V2": v2,
-                "L4": node_energy(U * U, g)}
+        U2 = U * U
+        return {"H2": node_inner(U, U, g), "V2": v2,
+                "L4": node_inner(U2, U2, g)}
 
 
 def ensemble_shards(members: int, dof: int) -> list[slice]:

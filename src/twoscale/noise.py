@@ -3,7 +3,8 @@
 The driving process is W(t) = sum_k sqrt(lambda_k) e_k W_k(t) with
 lambda_k = lambda0 * k^(-gamma), gamma > 1, and e_k the H-orthonormal
 Dirichlet sine modes of the grid (in 2D the modes are enumerated by
-increasing |k|^2, ties broken lexicographically). Increments over dt are
+increasing |k|^2, ties broken lexicographically), whose values only
+``mode_synthesis``'s tables hold. Increments over dt are
 
     dW = sum_k sqrt(lambda_k * dt) * xi_k * e_k,    xi_k iid N(0, 1),
 
@@ -65,16 +66,6 @@ def _mode_indices(grid: GridSpec, count: int) -> np.ndarray:
     return np.array([(k1, k2) for _, k1, k2 in ks[:count]], dtype=int)
 
 
-def _basis_matrix(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
-    """Stack of H-orthonormal mode values, shape (count, dof)."""
-    ax = grid.axis_nodes()
-    if grid.dimension == 1:
-        return np.sqrt(2.0) * np.sin(np.outer(modes[:, 0], np.pi * ax))
-    s1 = 2.0 * np.sin(np.pi * np.outer(modes[:, 0], ax))
-    s2 = np.sin(np.pi * np.outer(modes[:, 1], ax))
-    return (s1[:, :, None] * s2[:, None, :]).reshape(len(modes), -1)
-
-
 @dataclass(frozen=True)
 class QWienerSpec:
     """Spectral description of the driving noise on a grid.
@@ -117,27 +108,30 @@ class QWienerSpec:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """H-orthonormal mode values, shape (modes, dof), built on use."""
-        basis = _basis_matrix(self.grid, self.mode_indices)
+        """H-orthonormal mode values, shape (modes, dof), built on use as
+        the synthesis of the identity."""
+        basis = mode_synthesis(self)(np.eye(self.modes))
         basis.setflags(write=False)
         return basis
 
 
 def mode_synthesis(spec: QWienerSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The map from mode coefficients (paths, modes) to fields (paths, dof),
-    sum_k c_k e_k, with its tables built now.
+    sum_k c_k e_k, with its tables built now: the one place that evaluates
+    the sine modes.
 
-    1D multiplies by ``spec.basis``. 2D never builds the (modes, dof) basis
-    (7.9 MiB at 128^2 and 64 modes): it scatters each path's coefficients
-    into a (k1, k2) matrix C and forms S1^T C S2 from the per-axis sine
-    tables S1 = 2 sin(k1 pi x) and S2 = sin(k2 pi y), k up to the largest
-    wavenumber among the modes. Both agree with ``coeffs @ spec.basis`` to
-    round-off, and a path's field does not depend on the other paths.
+    1D multiplies by the (modes, dof) table sqrt(2) sin(k pi x). 2D never
+    builds the (modes, dof) basis (7.9 MiB at 128^2 and 64 modes): it
+    scatters each path's coefficients into a (k1, k2) matrix C and forms
+    S1^T C S2 from the per-axis sine tables S1 = 2 sin(k1 pi x) and
+    S2 = sin(k2 pi y), k up to the largest wavenumber among the modes. A
+    path's field does not depend on the other paths.
     """
-    if spec.grid.dimension == 1:
-        basis = spec.basis
-        return lambda coeffs: coeffs @ basis
     ax = spec.grid.axis_nodes()
+    if spec.grid.dimension == 1:
+        table = np.sqrt(2.0) * np.sin(np.outer(spec.mode_indices[:, 0],
+                                               np.pi * ax))
+        return lambda coeffs: coeffs @ table
     k = np.arange(1, int(spec.mode_indices.max()) + 1)
     s1 = 2.0 * np.sin(np.pi * np.outer(ax, k))  # S1^T, (x, k1)
     s2 = np.sin(np.pi * np.outer(k, ax))
@@ -247,5 +241,5 @@ def sample_increment(stream: NoiseStream, dt: float):
     spec = stream.spec
     xi = stream.draw(spec.modes)
     coeff = np.sqrt(spec.eigenvalues * dt) * xi
-    values = coeff @ spec.basis
+    values = mode_synthesis(spec)(coeff[None])[0]
     return ScalarField(spec.grid, values.reshape(spec.grid.shape))

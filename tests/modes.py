@@ -3,7 +3,9 @@ inputs and decay oracles of the operator, implicit-solve and stepping tests.
 
 The modes are the H-orthonormal basis in which ``grid.sine_coefficients``
 expands a field, and e_1 is an exact eigenvector of the unit-coefficient
-operator, with eigenvalue ``first_eigenvalue``.
+operator, with eigenvalue ``first_eigenvalue``. ``basis_matrix`` spells a
+noise spec's (modes, dof) basis out as per-mode outer products, the oracle
+of ``noise.mode_synthesis``'s tables.
 """
 import numpy as np
 
@@ -26,6 +28,18 @@ def sine_mode(grid: GridSpec, k: tuple[int, ...] | int) -> ScalarField:
         shape[d] = grid.cells - 1
         vals = vals * line.reshape(shape)
     return ScalarField(grid, vals)
+
+
+def basis_matrix(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """Mode values, shape (count, dof), for the wavenumber rows ``modes``:
+    sqrt(2) sin(k pi x) in 1D, and in 2D the outer product of
+    2 sin(k1 pi x) and sin(k2 pi y) per mode."""
+    ax = grid.axis_nodes()
+    if grid.dimension == 1:
+        return np.sqrt(2.0) * np.sin(np.outer(modes[:, 0], np.pi * ax))
+    s1 = 2.0 * np.sin(np.pi * np.outer(modes[:, 0], ax))
+    s2 = np.sin(np.pi * np.outer(modes[:, 1], ax))
+    return (s1[:, :, None] * s2[:, None, :]).reshape(len(modes), -1)
 
 
 def first_eigenvalue(grid: GridSpec) -> float:

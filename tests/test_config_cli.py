@@ -712,6 +712,8 @@ MALFORMED_ARCHIVES = {
         path, lambda raw: raw.update(err2=raw["err2"] + 0j)), "'err2'"),
     "nan-pairing": (_set_first("pairing", np.nan), "'pairing'"),
     "negative-grid-scale": (_set_first("grid_scale", -1.0), "'grid_scale'"),
+    # h^N of the 64-cell grid is 1/64; 0.5 would scale every final H norm
+    "off-grid-scale": (_set("grid_scale", [0.5]), "'grid_scale'"),
     "negative-err2": (_set_first("err2", -1.0), "'err2'"),
     "negative-sup-h2": (_set_first("sup_h2", -1.0), "'sup_h2'"),
     "negative-dt": (_set_first("dt", -0.01), "'dt'"),

@@ -944,8 +944,8 @@ def test_stored_paths_reproduce_ladder_accumulators(monkeypatch, family):
         osc = np.sin(2.0 * np.pi * mesh[0] / eps).reshape(-1)
         acc = np.zeros(paths[li].shape[0])
         for n in range(steps):
-            acc += dt * hN * diagnostics._pair(
-                np.ascontiguousarray(paths[li][:, n]), osc)
+            acc += dt * hN * np.einsum(
+                "pd,d->p", np.ascontiguousarray(paths[li][:, n]), osc)
         pairing.append(acc)
     for cpus, res in results.items():
         assert np.array_equal(res.raw["sup_h2"], np.stack(sup_h2)), cpus
@@ -1153,9 +1153,11 @@ def oracle_reduce_raw(raw: dict) -> ConvergenceReport:
         sup_p4.append(float(np.mean(sup_h2[li] ** 2)))
 
     w2 = []
-    hom_obs = np.sqrt(hN * np.sum(final_states[n_eps] ** 2, axis=-1))
+    hom_obs = np.sqrt(hN * np.einsum("pd,pd->p", final_states[n_eps],
+                                     final_states[n_eps]))
     for li in range(n_eps):
-        obs = np.sqrt(hN * np.sum(final_states[li] ** 2, axis=-1))
+        obs = np.sqrt(hN * np.einsum("pd,pd->p", final_states[li],
+                                     final_states[li]))
         w2.append(wasserstein2_1d(obs, hom_obs))
 
     return ConvergenceReport(

@@ -8,6 +8,7 @@ from twoscale.grid import (
     GridSpec,
     ScalarField,
     inner_H,
+    node_inner,
     norm_H,
     norm_V,
     sine_coefficients,
@@ -169,3 +170,13 @@ def test_inner_product_consistent_with_norm():
     g = GridSpec(dimension=1, cells=32)
     f = ScalarField(g, rng.standard_normal(g.shape))
     assert abs(inner_H(f, f) - norm_H(f) ** 2) < 1e-12
+
+
+def test_field_norms_are_node_inner_on_a_one_row_stack():
+    # the single-field norms are the engine's stack reduction, bit for bit
+    rng = np.random.default_rng(17)
+    for g in (GridSpec(dimension=1, cells=64), GridSpec(dimension=2, cells=16)):
+        f, w = (ScalarField(g, rng.standard_normal(g.shape)) for _ in range(2))
+        a, b = f.values.reshape(1, -1), w.values.reshape(1, -1)
+        assert inner_H(f, w) == node_inner(a, b, g)[0]
+        assert norm_H(f) == np.sqrt(node_inner(a, a, g)[0])

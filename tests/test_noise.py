@@ -18,6 +18,8 @@ from twoscale.noise import (
     trace_tail_bound,
 )
 
+from modes import basis_matrix
+
 
 def make_spec(modes=8, gamma=2.0, lambda0=1.0, seed=0, cells=64):
     grid = GridSpec(dimension=1, cells=cells)
@@ -271,13 +273,16 @@ def test_2d_mode_list_is_the_first_of_all_sorted_wavevectors(cells, count):
 @pytest.mark.parametrize("cells, modes", [(16, 12), (32, 64), (128, 64)])
 def test_2d_table_synthesis_matches_the_basis_product(cells, modes):
     # S1^T C S2 from the per-axis sine tables is sum_k c_k e_k, as the
-    # (modes, dof) basis product is, to round-off; a path's field does not
-    # depend on the paths beside it
+    # product with the outer-product basis is, to round-off; a path's field
+    # does not depend on the paths beside it. The spec's basis, the
+    # synthesis of the identity, has the outer products' bits.
     spec = QWienerSpec(grid=GridSpec(dimension=2, cells=cells), modes=modes)
+    oracle = basis_matrix(spec.grid, spec.mode_indices)
+    assert np.array_equal(spec.basis, oracle)
     xi = np.random.default_rng(5).standard_normal((5, spec.modes))
     coeffs = xi * np.sqrt(spec.eigenvalues * 1e-3)
     fields = mode_synthesis(spec)(coeffs)
-    expected = coeffs @ spec.basis
+    expected = coeffs @ oracle
     assert fields.shape == expected.shape
     assert np.max(np.abs(fields - expected)) <= 1e-14 * np.max(
         np.abs(expected))
@@ -287,6 +292,8 @@ def test_2d_table_synthesis_matches_the_basis_product(cells, modes):
 
 def test_1d_synthesis_is_the_basis_product_bitwise():
     spec = QWienerSpec(grid=GridSpec(dimension=1, cells=1024))
+    assert np.array_equal(spec.basis,
+                          basis_matrix(spec.grid, spec.mode_indices))
     coeffs = np.random.default_rng(6).standard_normal((16, spec.modes))
     assert np.array_equal(mode_synthesis(spec)(coeffs), coeffs @ spec.basis)
 

@@ -96,6 +96,15 @@ RUN_SET = [
         "ensemble": {"members": 64},
         "study": {"initial_mode": 3},
         "run": {"seed": 2026}}),
+    # the drift without drag or cubic, which no other run reaches, under
+    # the scalar noise law; at 2 CPUs, 65 members x 255 values fill each of
+    # two shards
+    Run("simulate_1d_linear", "simulate", {
+        "grid": {"cells": 256},
+        "model": {"mean_field": "none", "cubic": "false"},
+        "stepper": _stepper(1e-3, 40),
+        "ensemble": {"members": 130},
+        "run": {"seed": 2026}}),
     Run("simulate_2d_constant", "simulate", {
         "grid": {"dimension": 2, "cells": 64},
         "coefficient": {"family": "constant"},
